@@ -71,10 +71,11 @@ def s1_encode(info: str, n: int | None = None) -> str:
         if _checksum(s) == 0:
             break
     else:
-        raise AssertionError("no admissible (s_2, s_{n-1}) pair")  # unreachable
+        raise RuntimeError("no admissible (s_2, s_{n-1}) pair")  # unreachable
     if s.count("1") % 2 == 1:
         s = s[:h - 1] + ("1" if s[h - 1] == "0" else "0") + s[h:]
-    assert _checksum(s) == 0 and s.count("1") % 2 == 0
+    if _checksum(s) != 0 or s.count("1") % 2 != 0:
+        raise RuntimeError("middle flip broke the checksum or the parity")
     return s
 
 
@@ -185,7 +186,8 @@ def st_encode(info: str, t: int) -> str:
     word = ternary_erasure_encode(sig, 3 * t)
     parity = word[m // 2:]
     D = len(parity)
-    assert n == m + 2 * D
+    if n != m + 2 * D:
+        raise RuntimeError(f"length {m} + 2*{D} check digits != n = {n}")
     b = [""] * (2 * D)
     for idx, d in enumerate(parity):  # pair idx+1 at positions idx, 2D-1-idx
         pair = _digit_pair(d)

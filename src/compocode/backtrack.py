@@ -61,7 +61,6 @@ class ToleranceBudget:
 
     t: int = 0
     model: str = "asymmetric"  # or "symmetric-single"
-    per_level_cap: int = 2
 
     def __post_init__(self):
         if self.t < 0:
@@ -123,8 +122,7 @@ def _pair_choices(sv: int):
     return (("0", "1"), ("1", "0"))
 
 
-def _search(c, sigma, bad_levels, stats, *, collect_all, canonical_first=True,
-            max_solutions=None):
+def _search(c, sigma, bad_levels, stats, *, collect_all):
     """Depth-first pair placement.  Returns the list of consistent strings."""
     n = c.n
     h = (n + 1) // 2
@@ -189,7 +187,7 @@ def _search(c, sigma, bad_levels, stats, *, collect_all, canonical_first=True,
             return finalize("".join(prefix) + mid + "".join(reversed(suffix)))
         choices = _pair_choices(sigma[k])
         if sigma[k] == 1:
-            if canonical_first and k == first_one:
+            if k == first_one:
                 choices = (("0", "1"),)
             else:
                 if pw[k] == sw[k]:
@@ -212,25 +210,28 @@ def _search(c, sigma, bad_levels, stats, *, collect_all, canonical_first=True,
             sw.pop()
             if found and not collect_all:
                 break
-            if max_solutions is not None and len(solutions) >= max_solutions:
-                break
         return found
 
     extend(0)
     return solutions
 
 
-def reconstruct(c: CompositionMultiset) -> set[str]:
-    """All strings v with C(v) = C: the confusable set, closed under reversal."""
+def _search_exact(c: CompositionMultiset, stats, *, collect_all):
+    """_search on an uncorrupted multiset, with sigma solved from its weights."""
     c.validate_shape()
     try:
         sigma = sigma_from_weights(cumulative_weights(c), c.n)
     except CorruptedInput as e:
         raise ReconstructionFailure(f"inconsistent multiset: {e}") from e
-    stats = BacktrackStats()
-    sols = _search(c, sigma, frozenset(), stats, collect_all=True)
+    sols = _search(c, sigma, frozenset(), stats, collect_all=collect_all)
     if not sols:
         raise ReconstructionFailure("inconsistent multiset: no consistent string")
+    return sols
+
+
+def reconstruct(c: CompositionMultiset) -> set[str]:
+    """All strings v with C(v) = C: the confusable set, closed under reversal."""
+    sols = _search_exact(c, BacktrackStats(), collect_all=True)
     return set(sols) | {s[::-1] for s in sols}
 
 
@@ -240,15 +241,8 @@ def reconstruct_unique(c: CompositionMultiset, strict: bool = True):
     Returns (string, stats).  With strict=True a rollback is an error, since
     codewords with the prefix/suffix weight-gap guarantee never need one.
     """
-    c.validate_shape()
-    try:
-        sigma = sigma_from_weights(cumulative_weights(c), c.n)
-    except CorruptedInput as e:
-        raise ReconstructionFailure(f"inconsistent multiset: {e}") from e
     stats = BacktrackStats()
-    sols = _search(c, sigma, frozenset(), stats, collect_all=False)
-    if not sols:
-        raise ReconstructionFailure("inconsistent multiset: no consistent string")
+    sols = _search_exact(c, stats, collect_all=False)
     if strict and stats.backtracks:
         raise ReconstructionFailure(
             "backtracking occurred: input is not a codeword multiset")

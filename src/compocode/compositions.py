@@ -27,7 +27,6 @@ i.e. plain successive differencing with exact integer arithmetic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 
 class CorruptedInput(ValueError):
@@ -40,10 +39,6 @@ def check_bits(s: str) -> str:
     if set(s) - {"0", "1"}:
         raise ValueError("bit strings must consist of '0'/'1' characters")
     return s
-
-
-def reverse_bits(s: str) -> str:
-    return s[::-1]
 
 
 def weight(s: str) -> int:
@@ -63,25 +58,6 @@ def sigma_of_string(s: str) -> tuple[int, ...]:
         else:
             out.append(int(s[i]) + int(s[j]))
     return tuple(out)
-
-
-@dataclass(frozen=True)
-class Composition:
-    """Unordered substring content 0^zeros 1^ones."""
-
-    zeros: int
-    ones: int
-
-    def __post_init__(self):
-        if self.zeros < 0 or self.ones < 0 or self.zeros + self.ones < 1:
-            raise ValueError("composition length must be >= 1")
-
-    @property
-    def length(self) -> int:
-        return self.zeros + self.ones
-
-    def __str__(self) -> str:
-        return f"0^{self.zeros}1^{self.ones}"
 
 
 class CompositionMultiset:
@@ -118,9 +94,6 @@ class CompositionMultiset:
         return CompositionMultiset(self.n, {l: Counter(c) for l, c in self.levels.items()})
 
     # -- basic queries ----------------------------------------------------
-
-    def level(self, l: int) -> Counter:
-        return self.levels[l]
 
     def level_size(self, l: int) -> int:
         return sum(self.levels[l].values())

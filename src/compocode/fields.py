@@ -1,10 +1,15 @@
-"""Finite-field machinery: prime fields with a primitive element, sparse
-polynomial recovery from consecutive power evaluations, a systematic erasure
-code over the ternary alphabet (built on GF(3^e)), and systematic binary block
-codes of minimum distance 2t+1.
+"""Finite-field machinery on two field types.
 
-All prime-field elements are plain ints in [0, q); extension-field elements of
-GF(3^e) are ints whose base-3 digits are the polynomial coefficients.
+* ``PrimeField(q, alpha)``: GF(q) for a prime q with a primitive element
+  alpha; elements are plain ints in [0, q).
+* ``GF(p, m)``: GF(p^m) with log/antilog tables.  Elements are packed base-p
+  ints whose digit i is the coefficient of x^i.  Multiplication goes through
+  the log tables and addition through a Zech-logarithm table.
+
+Both expose add/sub/mul/inv, so one Berlekamp-Massey serves the sparse
+polynomial recovery over GF(q), the systematic erasure code over the ternary
+alphabet (built on GF(3^e)) and the systematic binary BCH codes of minimum
+distance 2t+1 (built on GF(2^m)).
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import sympy
 
 
 class SparsityExceeded(ValueError):
@@ -22,6 +26,39 @@ class SparsityExceeded(ValueError):
 
 class EraseBudgetExceeded(ValueError):
     """Too many erased symbols for the designed redundancy."""
+
+
+# -- small number theory (trial division; every shipped q is below ~2^16) ---
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending."""
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
+
+
+def _has_order(power, order: int, one) -> bool:
+    """g has multiplicative order `order`, given power(e) = g^e."""
+    return power(order) == one and all(
+        power(order // r) != one for r in _prime_factors(order))
+
+
+def _generates(alpha: int, q: int) -> bool:
+    """alpha has multiplicative order q-1 modulo the prime q."""
+    return _has_order(lambda e: pow(alpha, e, q), q - 1, 1)
 
 
 # -- prime fields ----------------------------------------------------------
@@ -33,11 +70,19 @@ class PrimeField:
     alpha: int
 
     def __post_init__(self):
-        if not sympy.isprime(self.q):
+        if not _is_prime(self.q):
             raise ValueError(f"{self.q} is not prime")
-        for p in sympy.factorint(self.q - 1):
-            if pow(self.alpha, (self.q - 1) // p, self.q) == 1:
-                raise ValueError(f"{self.alpha} does not generate GF({self.q})*")
+        if not _generates(self.alpha, self.q):
+            raise ValueError(f"{self.alpha} does not generate GF({self.q})*")
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.q
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.q
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.q
 
     def inv(self, a: int) -> int:
         return pow(a, self.q - 2, self.q)
@@ -57,45 +102,168 @@ def alpha_power_table(field: PrimeField) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def field_setup(n: int) -> PrimeField:
-    """Smallest prime q with q - 1 > 2n, and a primitive element.
+    """Smallest prime q with q - 1 > 2n, and its smallest primitive element.
 
     The strict inequality keeps the exponents 0..2n distinct mod q-1, so a
     degree-2n polynomial's terms cannot alias under x^(q-1) = 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    q = sympy.nextprime(2 * n + 1)
-    return PrimeField(q, sympy.primitive_root(q))
+    q = 2 * n + 2
+    while not _is_prime(q):
+        q += 1
+    return PrimeField(q, next(g for g in range(1, q) if _generates(g, q)))
 
 
-# -- sparse recovery from power evaluations --------------------------------
+# -- extension fields GF(p^m) ----------------------------------------------
 
 
-def _berlekamp_massey(seq, q):
-    """Shortest LFSR [1, c_1, .., c_L] with s_i = -sum c_j s_{i-j} over GF(q)."""
+def _x_power(n: int, low: list[int], p: int) -> list[int]:
+    """x^n modulo x^m + low(x) over GF(p), as m digits, low-order first."""
+    m = len(low)
+
+    def mulmod(a, b):
+        prod = [0] * (2 * m - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    prod[i + j] += ai * bj
+        for d in range(2 * m - 2, m - 1, -1):  # x^d = -x^(d-m) low(x)
+            c = prod[d] % p
+            if c:
+                for j, rj in enumerate(low):
+                    prod[d - m + j] -= c * rj
+        return [v % p for v in prod[:m]]
+
+    base = [0, 1] + [0] * (m - 2) if m > 1 else [-low[0] % p]
+    out = [1] + [0] * (m - 1)
+    while n:
+        if n & 1:
+            out = mulmod(out, base)
+        base = mulmod(base, base)
+        n >>= 1
+    return out
+
+
+def _primitive_modulus(p: int, m: int) -> int:
+    """The first monic x^m + r(x), packed, whose residue class of x is primitive.
+
+    Candidates are scanned in increasing packed order.  x is primitive iff
+    x^(p^m-1) = 1 and x^((p^m-1)/r) != 1 for each prime r of p^m-1; such a
+    modulus is necessarily irreducible.
+    """
+    one = [1] + [0] * (m - 1)
+    for code in range(p ** m):
+        low = [code // p ** i % p for i in range(m)]
+        if _has_order(lambda e: _x_power(e, low, p), p ** m - 1, one):
+            return p ** m + code
+    raise RuntimeError(f"no primitive modulus for GF({p}^{m})")  # unreachable
+
+
+class GF:
+    """GF(p^m) over packed base-p ints, with log, antilog and Zech tables.
+
+    antilog[i] = x^i modulo the first primitive modulus (see
+    `_primitive_modulus`), log inverts it, and zech[i] = log(1 + x^i), or -1
+    where 1 + x^i = 0.
+    """
+
+    def __init__(self, p: int, m: int):
+        if not _is_prime(p) or m < 1:
+            raise ValueError(f"GF({p}^{m}) needs a prime p and m >= 1")
+        self.p, self.m = p, m
+        self.order = p ** m - 1
+        self.modulus = _primitive_modulus(p, m)
+        # multiply by x: shift the digits up one place, then fold the overflowing
+        # digit c back in as c * x^m = -c * r(x), r the modulus's m low digits
+        top = p ** (m - 1)
+        fold = [self.pack([-c * d % p for d in self.digits(self.modulus)])
+                for c in range(p)]
+        antilog = [0] * self.order
+        v = 1
+        for i in range(self.order):
+            antilog[i] = v
+            c, low = divmod(v, top)
+            v = self._add_digits(low * p, fold[c]) if c else low * p
+        self.antilog = antilog
+        self.log = [-1] * (self.order + 1)
+        for i, v in enumerate(antilog):
+            self.log[v] = i
+        # 1 + a changes only digit 0 of a
+        self.zech = [self.log[v - v % p + (v + 1) % p] for v in antilog]
+
+    def _add_digits(self, a: int, b: int) -> int:
+        out, place = 0, 1
+        while a or b:
+            out += (a + b) % self.p * place
+            a //= self.p
+            b //= self.p
+            place *= self.p
+        return out
+
+    def pack(self, digits) -> int:
+        return sum(d * self.p ** i for i, d in enumerate(digits))
+
+    def digits(self, v: int) -> list[int]:
+        return [v // self.p ** i % self.p for i in range(self.m)]
+
+    def pow_alpha(self, e: int) -> int:
+        return self.antilog[e % self.order]
+
+    def add(self, a: int, b: int) -> int:
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        la = self.log[a]
+        z = self.zech[(self.log[b] - la) % self.order]
+        return 0 if z < 0 else self.antilog[(la + z) % self.order]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.mul(self.p - 1, b))  # p - 1 is -1
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        return self.antilog[(self.log[a] + self.log[b]) % self.order]
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError
+        return self.antilog[-self.log[a] % self.order]
+
+
+_field = lru_cache(maxsize=None)(GF)  # shared GF(p, m) instances
+
+
+# -- Berlekamp-Massey over either field type -------------------------------
+
+
+def _berlekamp_massey(seq, F) -> list[int]:
+    """Shortest LFSR [1, c_1, .., c_L] with s_i = -sum c_j s_{i-j} over F."""
     C = [1]
     B = [1]
     L, m, b = 0, 1, 1
     for i, s in enumerate(seq):
         d = s
         for j in range(1, L + 1):
-            d = (d + C[j] * seq[i - j]) % q
+            d = F.add(d, F.mul(C[j], seq[i - j]))
         if d == 0:
             m += 1
-        elif 2 * L <= i:
-            T = C[:]
-            coef = d * pow(b, q - 2, q) % q
-            C = C + [0] * (len(B) + m - len(C))
-            for j, bj in enumerate(B):
-                C[j + m] = (C[j + m] - coef * bj) % q
+            continue
+        T = C[:]
+        coef = F.mul(d, F.inv(b))
+        C = C + [0] * max(0, len(B) + m - len(C))
+        for j, bj in enumerate(B):
+            C[j + m] = F.sub(C[j + m], F.mul(coef, bj))
+        if 2 * L <= i:
             L, B, b, m = i + 1 - L, T, d, 1
         else:
-            coef = d * pow(b, q - 2, q) % q
-            C = C + [0] * max(0, len(B) + m - len(C))
-            for j, bj in enumerate(B):
-                C[j + m] = (C[j + m] - coef * bj) % q
             m += 1
-    return C[:L + 1], L
+    return C[:L + 1]
+
+
+# -- sparse recovery from power evaluations --------------------------------
 
 
 def _solve_linear(mat, rhs, q):
@@ -123,14 +291,12 @@ def _scan_table(field: PrimeField, j: int) -> np.ndarray:
     return alpha_power_table(field)[(-es * j) % (field.q - 1)]
 
 
-def sparse_interpolate(evals, T: int, field: PrimeField,
-                       exponents=None) -> dict[int, int]:
+def sparse_interpolate(evals, T: int, field: PrimeField) -> dict[int, int]:
     """Recover a polynomial with <= T nonzero terms from its values at
     alpha^l, l = -T..T (evals[i] = E(alpha^(i-T))).
 
-    Returns {exponent: coefficient}.  exponents optionally restricts the root
-    search (default: all of 0..q-2).  Raises SparsityExceeded when no such
-    polynomial reproduces the evaluations.
+    Returns {exponent: coefficient} over exponents 0..q-2.  Raises
+    SparsityExceeded when no such polynomial reproduces the evaluations.
     """
     q, alpha = field.q, field.alpha
     if len(evals) != 2 * T + 1:
@@ -138,37 +304,16 @@ def sparse_interpolate(evals, T: int, field: PrimeField,
     seq = [v % q for v in evals]
     if all(v == 0 for v in seq):
         return {}
-    lam, L = _berlekamp_massey(seq, q)
+    lam = _berlekamp_massey(seq, field)
+    L = len(lam) - 1
     if L > T:
         raise SparsityExceeded(f"locator degree {L} exceeds the bound {T}")
-    search = range(q - 1) if exponents is None else exponents
-    if len(search) >= 1024:
-        # bulk scan: Lambda(alpha^-e) for every candidate via the power table
-        acc = None
-        if exponents is None:
-            # full-circle scan reuses cached per-degree lookup tables
-            es = np.arange(q - 1, dtype=np.int64)
-            acc = np.zeros(q - 1, dtype=np.int64)
-            for j, c in enumerate(lam):
-                if c:
-                    acc = (acc + c * _scan_table(field, j)) % q
-        else:
-            table = alpha_power_table(field)
-            es = np.asarray(search, dtype=np.int64)
-            acc = np.zeros(len(es), dtype=np.int64)
-            for j, c in enumerate(lam):
-                if c:
-                    acc = (acc + c * table[(-es * j) % (q - 1)]) % q
-        roots = [int(e) for e in es[acc == 0]]
-    else:
-        roots = []
-        for e in search:
-            x = pow(alpha, (-e) % (q - 1), q)
-            acc = 0
-            for c in reversed(lam):
-                acc = (acc * x + c) % q
-            if acc == 0:
-                roots.append(e)
+    # Lambda(alpha^-e) for every e at once, from cached per-degree columns
+    acc = np.zeros(q - 1, dtype=np.int64)
+    for j, c in enumerate(lam):
+        if c:
+            acc = (acc + c * _scan_table(field, j)) % q
+    roots = np.flatnonzero(acc == 0).tolist()
     if len(roots) != L:
         raise SparsityExceeded(
             f"locator has {len(roots)} roots in range, expected {L}")
@@ -188,96 +333,7 @@ def sparse_interpolate(evals, T: int, field: PrimeField,
     return poly
 
 
-def evaluate_sparse(poly: dict[int, int], ell: int, field: PrimeField) -> int:
-    """E(alpha^ell) for a sparse polynomial given as {exponent: coefficient}."""
-    q, alpha = field.q, field.alpha
-    acc = 0
-    for e, c in poly.items():
-        acc = (acc + c * pow(alpha, (e * ell) % (q - 1), q)) % q
-    return acc
-
-
-# -- GF(3^e) and the ternary erasure code ----------------------------------
-
-
-def _gf3_poly_mul(a, b, e, red):
-    """Multiply digit tuples mod the monic irreducible with low coeffs `red`."""
-    prod = [0] * (2 * e - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % 3
-    for d in range(2 * e - 2, e - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for j, rj in enumerate(red):
-                prod[d - e + j] = (prod[d - e + j] - c * rj) % 3
-    return tuple(prod[:e])
-
-
-class TernaryField:
-    """GF(3^e) with log/antilog tables over a primitive element."""
-
-    def __init__(self, e: int):
-        self.e = e
-        self.size = 3 ** e
-        self.red = self._find_tables(e)
-
-    def _find_tables(self, e):
-        # scan monic degree-e polys x^e + r_{e-1}x^{e-1} + ... + r_0 for one
-        # whose residue class of x is primitive; build tables from its powers
-        order = self.size - 1
-        for code in range(self.size):
-            red = tuple((code // 3 ** i) % 3 for i in range(e))
-            x = tuple(1 if i == 1 else 0 for i in range(e)) if e > 1 else (
-                (-red[0]) % 3,)
-            elem = tuple(1 if i == 0 else 0 for i in range(e))
-            antilog = []
-            seen = set()
-            ok = True
-            for _ in range(order):
-                antilog.append(elem)
-                if elem in seen:
-                    ok = False
-                    break
-                seen.add(elem)
-                elem = _gf3_poly_mul(elem, x, e, red)
-            if ok and elem == antilog[0] and len(seen) == order and all(
-                    any(d for d in a) for a in antilog):
-                self.antilog = [self._pack(a) for a in antilog]
-                self.log = {v: i for i, v in enumerate(self.antilog)}
-                return red
-        raise RuntimeError("no primitive polynomial found")  # unreachable
-
-    @staticmethod
-    def _pack(digits):
-        return sum(d * 3 ** i for i, d in enumerate(digits))
-
-    def digits(self, v, width=None):
-        w = width or self.e
-        return [(v // 3 ** i) % 3 for i in range(w)]
-
-    def add(self, a, b):
-        return self._pack([(x + y) % 3 for x, y in zip(self.digits(a), self.digits(b))])
-
-    def sub(self, a, b):
-        return self._pack([(x - y) % 3 for x, y in zip(self.digits(a), self.digits(b))])
-
-    def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self.antilog[(self.log[a] + self.log[b]) % (self.size - 1)]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError
-        return self.antilog[(-self.log[a]) % (self.size - 1)]
-
-
-@lru_cache(maxsize=None)
-def _ternary_field(e: int) -> TernaryField:
-    return TernaryField(e)
+# -- the ternary erasure code over GF(3^e) ----------------------------------
 
 
 def ternary_field_params(msg_digits: int, n_era: int) -> int:
@@ -288,7 +344,7 @@ def ternary_field_params(msg_digits: int, n_era: int) -> int:
     return e
 
 
-def _rs_interpolate_eval(F: TernaryField, pts, targets):
+def _rs_interpolate_eval(F: GF, pts, targets):
     """Lagrange: from (x, y) pairs, evaluate the interpolant at targets."""
     out = []
     for xt in targets:
@@ -318,10 +374,10 @@ def ternary_erasure_encode(msg, n_era: int) -> list[int]:
     if n_era == 0:
         return msg
     e = ternary_field_params(len(msg), n_era)
-    F = _ternary_field(e)
+    F = _field(3, e)
     K = -(-len(msg) // e)
     padded = msg + [0] * (K * e - len(msg))
-    syms = [F._pack(padded[i * e:(i + 1) * e]) for i in range(K)]
+    syms = [F.pack(padded[i * e:(i + 1) * e]) for i in range(K)]
     xs = [F.antilog[i] for i in range(K + n_era)]  # distinct nonzero points
     pts = list(zip(xs[:K], syms))
     parity = _rs_interpolate_eval(F, pts, xs[K:])
@@ -334,12 +390,14 @@ def ternary_erasure_encode(msg, n_era: int) -> list[int]:
 def ternary_erasure_decode(word, msg_len: int, n_era: int) -> list[int]:
     """Recover the message from a codeword with erased digits marked None."""
     word = list(word)
+    if any(d not in (0, 1, 2, None) for d in word):
+        raise ValueError("codeword digits must be ternary or None")
     if n_era == 0:
         if any(d is None for d in word):
             raise EraseBudgetExceeded("erasures present but no redundancy")
         return word[:msg_len]
     e = ternary_field_params(msg_len, n_era)
-    F = _ternary_field(e)
+    F = _field(3, e)
     K = -(-msg_len // e)
     if len(word) != msg_len + n_era * e:
         raise ValueError("codeword length inconsistent with parameters")
@@ -349,7 +407,7 @@ def ternary_erasure_decode(word, msg_len: int, n_era: int) -> list[int]:
     for i in range(K + n_era):
         chunk = padded[i * e:(i + 1) * e]
         if all(d is not None for d in chunk):
-            known.append((xs[i], F._pack(chunk)))
+            known.append((xs[i], F.pack(chunk)))
     if len(known) < K:
         raise EraseBudgetExceeded(
             f"only {len(known)} intact symbols, need {K}")
@@ -360,79 +418,7 @@ def ternary_erasure_decode(word, msg_len: int, n_era: int) -> list[int]:
     return digits[:msg_len]
 
 
-# -- binary block codes of distance 2t+1 -----------------------------------
-
-
-class RepetitionCode:
-    """(2t+1)-fold repetition: the trivial distance-(2t+1) systematic code."""
-
-    def __init__(self, msg_len: int, t: int):
-        self.msg_len = msg_len
-        self.t = t
-        self.code_len = msg_len * (2 * t + 1)
-
-    def encode(self, bits):
-        bits = list(bits)
-        if len(bits) != self.msg_len:
-            raise ValueError("message length mismatch")
-        return bits + bits * (2 * self.t)
-
-    def decode(self, received):
-        received = list(received)
-        if len(received) != self.code_len:
-            raise ValueError("codeword length mismatch")
-        reps = 2 * self.t + 1
-        out = []
-        for i in range(self.msg_len):
-            votes = sum(received[i + j * self.msg_len] for j in range(reps))
-            out.append(1 if 2 * votes > reps else 0)
-        return out
-
-
-class _GF2m:
-    """GF(2^m) log/antilog tables over a primitive polynomial."""
-
-    def __init__(self, m: int):
-        self.m = m
-        self.size = 1 << m
-        for poly in range(self.size | 1, self.size << 1, 2):
-            antilog = []
-            x = 1
-            ok = True
-            for i in range(self.size - 1):
-                antilog.append(x)
-                x <<= 1
-                if x & self.size:
-                    x ^= poly
-                if x == 1 and i != self.size - 2:
-                    ok = False
-                    break
-            if ok and x == 1 and len(set(antilog)) == self.size - 1:
-                self.antilog = antilog
-                self.log = {v: i for i, v in enumerate(antilog)}
-                self.poly = poly
-                return
-        raise RuntimeError("no primitive polynomial found")  # unreachable
-
-    def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self.antilog[(self.log[a] + self.log[b]) % (self.size - 1)]
-
-    def inv(self, a):
-        return self.antilog[(-self.log[a]) % (self.size - 1)]
-
-    def pow_alpha(self, e):
-        return self.antilog[e % (self.size - 1)]
-
-
-def _poly_mul_gf2m(f, a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] ^= f.mul(ai, bj)
-    return out
+# -- binary BCH codes of distance 2t+1 -------------------------------------
 
 
 class BCHCode:
@@ -444,6 +430,8 @@ class BCHCode:
     """
 
     def __init__(self, msg_len: int, t: int):
+        if t < 1:
+            raise ValueError("a BCH code needs t >= 1")
         self.msg_len = msg_len
         self.t = t
         m = 2
@@ -451,7 +439,7 @@ class BCHCode:
             m += 1
             if (1 << m) - 1 - m * t < msg_len:
                 continue
-            f = _GF2m(m)
+            f = _field(2, m)
             g = self._generator(f, t)
             if (1 << m) - 1 - (len(g) - 1) >= msg_len:
                 self.f = f
@@ -462,26 +450,20 @@ class BCHCode:
 
     @staticmethod
     def _generator(f, t):
-        cosets = []
-        covered = set()
+        # the roots alpha^j, j in the cyclotomic cosets of 1..2t, make g the
+        # product of their minimal polynomials
+        roots = set()
         for i in range(1, 2 * t + 1):
-            if i in covered:
-                continue
-            coset = set()
             j = i
-            while j not in coset:
-                coset.add(j)
-                j = (j * 2) % (f.size - 1)
-            covered |= coset
-            cosets.append(coset)
+            while j not in roots:
+                roots.add(j)
+                j = (j * 2) % f.order
         g = [1]
-        for coset in cosets:
-            minpoly = [1]
-            for j in coset:
-                minpoly = _poly_mul_gf2m(f, minpoly, [f.pow_alpha(j), 1])
-            assert all(c in (0, 1) for c in minpoly)
-            g = _poly_mul_gf2m(f, g, minpoly)
-        assert all(c in (0, 1) for c in g)
+        for j in sorted(roots):  # g *= x + alpha^j, coefficients low first
+            a = f.pow_alpha(j)
+            g = [f.add(f.mul(a, c), prev) for c, prev in zip(g + [0], [0] + g)]
+        if any(c not in (0, 1) for c in g):
+            raise RuntimeError("generator polynomial is not binary")
         return g
 
     def _degree_of(self, idx):
@@ -489,6 +471,17 @@ class BCHCode:
         if idx < self.msg_len:
             return self.n_parity + idx
         return idx - self.msg_len
+
+    def _syndromes(self, word):
+        """word(alpha^i) for i = 1..2t; all zero exactly on codewords."""
+        out = []
+        for i in range(1, 2 * self.t + 1):
+            s = 0
+            for idx, bit in enumerate(word):
+                if bit:
+                    s ^= self.f.pow_alpha(self._degree_of(idx) * i)
+            out.append(s)
+        return out
 
     def encode(self, bits):
         bits = list(bits)
@@ -508,16 +501,10 @@ class BCHCode:
         if len(received) != self.code_len:
             raise ValueError("codeword length mismatch")
         f, t = self.f, self.t
-        synd = []
-        for i in range(1, 2 * t + 1):
-            s = 0
-            for idx, bit in enumerate(received):
-                if bit:
-                    s ^= f.pow_alpha(self._degree_of(idx) * i)
-            synd.append(s)
+        synd = self._syndromes(received)
         if all(s == 0 for s in synd):
             return received[:self.msg_len]
-        lam = self._bm_gf2(synd)
+        lam = _berlekamp_massey(synd, f)
         L = len(lam) - 1
         if L > t:
             raise ValueError("more errors than the design distance allows")
@@ -533,57 +520,10 @@ class BCHCode:
                 nroots += 1
         if nroots != L:
             raise ValueError("error locator failed to split over the block")
-        for i in range(1, 2 * t + 1):
-            s = 0
-            for idx, bit in enumerate(fixed):
-                if bit:
-                    s ^= f.pow_alpha(self._degree_of(idx) * i)
-            if s != 0:
-                raise ValueError("correction did not cancel the syndromes")
+        if any(self._syndromes(fixed)):
+            raise ValueError("correction did not cancel the syndromes")
         return fixed[:self.msg_len]
 
-    def _bm_gf2(self, synd):
-        f = self.f
-        C, B = [1], [1]
-        L, m, b = 0, 1, 1
-        for i, s in enumerate(synd):
-            d = s
-            for j in range(1, L + 1):
-                if j < len(C):
-                    d ^= f.mul(C[j], synd[i - j])
-            if d == 0:
-                m += 1
-            elif 2 * L <= i:
-                T = C[:]
-                coef = f.mul(d, f.inv(b))
-                C = C + [0] * max(0, len(B) + m - len(C))
-                for j, bj in enumerate(B):
-                    C[j + m] ^= f.mul(coef, bj)
-                L, B, b, m = i + 1 - L, T, d, 1
-            else:
-                coef = f.mul(d, f.inv(b))
-                C = C + [0] * max(0, len(B) + m - len(C))
-                for j, bj in enumerate(B):
-                    C[j + m] ^= f.mul(coef, bj)
-                m += 1
-        return C[:L + 1]
 
-
-@lru_cache(maxsize=None)
-def bblock_code(msg_len: int, t: int, kind: str = "bch"):
-    if t == 0 or kind == "identity":
-        # degenerate: no protection requested
-        return RepetitionCode(msg_len, 0)
-    if kind == "bch":
-        return BCHCode(msg_len, t)
-    if kind == "repetition":
-        return RepetitionCode(msg_len, t)
-    raise ValueError(f"unknown block-code kind {kind!r}")
-
-
-def bblock_encode(bits, t: int, kind: str = "bch"):
-    return bblock_code(len(bits), t, kind).encode(list(bits))
-
-
-def bblock_decode(received, msg_len: int, t: int, kind: str = "bch"):
-    return bblock_code(msg_len, t, kind).decode(list(received))
+# the shared distance-(2t+1) code for msg_len-bit messages
+bblock_code = lru_cache(maxsize=None)(BCHCode)

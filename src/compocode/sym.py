@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .backtrack import ReconstructionFailure, reconstruct
-from .catalan import sr_decode, sr_encode
+from .catalan import cb_count, sr_decode, sr_encode
 from .compositions import (
     CompositionMultiset,
     CorruptedInput,
@@ -148,26 +148,6 @@ def resolve_weight(observed: int, c_w: int, t: int, n: int) -> int:
     if len(cands) != 1:
         raise CorruptedInput("weight residue fails to pin wt(s)")
     return cands[0]
-
-
-def build_F(S: MultisetPolynomial, c_w: int, t: int, n: int,
-            field: PrimeField, point: tuple[int, int]) -> int:
-    """x^dx y^dy (n+1+S(x,y)+S(1/x,1/y)) at (alpha^l1, alpha^l2).
-
-    Equals P*P' + Etilde there when S carries at most t composition errors of
-    a string with wt mod (2t+1) = c_w.
-    """
-    q, alpha = field.q, field.alpha
-    l1, l2 = point
-    observed = sum(w * c for (w, z), c in S.terms.items() if w + z == 1)
-    d_x = resolve_weight(observed, c_w, t, n)
-    d_y = n - d_x
-    bx = pow(alpha, l1 % (q - 1), q)
-    by = pow(alpha, l2 % (q - 1), q)
-    ssym = (_eval_terms(S.terms, bx, by, field)
-            + _eval_terms(S.terms, field.inv(bx), field.inv(by), field)) % q
-    scale = pow(alpha, (l1 * d_x + l2 * d_y) % (q - 1), q)
-    return scale * (n + 1 + ssym) % q
 
 
 def _signed(v: int, q: int) -> int:
@@ -334,10 +314,6 @@ class DeltaObservation:
                 if not 0 <= w <= l:
                     raise CorruptedInput(f"level {l} weight {w} out of range")
 
-    def level_weight(self, l: int) -> int:
-        extra = sum(w * c for w, c in self.delta.get(l, {}).items())
-        return int(self.base_w[l - 1]) + extra
-
     def weight_profile(self) -> np.ndarray:
         w = self.base_w.copy()
         for l, d in self.delta.items():
@@ -389,9 +365,6 @@ class DenseObservation:
         self.c = c
         self.n = c.n
         self._arrays = None
-
-    def level_weight(self, l: int) -> int:
-        return sum(w * c for w, c in self.c.levels[l].items())
 
     def weight_profile(self) -> np.ndarray:
         return np.array(cumulative_weights(self.c), dtype=np.int64)
@@ -455,10 +428,6 @@ class PolyCodeParams:
     code_len: int      # sbar length, r_hat / 4
     a_bits: int
     elem_bits: int
-
-    @property
-    def grid_radius(self) -> int:
-        return 4 * self.t
 
 
 def _grid_msg_len(t: int, elem_bits: int) -> int:
@@ -559,7 +528,8 @@ def etn_encode(u: str, t: int, params: PolyCodeParams | None = None) -> str:
     sbar = bblock_code(p.msg_len, t).encode(_grid_to_bits(a, grid, p))
     z = _parity_block(sbar)
     s = "0" * (p.r_hat // 2) + u + z[::-1]
-    assert len(s) == p.n
+    if len(s) != p.n:
+        raise RuntimeError(f"codeword length {len(s)} != n = {p.n}")
     return s
 
 
@@ -703,20 +673,13 @@ def etn_redundancy(k: int, t: int) -> int:
 
 
 # -- the Catalan-path code --------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _path_count(rem: int, d: int) -> int:
-    """Completions of a prefix-dominated balanced string: rem bits, surplus d."""
-    if d < 0 or d > rem or (rem - d) % 2:
-        return 0
-    if rem == 0:
-        return 1
-    return _path_count(rem - 1, d + 1) + _path_count(rem - 1, d - 1)
+# Ranks are lexicographic.  Reversed, bit-swapped and behind a leading 0, the
+# prefix-dominated completions of rem bits from 0-surplus d are the CB strings
+# of length rem+1 with (rem-d)/2 ones, which cb_count counts.
 
 
 def catalan_number(h: int) -> int:
-    return _path_count(2 * h, 0)
+    return cb_count(2 * h + 1, h)
 
 
 def catalan_rank(s: str) -> int:
@@ -730,7 +693,7 @@ def catalan_rank(s: str) -> int:
     for ch in s:
         rem -= 1
         if ch == "1":
-            r += _path_count(rem, d + 1)
+            r += cb_count(rem + 1, (rem - d - 1) // 2)
             d -= 1
         else:
             d += 1
@@ -749,7 +712,7 @@ def catalan_unrank(r: int, h: int) -> str:
     rem = 2 * h
     for _ in range(2 * h):
         rem -= 1
-        c0 = _path_count(rem, d + 1)
+        c0 = cb_count(rem + 1, (rem - d - 1) // 2)
         if r < c0:
             out.append("0")
             d += 1

@@ -14,7 +14,7 @@ from compocode.backtrack import (
     tolerant_reconstruct,
 )
 from compocode.catalan import sr_encode
-from compocode.compositions import Composition, compose_all, sigma_of_string
+from compocode.compositions import compose_all, sigma_of_string
 
 
 def all_strings(n):
@@ -38,7 +38,6 @@ def test_build_T_worked_example():
         (8, 3), (9, 3), (9, 4), (10, 4),
     ]
     assert got == expected
-    assert str(Composition(6, 4)) == "0^61^4"
 
 
 def test_build_T_empty_state_is_centers_only():

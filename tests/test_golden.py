@@ -1,0 +1,64 @@
+"""Codewords and field tables pinned across commits.
+
+The values were recorded from the implementation before the finite fields
+were folded into one table type (sympy-backed prime fields, separate GF(3^e)
+and GF(2^m) classes, a recursive Catalan path count).  Any change to a field
+modulus, a table scan order or a ranker shows up here as a changed codeword.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from compocode.asym import st_encode
+from compocode.fields import GF, BCHCode, ternary_erasure_encode, ternary_field_params
+from compocode.sym import catalan_code_encode, etn_encode_info
+
+
+def test_st_encode_pinned():
+    assert st_encode("1011001110001011110010110", 2) == (
+        "0000001010101110101010011010011100010011111111101101110001110100011111")
+
+
+def test_etn_encode_info_pinned():
+    s = etn_encode_info("10110010", 1)
+    assert len(s) == 4600
+    assert hashlib.sha256(s.encode()).hexdigest() == (
+        "a1a3d64ef5b15517f59106ea6b56fc17062f169fd4ab1aa5a8c98f74f9d5edaf")
+
+
+def test_catalan_code_encode_pinned():
+    assert catalan_code_encode("101101", 1) == "0000000011100110111111"
+
+
+def test_ternary_erasure_encode_pinned():
+    rng = random.Random(3)
+    msg = [rng.randrange(3) for _ in range(100)]
+    assert ternary_field_params(100, 6) == 4
+    assert ternary_erasure_encode(msg, 6)[100:] == [
+        2, 0, 1, 0, 0, 0, 1, 2, 1, 1, 0, 2,
+        2, 0, 2, 1, 2, 1, 2, 0, 2, 2, 0, 0]
+
+
+def test_bch_encode_pinned():
+    rng = random.Random(4627)
+    msg = [rng.randrange(2) for _ in range(4627)]
+    code = BCHCode(4627, 2)
+    assert code.f.m == 13
+    assert code.g == [1, 1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0,
+                      0, 0, 1, 0, 1, 0, 1, 0, 1, 1, 0, 0, 1]
+    assert "".join(map(str, code.encode(msg)[4627:])) == \
+        "10000101100101000010111101"
+
+
+# the modulus x^m + r(x) packed base p: for GF(3^2), 14 is x^2 + x + 2
+@pytest.mark.parametrize("p, m, packed", [
+    (3, 1, 4), (3, 2, 14), (3, 3, 34), (3, 4, 86), (3, 5, 250), (3, 6, 734),
+    (2, 3, 11), (2, 4, 19), (2, 5, 37), (2, 6, 67), (2, 7, 131), (2, 8, 285),
+    (2, 9, 529), (2, 10, 1033), (2, 11, 2053), (2, 12, 4179),
+    (2, 13, 8219),  # x^13 + x^4 + x^3 + x + 1
+    (2, 14, 16427),
+])
+def test_field_modulus_pinned(p, m, packed):
+    assert GF(p, m).modulus == packed

