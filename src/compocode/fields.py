@@ -308,12 +308,13 @@ def sparse_interpolate(evals, T: int, field: PrimeField) -> dict[int, int]:
     L = len(lam) - 1
     if L > T:
         raise SparsityExceeded(f"locator degree {L} exceeds the bound {T}")
-    # Lambda(alpha^-e) for every e at once, from cached per-degree columns
+    # Lambda(alpha^-e) for every e at once, from cached per-degree columns;
+    # each term is below q^2 and L <= T, so one reduction at the end is exact
     acc = np.zeros(q - 1, dtype=np.int64)
     for j, c in enumerate(lam):
         if c:
-            acc = (acc + c * _scan_table(field, j)) % q
-    roots = np.flatnonzero(acc == 0).tolist()
+            acc += c * _scan_table(field, j)
+    roots = np.flatnonzero(acc % q == 0).tolist()
     if len(roots) != L:
         raise SparsityExceeded(
             f"locator has {len(roots)} roots in range, expected {L}")
@@ -345,19 +346,32 @@ def ternary_field_params(msg_digits: int, n_era: int) -> int:
 
 
 def _rs_interpolate_eval(F: GF, pts, targets):
-    """Lagrange: from (x, y) pairs, evaluate the interpolant at targets."""
+    """From (x, y) pairs with distinct x, evaluate the interpolant at targets.
+
+    Barycentric form (Berrut & Trefethen, SIAM Review 2004): with node
+    weights v_i = 1 / prod_{j != i} (x_i - x_j), computed once, the value at
+    x is l(x) * sum_i v_i y_i / (x - x_i), l(x) = prod_i (x - x_i).  A target
+    that is itself a node takes that node's y.
+    """
+    vy = []
+    for i, (xi, yi) in enumerate(pts):
+        den = 1
+        for j, (xj, _) in enumerate(pts):
+            if i != j:
+                den = F.mul(den, F.sub(xi, xj))
+        vy.append(F.mul(yi, F.inv(den)))
+    at_node = {x: y for x, y in pts}
     out = []
     for xt in targets:
-        acc = 0
-        for i, (xi, yi) in enumerate(pts):
-            num, den = yi, 1
-            for j, (xj, _) in enumerate(pts):
-                if i == j:
-                    continue
-                num = F.mul(num, F.sub(xt, xj))
-                den = F.mul(den, F.sub(xi, xj))
-            acc = F.add(acc, F.mul(num, F.inv(den)))
-        out.append(acc)
+        if xt in at_node:
+            out.append(at_node[xt])
+            continue
+        ell, acc = 1, 0
+        for (xi, _), c in zip(pts, vy):
+            d = F.sub(xt, xi)
+            ell = F.mul(ell, d)
+            acc = F.add(acc, F.mul(c, F.inv(d)))
+        out.append(F.mul(ell, acc))
     return out
 
 
@@ -421,6 +435,38 @@ def ternary_erasure_decode(word, msg_len: int, n_era: int) -> list[int]:
 # -- binary BCH codes of distance 2t+1 -------------------------------------
 
 
+def _bch_roots(m: int, t: int) -> set[int]:
+    """Exponents j of the roots alpha^j of the generator over GF(2^m): the
+    union of the cyclotomic cosets of 1..2t modulo 2^m - 1."""
+    order = (1 << m) - 1
+    roots: set[int] = set()
+    for i in range(1, 2 * t + 1):
+        j = i
+        while j not in roots:
+            roots.add(j)
+            j = (j * 2) % order
+    return roots
+
+
+def bch_shape(msg_len: int, t: int) -> tuple[int, int]:
+    """(m, parity bits) of the distance-(2t+1) code for msg_len-bit messages.
+
+    m is the smallest field degree from 3 up whose block length 2^m - 1
+    holds the message plus the generator's degree, the size of the coset
+    union; integers only, no field tables.
+    """
+    if t < 1:
+        raise ValueError("a BCH code needs t >= 1")
+    m = 2
+    while True:
+        m += 1
+        if (1 << m) - 1 - m * t < msg_len:
+            continue
+        n_parity = len(_bch_roots(m, t))
+        if (1 << m) - 1 - n_parity >= msg_len:
+            return m, n_parity
+
+
 class BCHCode:
     """Shortened narrow-sense BCH code with design distance 2t+1, systematic.
 
@@ -430,34 +476,25 @@ class BCHCode:
     """
 
     def __init__(self, msg_len: int, t: int):
-        if t < 1:
-            raise ValueError("a BCH code needs t >= 1")
+        m, self.n_parity = bch_shape(msg_len, t)
         self.msg_len = msg_len
         self.t = t
-        m = 2
-        while True:
-            m += 1
-            if (1 << m) - 1 - m * t < msg_len:
-                continue
-            f = _field(2, m)
-            g = self._generator(f, t)
-            if (1 << m) - 1 - (len(g) - 1) >= msg_len:
-                self.f = f
-                self.g = g
-                self.n_parity = len(g) - 1
-                self.code_len = msg_len + self.n_parity
-                return
+        self.f = _field(2, m)
+        self.g = self._generator(self.f, _bch_roots(m, t))
+        self.code_len = msg_len + self.n_parity
+        # g without its leading x^r term, as a bitmask (bit i = coefficient
+        # of x^i), for the division in `encode`
+        self._g_low = sum(c << i for i, c in enumerate(self.g[:-1]))
+        self._antilog = np.array(self.f.antilog, dtype=np.int64)
+        # bit index -> degree in the code polynomial
+        self._degree = np.concatenate((
+            np.arange(self.n_parity, self.code_len, dtype=np.int64),
+            np.arange(self.n_parity, dtype=np.int64)))
 
     @staticmethod
-    def _generator(f, t):
-        # the roots alpha^j, j in the cyclotomic cosets of 1..2t, make g the
-        # product of their minimal polynomials
-        roots = set()
-        for i in range(1, 2 * t + 1):
-            j = i
-            while j not in roots:
-                roots.add(j)
-                j = (j * 2) % f.order
+    def _generator(f, roots):
+        # g is the product of x + alpha^j over the roots, i.e. of their
+        # minimal polynomials
         g = [1]
         for j in sorted(roots):  # g *= x + alpha^j, coefficients low first
             a = f.pow_alpha(j)
@@ -466,35 +503,28 @@ class BCHCode:
             raise RuntimeError("generator polynomial is not binary")
         return g
 
-    def _degree_of(self, idx):
-        # bit index -> degree in the code polynomial
-        if idx < self.msg_len:
-            return self.n_parity + idx
-        return idx - self.msg_len
-
     def _syndromes(self, word):
         """word(alpha^i) for i = 1..2t; all zero exactly on codewords."""
-        out = []
-        for i in range(1, 2 * self.t + 1):
-            s = 0
-            for idx, bit in enumerate(word):
-                if bit:
-                    s ^= self.f.pow_alpha(self._degree_of(idx) * i)
-            out.append(s)
-        return out
+        degs = self._degree[np.flatnonzero(np.asarray(word, dtype=np.int64))]
+        return [int(np.bitwise_xor.reduce(
+                    self._antilog[degs * i % self.f.order], initial=0))
+                for i in range(1, 2 * self.t + 1)]
 
     def encode(self, bits):
         bits = list(bits)
         if len(bits) != self.msg_len:
             raise ValueError("message length mismatch")
-        r = len(self.g) - 1
-        rem = [0] * r
-        # synthetic division of msg(x) * x^r by g, msb first
+        r = self.n_parity
+        g_low, mask = self._g_low, (1 << r) - 1
+        rem = 0
+        # msg(x) * x^r mod g, msb first: a shift register holding the
+        # remainder, bit i the coefficient of x^i
         for b in reversed(bits):
-            feedback = rem[-1] ^ b
-            rem = [feedback if self.g[0] and i == 0 else
-                   (rem[i - 1] ^ (self.g[i] and feedback)) for i in range(r)]
-        return bits + rem
+            feedback = (rem >> (r - 1)) ^ b
+            rem = (rem << 1) & mask
+            if feedback:
+                rem ^= g_low
+        return bits + [(rem >> i) & 1 for i in range(r)]
 
     def decode(self, received):
         received = list(received)
@@ -508,18 +538,18 @@ class BCHCode:
         L = len(lam) - 1
         if L > t:
             raise ValueError("more errors than the design distance allows")
-        fixed = received[:]
-        nroots = 0
-        for idx in range(self.code_len):
-            x = f.pow_alpha(-self._degree_of(idx))
-            acc = 0
-            for c in reversed(lam):
-                acc = f.mul(acc, x) ^ c
-            if acc == 0:
-                fixed[idx] ^= 1
-                nroots += 1
-        if nroots != L:
+        # Chien search: Lambda(alpha^-deg) at every bit index at once, the
+        # terms c_j alpha^(-j deg) summed (xor) through the log table
+        acc = np.zeros(self.code_len, dtype=np.int64)
+        for j, c in enumerate(lam):
+            if c:
+                acc ^= self._antilog[(f.log[c] - j * self._degree) % f.order]
+        roots = np.flatnonzero(acc == 0)
+        if len(roots) != L:
             raise ValueError("error locator failed to split over the block")
+        fixed = received[:]
+        for idx in roots.tolist():
+            fixed[idx] ^= 1
         if any(self._syndromes(fixed)):
             raise ValueError("correction did not cancel the syndromes")
         return fixed[:self.msg_len]

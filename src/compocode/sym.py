@@ -47,6 +47,7 @@ from .fields import (
     SparsityExceeded,
     alpha_power_table,
     bblock_code,
+    bch_shape,
     field_setup,
     sparse_interpolate,
 )
@@ -244,6 +245,34 @@ def _prefix_arrays(s: str):
     return pref, zeros
 
 
+_EXACT_SUM = 2 ** 63 - 1  # int64 partial sums stay exact below this
+
+
+def _prefix_grid(pref, zeros, R: int, field: PrimeField) -> np.ndarray:
+    """P(alpha^l1, alpha^l2) mod q for l1, l2 in -R..R, at [l1 + R, l2 + R].
+
+    P(x, y) = sum_i x^pref_i y^zeros_i has one monomial per prefix.  The
+    block Y[l2] = alpha^(l2 * zeros) is built once; each l1 row is then an
+    int64 mat-vec of Y with alpha^(l1 * pref), split into spans short enough
+    that no partial sum of products below q^2 overflows (one span for every
+    n with n q^2 < 2^63).
+    """
+    q = field.q
+    table = alpha_power_table(field)
+    ls = range(-R, R + 1)
+    y = np.empty((len(ls), len(zeros)), dtype=np.int64)
+    for row, l2 in zip(y, ls):
+        np.take(table, l2 * zeros % (q - 1), out=row)
+    span = max(1, _EXACT_SUM // (q - 1) ** 2)
+    out = np.zeros((len(ls), len(ls)), dtype=np.int64)
+    for row, l1 in zip(out, ls):
+        x = np.take(table, l1 * pref % (q - 1))
+        for lo in range(0, len(x), span):
+            row += y[:, lo:lo + span] @ x[lo:lo + span] % q
+        row %= q
+    return out
+
+
 def _string_weight_profile(s: str) -> np.ndarray:
     """w_1..w_n of C(s) in O(n): w_l = CS[n+1] - CS[l] - CS[n-l+1]."""
     pref, _ = _prefix_arrays(s)
@@ -277,8 +306,7 @@ class DeltaObservation:
         self.pref, self.zeros = _prefix_arrays(s)
         self.base_w = _string_weight_profile(s)
         self.delta: dict[int, dict[int, int]] = {}  # level -> weight -> count
-        self._p_cache: dict = {}
-        self.levels = _LevelView(self)
+        self._p_cache: dict = {}  # field -> (R, P grid of s with radius R)
 
     def copy(self) -> "DeltaObservation":
         out = object.__new__(DeltaObservation)
@@ -287,8 +315,13 @@ class DeltaObservation:
         out.base_w = self.base_w
         out.delta = {l: dict(d) for l, d in self.delta.items()}
         out._p_cache = self._p_cache  # shared: keyed on the immutable base
-        out.levels = _LevelView(out)
         return out
+
+    @property
+    def levels(self) -> _LevelView:
+        # built per access: a stored view would close a reference cycle and
+        # keep every observation's arrays alive until a cyclic collection
+        return _LevelView(self)
 
     def _bump(self, l: int, w: int, by: int) -> None:
         d = self.delta.setdefault(l, {})
@@ -321,26 +354,33 @@ class DeltaObservation:
         return w
 
     def level_counter(self, l: int) -> Counter:
+        if not 1 <= l <= self.n:
+            raise KeyError(l)
         wts = self.pref[l:self.n + 1] - self.pref[:self.n - l + 1]
-        out = Counter(dict(enumerate(np.bincount(wts).tolist())))
+        counts = np.bincount(wts)
+        ws = np.flatnonzero(counts)
+        out = Counter(dict(zip(ws.tolist(), counts[ws].tolist())))
         for w, c in self.delta.get(l, {}).items():
             out[w] += c
             if out[w] < 0:
                 raise CorruptedInput(f"negative multiplicity at level {l}")
-        return +out
-
-    def _p_eval(self, l1: int, l2: int, field: PrimeField) -> int:
-        key = (l1, l2, field.q)
-        if key not in self._p_cache:
-            table = alpha_power_table(field)
-            idx = (l1 * self.pref + l2 * self.zeros) % (field.q - 1)
-            self._p_cache[key] = int(table[idx].sum() % field.q)
-        return self._p_cache[key]
+            if out[w] == 0:
+                del out[w]
+        return out
 
     def sym_eval(self, l1: int, l2: int, field: PrimeField) -> int:
-        """S(alpha^l1, alpha^l2) + S(alpha^-l1, alpha^-l2) mod q."""
+        """S(alpha^l1, alpha^l2) + S(alpha^-l1, alpha^-l2) mod q.
+
+        P(s) comes from one grid covering the point, grown on demand; a
+        decoder's first query, at the corner of its grid, builds it whole.
+        """
         q, alpha = field.q, field.alpha
-        base = (self._p_eval(l1, l2, field) * self._p_eval(-l1, -l2, field)
+        R, grid = self._p_cache.get(field, (-1, None))
+        if R < max(abs(l1), abs(l2)):
+            R = max(abs(l1), abs(l2))
+            grid = _prefix_grid(self.pref, self.zeros, R, field)
+            self._p_cache[field] = R, grid
+        base = (int(grid[R + l1, R + l2]) * int(grid[R - l1, R - l2])
                 - (self.n + 1)) % q
         for l, d in self.delta.items():
             for w, c in d.items():
@@ -442,13 +482,13 @@ def poly_params_from_payload(nu: int, t: int) -> PolyCodeParams:
         raise ValueError("need t >= 1 and a nonempty payload")
     for elem_bits in range(2, 64):
         msg_len = _grid_msg_len(t, elem_bits)
-        code = bblock_code(msg_len, t)
-        r_hat = 4 * code.code_len
+        code_len = msg_len + bch_shape(msg_len, t)[1]
+        r_hat = 4 * code_len
         n = nu + r_hat
         field = field_setup(n)
         if (field.q - 1).bit_length() == elem_bits:
             return PolyCodeParams(n, t, nu, r_hat, field, msg_len,
-                                  code.code_len, (2 * t).bit_length(), elem_bits)
+                                  code_len, (2 * t).bit_length(), elem_bits)
     raise ValueError("no consistent parameter point")  # unreachable in range
 
 
@@ -459,27 +499,29 @@ def poly_params_from_length(n: int, t: int) -> PolyCodeParams:
     field = field_setup(n)
     elem_bits = (field.q - 1).bit_length()
     msg_len = _grid_msg_len(t, elem_bits)
-    code = bblock_code(msg_len, t)
-    r_hat = 4 * code.code_len
+    code_len = msg_len + bch_shape(msg_len, t)[1]
+    r_hat = 4 * code_len
     nu = n - r_hat
     if nu < 1:
         raise ValueError(f"length {n} too short for t={t} (needs > {r_hat})")
-    return PolyCodeParams(n, t, nu, r_hat, field, msg_len, code.code_len,
+    return PolyCodeParams(n, t, nu, r_hat, field, msg_len, code_len,
                           (2 * t).bit_length(), elem_bits)
 
 
+def _bits_str(bits: np.ndarray) -> str:
+    return (bits.astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+
+
 def _parity_block(sbar) -> str:
-    """z: even positions 0, odd position j making the running parity sbar_{(j+1)/2}."""
-    out = []
-    acc = 0
-    for j in range(1, 2 * len(sbar) + 1):
-        if j % 2:
-            zj = (int(sbar[(j + 1) // 2 - 1]) - acc) % 2
-        else:
-            zj = 0
-        out.append(zj)
-        acc ^= zj
-    return "".join("01"[b] for b in out)
+    """z: even positions 0, odd position j making the running parity sbar_{(j+1)/2}.
+
+    The running parity after odd position 2k-1 is sbar_k itself, so that
+    position holds sbar_k xor sbar_{k-1} (sbar_0 = 0).
+    """
+    sb = np.asarray(sbar, dtype=np.int64) % 2
+    z = np.zeros(2 * len(sb), dtype=np.int64)
+    z[0::2] = sb ^ np.concatenate(([0], sb[:-1]))
+    return _bits_str(z)
 
 
 def _eval_prefix_string(s: str, l1: int, l2: int, field: PrimeField) -> int:
@@ -523,8 +565,8 @@ def etn_encode(u: str, t: int, params: PolyCodeParams | None = None) -> str:
     if len(u) != p.nu or t != p.t:
         raise ValueError("payload length does not match the parameters")
     a = weight(u) % (2 * t + 1)
-    grid = {pt: _eval_prefix_string(u, pt[0], pt[1], p.field)
-            for pt in _grid_points(t)}
+    values = _prefix_grid(*_prefix_arrays(u), 4 * t, p.field)
+    grid = dict(zip(_grid_points(t), values.ravel().tolist()))
     sbar = bblock_code(p.msg_len, t).encode(_grid_to_bits(a, grid, p))
     z = _parity_block(sbar)
     s = "0" * (p.r_hat // 2) + u + z[::-1]
@@ -559,49 +601,47 @@ def _reconstruct_known_shell(obs, pre_len: int, suffix: str,
     prefix/suffix weights always differ there, so exactly one branch fits.
     """
     n = obs.n
-    s: list = [None] * n
-    for i in range(pre_len):
-        s[i] = 0
-    for j, ch in enumerate(suffix):
-        s[n - len(suffix) + j] = int(ch)
-    pw = [0]
-    sw = [0]
-    for i in range(1, n // 2 + 1):
-        a, b = s[i - 1], s[n - i]
-        sig = sigma[i - 1]
-        if a is not None and b is not None:
-            if a + b != sig:
-                raise ReconstructionFailure(
-                    f"sigma disagrees with the known shell at pair {i}")
-        elif sig == 0:
-            a = b = 0
-        elif sig == 2:
-            a = b = 1
-        else:
-            picked = []
-            for ca, cb in ((0, 1), (1, 0)):
-                pwn = pw[-1] + ca
-                swn = sw[-1] + cb
-                expected = Counter()
-                for j in range(1, i + 2):
-                    top = pwn if j - 1 == i else pw[j - 1]
-                    bot = swn if i + 1 - j == i else sw[i + 1 - j]
-                    expected[total_wt - top - bot] += 1
-                if expected == obs.level_counter(n - i):
-                    picked.append((ca, cb))
-            if len(picked) != 1:
-                raise ReconstructionFailure(
-                    f"pair {i} is not settled by level {n - i}")
-            a, b = picked[0]
-        s[i - 1], s[n - i] = a, b
-        pw.append(pw[-1] + a)
-        sw.append(sw[-1] + b)
+    h = n // 2
+    s = np.full(n, -1, dtype=np.int64)
+    s[:pre_len] = 0
+    s[n - len(suffix):] = np.frombuffer(suffix.encode("ascii"), np.uint8) - ord("0")
+    sig = np.asarray(sigma[:h], dtype=np.int64)
+    # pair i holds s_i and s_(n+1-i): a views s, b is written back at the end
+    a, b = s[:h], s[::-1][:h].copy()
+    known = (a >= 0) & (b >= 0)
+    bad = np.flatnonzero(known & (a + b != sig))
+    if bad.size:
+        raise ReconstructionFailure(
+            f"sigma disagrees with the known shell at pair {bad[0] + 1}")
+    free = ~known
+    a[free] = b[free] = sig[free] // 2  # sigma 0 or 2; sigma 1 is settled next
+    for k in np.flatnonzero(free & (sig != 0) & (sig != 2)).tolist():
+        # level n-i, i = k+1, holds i+1 elements: all but a length-j prefix
+        # and a length-(i-j) suffix, weighing total_wt - pw_j - sw_(i-j)
+        level = n - k - 1
+        observed = obs.level_counter(level)
+        counts = np.zeros(level + 1, dtype=np.int64)
+        counts[list(observed)] = list(observed.values())
+        picked = []
+        for ca in (0, 1):
+            a[k], b[k] = ca, 1 - ca
+            pw = np.concatenate(([0], np.cumsum(a[:k + 1])))
+            sw = np.concatenate(([0], np.cumsum(b[:k + 1])))
+            wts = total_wt - pw - sw[::-1]
+            if wts.min() >= 0 and np.array_equal(
+                    np.bincount(wts, minlength=level + 1), counts):
+                picked.append(ca)
+        if len(picked) != 1:
+            raise ReconstructionFailure(
+                f"pair {k + 1} is not settled by level {level}")
+        a[k], b[k] = picked[0], 1 - picked[0]
+    s[n - h:] = b[::-1]
     if n % 2:
         mid = sigma[(n + 1) // 2 - 1]
         if mid not in (0, 1):
             raise ReconstructionFailure("middle entry out of range")
-        s[n // 2] = mid
-    return "".join(map(str, s))
+        s[h] = mid
+    return _bits_str(s)
 
 
 def etn_decode(c, t: int) -> str:
@@ -615,8 +655,9 @@ def etn_decode(c, t: int) -> str:
     obs = as_observation(c)
     p = poly_params_from_length(obs.n, t)
     n, q, alpha = p.n, p.field.q, p.field.alpha
+    half = p.r_hat // 2
     w_obs = obs.weight_profile()
-    received = [int(v) % 2 for v in w_obs[1:p.r_hat // 2:2]]
+    received = (w_obs[1:half:2] % 2).tolist()
     try:
         msg = bblock_code(p.msg_len, t).decode(received)
     except ValueError as e:
@@ -630,15 +671,13 @@ def etn_decode(c, t: int) -> str:
     d_x = wt_u + wt_z
     d_y = n - d_x
     d_xu, d_yu = wt_u, p.nu - wt_u
-    half = p.r_hat // 2
-    zeta_pref, zeta_zeros = _prefix_arrays(zeta)
-    table = alpha_power_table(p.field)
+    R = 4 * t
+    z_grid = _prefix_grid(*_prefix_arrays(zeta), R, p.field)
     p_grid = {}
     F = {}
     for l1, l2 in _grid_points(t):
         pu = u_grid[(l1, l2)]
-        pz = int(table[(l1 * zeta_pref + l2 * zeta_zeros)
-                       % (q - 1)].sum() % q)
+        pz = int(z_grid[l1 + R, l2 + R])
         ps = (_zero_run_eval(half, l2, p.field)
               + pow(alpha, (l2 * half) % (q - 1), q) * (pu - 1)
               + pow(alpha, (l1 * d_xu + l2 * (half + d_yu)) % (q - 1), q)
@@ -651,7 +690,7 @@ def etn_decode(c, t: int) -> str:
     w = fixed.weight_profile()
     if w[0] != d_x or w[n - 1] != d_x:
         raise ReconstructionFailure("corrected weights disagree with wt(s)")
-    sigma = sigma_from_weights(tuple(int(v) for v in w), n)
+    sigma = sigma_from_weights(w.tolist(), n)
     s = _reconstruct_known_shell(fixed, half, zeta, sigma, d_x)
     if not np.array_equal(_string_weight_profile(s), w):
         raise ReconstructionFailure("reassembled string misses the multiset")

@@ -10,7 +10,9 @@ from compocode.fields import (
     EraseBudgetExceeded,
     PrimeField,
     SparsityExceeded,
+    _rs_interpolate_eval,
     bblock_code,
+    bch_shape,
     field_setup,
     sparse_interpolate,
     ternary_erasure_decode,
@@ -123,6 +125,35 @@ def test_zech_addition_matches_digitwise():
                     [(x - y) % p for x, y in zip(da, db)])
 
 
+def lagrange_eval(F, pts, targets):
+    """Oracle: the interpolant at each target, every Lagrange basis term
+    rebuilt per target."""
+    out = []
+    for xt in targets:
+        acc = 0
+        for i, (xi, yi) in enumerate(pts):
+            num, den = yi, 1
+            for j, (xj, _) in enumerate(pts):
+                if i != j:
+                    num = F.mul(num, F.sub(xt, xj))
+                    den = F.mul(den, F.sub(xi, xj))
+            acc = F.add(acc, F.mul(num, F.inv(den)))
+        out.append(acc)
+    return out
+
+
+def test_barycentric_interpolation_matches_lagrange():
+    rng = random.Random(17)
+    for e in (1, 2, 3, 4):
+        F = GF(3, e)
+        for _ in range(10):
+            xs = rng.sample(range(1, 3 ** e), rng.randint(1, min(8, 3 ** e - 1)))
+            pts = [(x, rng.randrange(3 ** e)) for x in xs]
+            targets = list(range(1, 3 ** e))  # every node and every non-node
+            assert _rs_interpolate_eval(F, pts, targets) == \
+                lagrange_eval(F, pts, targets)
+
+
 def test_ternary_erasure_zero_message():
     out = ternary_erasure_encode([0] * 12, 3)
     assert all(d == 0 for d in out)
@@ -192,6 +223,46 @@ def test_ternary_erasure_linearity():
         cb = ternary_erasure_encode(b, 4)
         cab = ternary_erasure_encode([(x + y) % 3 for x, y in zip(a, b)], 4)
         assert [(x + y) % 3 for x, y in zip(ca, cb)] == cab
+
+
+def list_division_encode(code, bits):
+    """Oracle: msg(x) x^r mod g by synthetic division over a list register."""
+    r = len(code.g) - 1
+    rem = [0] * r
+    for b in reversed(bits):
+        feedback = rem[-1] ^ b
+        rem = [feedback if code.g[0] and i == 0 else
+               (rem[i - 1] ^ (code.g[i] and feedback)) for i in range(r)]
+    return list(bits) + rem
+
+
+def per_bit_syndromes(code, word):
+    """Oracle: word(alpha^i), i = 1..2t, one field power per set bit."""
+    out = []
+    for i in range(1, 2 * code.t + 1):
+        s = 0
+        for idx, bit in enumerate(word):
+            if bit:
+                deg = code.n_parity + idx if idx < code.msg_len \
+                    else idx - code.msg_len
+                s ^= code.f.pow_alpha(deg * i)
+        out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("msg_len,t", [(1, 1), (4, 1), (11, 1), (57, 2),
+                                       (200, 3), (1000, 2), (4627, 2)])
+def test_bch_encode_and_syndromes_match_oracles(msg_len, t):
+    code = BCHCode(msg_len, t)
+    assert bch_shape(msg_len, t)[1] == len(code.g) - 1
+    rng = random.Random(msg_len * 10 + t)
+    for _ in range(5):
+        msg = [rng.randrange(2) for _ in range(msg_len)]
+        cw = code.encode(msg)
+        assert cw == list_division_encode(code, msg)
+        assert per_bit_syndromes(code, cw) == [0] * (2 * t)
+        word = [rng.randrange(2) for _ in range(code.code_len)]
+        assert code._syndromes(word) == per_bit_syndromes(code, word)
 
 
 def test_bch_zero_message():

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,13 +14,20 @@ from compocode.compositions import (
     sigma_of_string,
     weight,
 )
+from compocode import sym
 from compocode.backtrack import ReconstructionFailure
-from compocode.fields import SparsityExceeded, bblock_code
+from compocode.fields import BCHCode, SparsityExceeded, _field, bblock_code, field_setup
 from compocode.sym import (
     BlockCodeFailure,
     DeltaObservation,
     DenseObservation,
+    PolyCodeParams,
+    _eval_prefix_string,
+    _grid_msg_len,
     _parity_block,
+    _prefix_arrays,
+    _prefix_grid,
+    _reconstruct_known_shell,
     as_observation,
     catalan_code_decode_bruteforce,
     catalan_code_encode,
@@ -175,6 +183,20 @@ def test_observation_correct_roundtrip():
         assert fixed.level_counter(l) == base.level_counter(l)
 
 
+def test_level_counter_rejects_levels_outside_1_to_n():
+    s = "0110100"
+    c = compose_all(s)
+    obs = DeltaObservation(s)
+    for l in (-1, 0, len(s) + 1, len(s) + 2):
+        with pytest.raises(KeyError):
+            c.levels[l]
+        with pytest.raises(KeyError):
+            obs.level_counter(l)
+        with pytest.raises(KeyError):
+            obs.replace(l, 0, 1)
+    assert obs.delta == {}
+
+
 def test_as_observation_passthrough():
     c = compose_all("0101")
     assert isinstance(as_observation(c), DenseObservation)
@@ -202,6 +224,41 @@ def test_params_reject_bad_inputs():
         poly_params_from_payload(5, 0)
     with pytest.raises(ValueError):
         poly_params_from_length(100, 1)  # far too short for the parity block
+
+
+def _params_oracle(nu, t):
+    """The parameter search as it was: one BCH generator multiplied out over
+    GF(2^m) per candidate field degree and per candidate elem_bits."""
+    for elem_bits in range(2, 64):
+        msg_len = _grid_msg_len(t, elem_bits)
+        m = 2
+        while True:
+            m += 1
+            if (1 << m) - 1 - m * t < msg_len:
+                continue
+            roots = set()
+            for i in range(1, 2 * t + 1):
+                j = i
+                while j not in roots:
+                    roots.add(j)
+                    j = j * 2 % ((1 << m) - 1)
+            n_parity = len(BCHCode._generator(_field(2, m), roots)) - 1
+            if (1 << m) - 1 - n_parity >= msg_len:
+                break
+        code_len = msg_len + n_parity
+        n = nu + 4 * code_len
+        field = field_setup(n)
+        if (field.q - 1).bit_length() == elem_bits:
+            return PolyCodeParams(n, t, nu, 4 * code_len, field, msg_len,
+                                  code_len, (2 * t).bit_length(), elem_bits)
+
+
+def test_params_match_the_per_code_search():
+    for t in (1, 2, 3):
+        for nu in range(1, 65):
+            p = poly_params_from_payload(nu, t)
+            assert p == _params_oracle(nu, t), (nu, t)
+            assert bblock_code(p.msg_len, t).code_len == p.code_len
 
 
 def test_parity_block_reads_back():
@@ -355,6 +412,58 @@ def test_recover_error_poly_zero_error():
         scale = pow(alpha, (l1 * d_x + l2 * d_y) % (q - 1), q)
         F[(l1, l2)] = scale * (p.n + 1 + obs.sym_eval(l1, l2, p.field)) % q
     assert recover_error_poly(F, p_grid, d_x, d_y, t, p.field, p.n) == {}
+
+
+def _assert_grid_matches_pointwise(s, R, field):
+    grid = _prefix_grid(*_prefix_arrays(s), R, field)
+    assert grid.shape == (2 * R + 1, 2 * R + 1)
+    for l1 in range(-R, R + 1):
+        for l2 in range(-R, R + 1):
+            assert grid[l1 + R, l2 + R] == \
+                _eval_prefix_string(s, l1, l2, field), (l1, l2)
+
+
+def test_prefix_grid_matches_pointwise_evaluator():
+    rng = random.Random(14)
+    for _ in range(20):
+        s = random_bits(rng, rng.randint(1, 60))
+        field = field_setup(rng.randint(len(s), 200))
+        _assert_grid_matches_pointwise(s, rng.randint(0, 5), field)
+
+
+def test_prefix_grid_at_the_benchmark_length():
+    # k = 12, t = 2: the longest codeword any shipped workload decodes
+    s = etn_encode_info("101100111000", 2)
+    assert len(s) == 18628
+    _assert_grid_matches_pointwise(s, 8, poly_params_from_length(len(s), 2).field)
+
+
+def test_prefix_grid_split_sums_agree(monkeypatch):
+    # spans of 1, 2 and 5 products instead of one exact int64 dot per row
+    rng = random.Random(15)
+    s = random_bits(rng, 40)
+    field = field_setup(300)
+    whole = _prefix_grid(*_prefix_arrays(s), 3, field)
+    for span in (1, 2, 5):
+        monkeypatch.setattr(sym, "_EXACT_SUM", span * (field.q - 1) ** 2)
+        assert np.array_equal(_prefix_grid(*_prefix_arrays(s), 3, field), whole)
+
+
+def test_known_shell_rejects_a_flipped_shell_sigma():
+    t = 1
+    p = poly_params_from_payload(13, t)
+    half = p.r_hat // 2
+    s = etn_encode("1011001110001", t, p)
+    suffix = s[half + p.nu:]
+    sigma = sigma_of_string(s)
+    obs = DeltaObservation(s)
+    assert _reconstruct_known_shell(obs, half, suffix, sigma, weight(s)) == s
+    rng = random.Random(16)
+    for j in rng.sample(range(half), 10):
+        flipped = list(sigma)
+        flipped[j] = 1 - flipped[j]  # every shell pair sums to 0 or 1
+        with pytest.raises(ReconstructionFailure):
+            _reconstruct_known_shell(obs, half, suffix, flipped, weight(s))
 
 
 # -- the Catalan-path code ---------------------------------------------------
