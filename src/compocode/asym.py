@@ -150,9 +150,12 @@ def s1_reconstruct(c: CompositionMultiset, parity: int = 0) -> str:
 
 
 def s1_decode(c: CompositionMultiset, k: int) -> str:
-    s = s1_reconstruct(c)
+    return s1_strip(s1_reconstruct(c), k)
+
+
+def s1_strip(s: str, k: int) -> str:
+    """The k info bits of a single-error codeword."""
     n = len(s)
-    h = (n + 1) // 2
     inner = s[0] + s[2:n - 2] + s[n - 1]  # drop positions 2 and n-1
     mid = (n - 2 + 1) // 2  # middle of the inner string, 1-based
     ev = inner[:mid - 1] + inner[mid:]

@@ -1,4 +1,4 @@
-"""Composition-error channel models and a reproducible trial harness.
+"""Channel models, a reproducible trial harness and the scheme registry.
 
 An error replaces one multiset element with a different composition of the
 same length.  The asymmetric model additionally never corrupts both of the
@@ -13,8 +13,10 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
-from .compositions import CompositionMultiset, compose_all
+from .compositions import compose_all, multiset_symmetric_difference
 
 
 @dataclass(frozen=True)
@@ -30,12 +32,12 @@ class ErrorModel:
             raise ValueError("t must be >= 0")
 
 
-def corrupt(c: CompositionMultiset, model: ErrorModel, rng=None, adversarial=False):
-    """Apply exactly model.t replacements; returns (corrupted copy, log).
+def corrupt(c, model: ErrorModel, rng=None, adversarial=False):
+    """Apply exactly model.t replacements to an observation.
 
-    The log lists (level, removed weight, added weight) per error.  In
-    adversarial mode the replacement maximizes the weight change instead of
-    being uniform.
+    Returns (corrupted copy, log); the log lists (level, removed weight,
+    added weight) per error.  In adversarial mode the replacement maximizes
+    the weight change instead of being uniform.
     """
     rng = rng if rng is not None else random.Random(model.seed)
     n = c.n
@@ -53,7 +55,7 @@ def corrupt(c: CompositionMultiset, model: ErrorModel, rng=None, adversarial=Fal
         raise ValueError("not enough levels for the requested error count")
     log = []
     for level in sorted(chosen):
-        old = rng.choice(sorted(out.levels[level].elements()))
+        old = rng.choice(sorted(out.level_counter(level).elements()))
         others = [w for w in range(level + 1) if w != old]
         if adversarial:
             new = max(others, key=lambda w: abs(w - old))
@@ -100,53 +102,115 @@ def _random_info(rng, k):
     return "".join(rng.choice("01") for _ in range(k))
 
 
-def _pipeline(scheme, params):
-    """Returns (encode, compose, decode) closures.
+@dataclass(frozen=True)
+class Scheme:
+    """One code at fixed parameters, as sim, the CLI and the tests use it.
 
-    compose maps the codeword string to the multiset view the channel
-    corrupts; decode returns (info, backtracks).  sym-poly composes into a
-    delta observation so that long codewords never materialize the full
-    quadratic multiset.
+    encode maps info bits to the codeword and observe maps the codeword to
+    the observation the channel corrupts.  decode(obs) returns (info,
+    backtracks).  verify(info, obs) is True when a codeword that info
+    explains lies within the code's t errors of obs.  params names the code
+    in reports: k, and t for the schemes that take one.
     """
-    k = params["k"]
-    t = params.get("t", 0)
-    if scheme == "recon":
-        from .backtrack import reconstruct_unique
-        from .catalan import sr_encode
 
-        def enc(info):
-            return sr_encode(info, 0)
+    params: dict
+    encode: Callable[[str], str]
+    observe: Callable
+    decode: Callable
+    verify: Callable
 
-        def dec(c):
-            from .catalan import sr_decode
-            s, stats = reconstruct_unique(c)
-            return sr_decode(s, k, 0), stats.backtracks
-        return enc, compose_all, dec
-    if scheme == "asym1":
-        from .asym import s1_decode, s1_encode
-        return ((lambda info: s1_encode(info)), compose_all,
-                (lambda c: (s1_decode(c, k), 0)))
-    if scheme == "asym-t":
-        from .asym import st_decode, st_encode
-        return ((lambda info: st_encode(info, t)), compose_all,
-                (lambda c: (st_decode(c, k, t), 0)))
-    if scheme == "sym-poly":
-        from .sym import DeltaObservation, etn_decode_info, etn_encode_info
-        return ((lambda info: etn_encode_info(info, t)), DeltaObservation,
-                (lambda c: (etn_decode_info(c, k, t), 0)))
-    if scheme == "sym-catalan":
-        from .sym import catalan_code_decode_bruteforce, catalan_code_encode, \
-            catalan_code_params, catalan_code_strip
-        n = catalan_code_params(k, t)
-        return ((lambda info: catalan_code_encode(info, t, n)), compose_all,
-                (lambda c: (catalan_code_strip(
-                    catalan_code_decode_bruteforce(c, t), k, t), 0)))
-    raise ValueError(f"unknown scheme {scheme!r}")
+
+def _within(clean: str, obs, t: int) -> bool:
+    d, _ = multiset_symmetric_difference(compose_all(clean), obs)
+    return d <= 2 * t
+
+
+# Builders import their scheme's modules, so importing channel loads no numpy.
+
+
+def _recon(k: int, t: int) -> Scheme:
+    from .backtrack import reconstruct_unique
+    from .catalan import sr_decode, sr_encode, sr_params
+    encode = partial(sr_encode, t=0, n=sr_params(k, 0))
+
+    def decode(c):
+        s, stats = reconstruct_unique(c)
+        return sr_decode(s, k, 0), stats.backtracks
+    return Scheme({"k": k}, encode, compose_all, decode,
+                  lambda info, c: _within(encode(info), c, 0))
+
+
+def _asym1(k: int, t: int) -> Scheme:
+    from .asym import s1_decode, s1_encode, s1_params, s1_reconstruct, s1_strip
+
+    def verify(info, c):
+        # the decoder's own string, rebuilt from the observation: the code
+        # carries checksum bits beyond the info
+        clean = s1_reconstruct(c.copy())
+        return s1_strip(clean, k) == info and _within(clean, c, 1)
+    return Scheme({"k": k}, partial(s1_encode, n=s1_params(k)), compose_all,
+                  lambda c: (s1_decode(c, k), 0), verify)
+
+
+def _asym_t(k: int, t: int) -> Scheme:
+    from .asym import st_decode, st_encode, st_params
+    st_params(k, t)
+    encode = partial(st_encode, t=t)
+    return Scheme({"k": k, "t": t}, encode, compose_all,
+                  lambda c: (st_decode(c, k, t), 0),
+                  lambda info, c: _within(encode(info), c, t))
+
+
+def _sym_poly(k: int, t: int) -> Scheme:
+    from .catalan import sr_params
+    from .sym import DeltaObservation, etn_decode_info, etn_encode_info, \
+        poly_params_from_payload
+    poly_params_from_payload(sr_params(k, 0), t)
+    encode = partial(etn_encode_info, t=t)
+
+    def verify(info, obs):
+        # each composition error moves exactly one cumulative level weight
+        clean = DeltaObservation(encode(info)).weight_profile().tolist()
+        return sum(a != b for a, b in
+                   zip(clean, obs.weight_profile().tolist())) <= t
+    return Scheme({"k": k, "t": t}, encode, DeltaObservation,
+                  lambda obs: (etn_decode_info(obs, k, t), 0), verify)
+
+
+def _sym_catalan(k: int, t: int) -> Scheme:
+    from .sym import catalan_code_decode_bruteforce, catalan_code_encode, \
+        catalan_code_params, catalan_code_strip
+    encode = partial(catalan_code_encode, t=t, n=catalan_code_params(k, t))
+
+    def decode(c):
+        return catalan_code_strip(catalan_code_decode_bruteforce(c, t), k, t), 0
+    return Scheme({"k": k, "t": t}, encode, compose_all, decode,
+                  lambda info, c: _within(encode(info), c, t))
+
+
+REGISTRY = {"recon": _recon, "asym1": _asym1, "asym-t": _asym_t,
+            "sym-poly": _sym_poly, "sym-catalan": _sym_catalan}
+
+
+def build_scheme(name: str, k: int, t: int = 0) -> Scheme:
+    """The registered scheme `name` at (k, t); recon and asym1 ignore t.
+
+    The code's parameters are derived here, so a bad (k, t) raises
+    ValueError before anything is encoded.
+    """
+    if name not in REGISTRY:
+        raise ValueError(f"unknown scheme {name!r}")
+    try:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        return REGISTRY[name](k, t)
+    except ValueError as e:
+        raise ValueError(f"scheme {name}: {e}") from e
 
 
 def run_trials(scheme: str, params: dict, model: ErrorModel, trials: int,
                seed: int = 0) -> TrialReport:
-    enc, compose, dec = _pipeline(scheme, params)
+    code = build_scheme(scheme, params["k"], params.get("t", 0))
     k = params["k"]
     successes = 0
     failures: dict[str, int] = {}
@@ -156,9 +220,8 @@ def run_trials(scheme: str, params: dict, model: ErrorModel, trials: int,
         rng = random.Random(f"{seed}:{i}")
         info = _random_info(rng, k)
         try:
-            s = enc(info)
-            c, _ = corrupt(compose(s), model, rng)
-            got, backtracks = dec(c)
+            c, _ = corrupt(code.observe(code.encode(info)), model, rng)
+            got, backtracks = code.decode(c)
             total_backtracks += backtracks
             if got == info:
                 successes += 1
@@ -169,7 +232,7 @@ def run_trials(scheme: str, params: dict, model: ErrorModel, trials: int,
             failures[cause] = failures.get(cause, 0) + 1
     elapsed = time.perf_counter() - start
     return TrialReport(
-        scheme=scheme, params=dict(sorted(params.items())), trials=trials,
+        scheme=scheme, params=dict(sorted(code.params.items())), trials=trials,
         successes=successes, failures=failures,
         mean_backtracks=total_backtracks / trials if trials else 0.0,
         wall_seconds=round(elapsed, 3), seed=seed)

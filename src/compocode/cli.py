@@ -16,19 +16,14 @@ import random
 import sys
 
 from . import __version__
-from .backtrack import ReconstructionFailure
-from .channel import ErrorModel, _pipeline, corrupt, run_trials
+from .channel import REGISTRY, ErrorModel, build_scheme, corrupt, run_trials
 from .compositions import (
     CompositionMultiset,
     CorruptedInput,
     check_bits,
-    multiset_symmetric_difference,
     parse,
     serialize,
 )
-from .fields import SparsityExceeded
-
-SCHEMES = ("recon", "asym1", "asym-t", "sym-poly", "sym-catalan")
 
 EXIT_OK = 0
 EXIT_PARAMS = 2
@@ -79,14 +74,9 @@ def _manifest(args, extra: dict | None = None) -> dict:
     return m
 
 
-def _scheme_pipeline(args):
-    params = {"k": args.k}
-    if args.scheme in ("asym-t", "sym-poly", "sym-catalan"):
-        if args.t < 1:
-            raise CliError(EXIT_PARAMS, f"scheme {args.scheme} needs --t >= 1")
-        params["t"] = args.t
+def _scheme(args):
     try:
-        return _pipeline(args.scheme, params), params
+        return build_scheme(args.scheme, args.k, args.t)
     except ValueError as e:
         raise CliError(EXIT_PARAMS, str(e)) from e
 
@@ -110,13 +100,13 @@ def _parse_multiset(text: str) -> CompositionMultiset:
 
 
 def cmd_encode(args) -> int:
-    (enc, _, _), params = _scheme_pipeline(args)
+    code = _scheme(args)
     info = _parse_bits(_read_input(args))
     if len(info) != args.k:
         raise CliError(EXIT_INPUT,
                        f"info length {len(info)} does not match --k {args.k}")
     try:
-        s = enc(info)
+        s = code.encode(info)
     except ValueError as e:
         raise CliError(EXIT_PARAMS, str(e)) from e
     manifest = _manifest(args, {"n": len(s), "redundancy": len(s) - args.k,
@@ -138,9 +128,9 @@ def cmd_corrupt(args) -> int:
     text = _read_input(args)
     c = _parse_multiset(text)
     kind = {"asym": "asymmetric", "sym": "symmetric"}[args.model]
-    model = ErrorModel(kind, args.errors, seed=args.seed)
     rng = random.Random(args.seed)
     try:
+        model = ErrorModel(kind, args.errors, seed=args.seed)
         out, log = corrupt(c, model, rng=rng, adversarial=args.adversarial)
     except ValueError as e:
         raise CliError(EXIT_PARAMS, str(e)) from e
@@ -152,34 +142,17 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    (enc, compose, dec), params = _scheme_pipeline(args)
+    code = _scheme(args)
     text = _read_input(args)
     c = _parse_multiset(text)
-    t = params.get("t", 1 if args.scheme == "asym1" else 0)
     try:
-        info, _ = dec(c)
-        # verification: a codeword consistent with the output must explain
-        # the input within the error budget
-        if args.scheme == "asym1":
-            # the code carries checksum bits beyond the info, so the
-            # codeword is re-derived from the observation, not from info
-            from .asym import s1_reconstruct
-            clean = s1_reconstruct(c.copy())
-        else:
-            clean = enc(info)
-        if args.scheme == "sym-poly":
-            ok = _profile_close(clean, c, t)
-        else:
-            from .compositions import compose_all
-            d, _ = multiset_symmetric_difference(compose_all(clean), c)
-            ok = d <= 2 * t
-        if not ok:
+        info, _ = code.decode(c)
+        if not code.verify(info, c):
             raise CliError(
                 EXIT_DECODE,
                 "re-encode verification failed: output does not explain "
                 "the observed multiset within the error budget")
-    except (CorruptedInput, ReconstructionFailure, SparsityExceeded,
-            ValueError) as e:
+    except ValueError as e:
         raise CliError(EXIT_DECODE, f"decode failed: {e}") from e
     manifest = _manifest(args, {"n": c.n, "input_digest": _digest(text),
                                 "verified": True})
@@ -187,24 +160,12 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _profile_close(clean: str, c: CompositionMultiset, t: int) -> bool:
-    # each composition error moves exactly one cumulative level weight
-    from .sym import _string_weight_profile
-    from .compositions import cumulative_weights
-    w_clean = _string_weight_profile(clean)
-    w_obs = cumulative_weights(c)
-    return sum(int(a) != b for a, b in zip(w_clean, w_obs)) <= t
-
-
 def cmd_sim(args) -> int:
-    params = {"k": args.k}
-    if args.scheme in ("asym-t", "sym-poly", "sym-catalan"):
-        params["t"] = args.t
     kind = {"asym": "asymmetric", "sym": "symmetric"}[args.model]
     try:
         model = ErrorModel(kind, args.errors)
-        report = run_trials(args.scheme, params, model, args.trials,
-                            seed=args.seed)
+        report = run_trials(args.scheme, {"k": args.k, "t": args.t}, model,
+                            args.trials, seed=args.seed)
     except ValueError as e:
         raise CliError(EXIT_PARAMS, str(e)) from e
     if args.format == "json":
@@ -226,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="input file (default: stdin)")
         p.add_argument("--output", help="output file (default: stdout)")
         if scheme:
-            p.add_argument("--scheme", required=True, choices=SCHEMES)
+            p.add_argument("--scheme", required=True, choices=tuple(REGISTRY))
             p.add_argument("--k", type=int, required=True,
                            help="information length")
             p.add_argument("--t", type=int, default=0,

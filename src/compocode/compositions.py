@@ -65,6 +65,11 @@ class CompositionMultiset:
 
     levels[l] is a Counter weight -> multiplicity for l in 1..n.  A valid
     (possibly corrupted) channel output has exactly n-l+1 elements at level l.
+
+    This is the dense form of the observation protocol: n, level_counter,
+    weight_profile, sym_eval, correct, replace, copy and validate_shape.
+    sym.DeltaObservation is the sparse form; the channel, the sym-poly
+    decoder and the scheme registry's checks read either.
     """
 
     __slots__ = ("n", "levels")
@@ -97,6 +102,46 @@ class CompositionMultiset:
 
     def level_size(self, l: int) -> int:
         return sum(self.levels[l].values())
+
+    def level_counter(self, l: int) -> Counter:
+        """Level l as weight -> multiplicity; KeyError outside 1..n.  Read-only."""
+        return self.levels[l]
+
+    def weight_profile(self):
+        """w_1..w_n as an int64 numpy array."""
+        import numpy as np
+        return np.array(cumulative_weights(self), dtype=np.int64)
+
+    def sym_eval(self, R: int, field):
+        """S(a^l1, a^l2) + S(a^-l1, a^-l2) mod q at [l1 + R, l2 + R], |l1|, |l2| <= R.
+
+        S(x, y) sums x^w y^(l-w) over the multiset's elements, a = field.alpha.
+        """
+        import numpy as np
+        from .fields import monomial_grid
+        levels = self.levels.values()
+        ws = np.fromiter((w for c in levels for w in c), np.int64)
+        counts = np.fromiter((m for c in levels for m in c.values()), np.int64)
+        ls = np.repeat(np.fromiter(self.levels, np.int64), [len(c) for c in levels])
+        g = monomial_grid(ws, ls - ws, R, field, counts)
+        return (g + g[::-1, ::-1]) % field.q
+
+    def correct(self, error: dict) -> "CompositionMultiset":
+        """A copy with c elements of weight w taken out of level w+z per error term.
+
+        error maps (w, z) to c; a negative c puts -c elements back.
+        """
+        out = self.copy()
+        for (w, z), c in error.items():
+            level = out.levels[w + z]
+            if level[w] < c:
+                raise CorruptedInput(
+                    f"cannot remove {c} copies of weight {w} at level {w + z}")
+            level[w] -= c
+            if level[w] == 0:
+                del level[w]
+        out.validate_shape()
+        return out
 
     def validate_shape(self) -> None:
         for l in range(1, self.n + 1):
@@ -220,14 +265,14 @@ def sigma_partial(wp, n: int) -> tuple[tuple[int, ...], tuple[bool, ...]]:
     return tuple(sigma), tuple(known)
 
 
-def multiset_symmetric_difference(c1: CompositionMultiset, c2: CompositionMultiset):
-    """Total count and per-level detail of (C1 \\ C2) u (C2 \\ C1)."""
+def multiset_symmetric_difference(c1, c2):
+    """Total count and per-level detail of (C1 \\ C2) u (C2 \\ C1), for any observations."""
     if c1.n != c2.n:
         raise ValueError("multisets describe strings of different lengths")
     count = 0
     detail: dict[int, list[tuple[int, int]]] = {}
     for l in range(1, c1.n + 1):
-        a, b = c1.levels[l], c2.levels[l]
+        a, b = c1.level_counter(l), c2.level_counter(l)
         diffs = []
         for w in set(a) | set(b):
             d = a[w] - b[w]

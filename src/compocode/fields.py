@@ -100,6 +100,37 @@ def alpha_power_table(field: PrimeField) -> np.ndarray:
     return out
 
 
+_EXACT_SUM = 2 ** 63 - 1  # int64 partial sums stay exact below this
+_BLOCK = 1 << 16          # terms per block: memory is O(R * _BLOCK)
+
+
+def monomial_grid(xe, ye, R: int, field: PrimeField, mult=None) -> np.ndarray:
+    """sum_i mult_i x^xe_i y^ye_i at x = alpha^l1, y = alpha^l2, mod q.
+
+    Returns the grid l1, l2 in -R..R at [l1 + R, l2 + R]; mult defaults to
+    all ones.  The terms go in blocks: per block, Y[l2] = alpha^(l2 * ye) is
+    built once, and each l1 row is an int64 mat-vec of Y with
+    mult * alpha^(l1 * xe) mod q.  A block holds at most _BLOCK terms, and
+    few enough that no partial sum of products below q^2 overflows.
+    """
+    q = field.q
+    table = alpha_power_table(field)
+    ls = range(-R, R + 1)
+    span = max(1, min(_BLOCK, _EXACT_SUM // (q - 1) ** 2))
+    out = np.zeros((len(ls), len(ls)), dtype=np.int64)
+    for lo in range(0, len(xe), span):
+        xs, ys = xe[lo:lo + span], ye[lo:lo + span]
+        y = np.empty((len(ls), len(ys)), dtype=np.int64)
+        for row, l2 in zip(y, ls):
+            np.take(table, l2 * ys % (q - 1), out=row)
+        for row, l1 in zip(out, ls):
+            x = np.take(table, l1 * xs % (q - 1))
+            if mult is not None:
+                x = x * mult[lo:lo + span] % q
+            row += y @ x % q
+    return out % q
+
+
 @lru_cache(maxsize=None)
 def field_setup(n: int) -> PrimeField:
     """Smallest prime q with q - 1 > 2n, and its smallest primitive element.

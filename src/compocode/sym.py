@@ -18,9 +18,10 @@ Two constructions:
   1^(4t+1).  Distinct codewords have multiset symmetric difference >= 4t+1;
   decoding is brute force over reverted corrections.
 
-Both decoders accept either a CompositionMultiset or an Observation wrapper;
-DeltaObservation answers multiset queries in O(n) from a base string plus a
-sparse error delta, which keeps large-n trials tractable.
+etn_decode reads either form of the observation protocol: a
+CompositionMultiset, or a DeltaObservation, which answers multiset queries
+in O(n) from a base string plus a sparse error delta and so keeps large-n
+trials tractable.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .fields import (
     bblock_code,
     bch_shape,
     field_setup,
+    monomial_grid,
     sparse_interpolate,
 )
 
@@ -245,34 +247,6 @@ def _prefix_arrays(s: str):
     return pref, zeros
 
 
-_EXACT_SUM = 2 ** 63 - 1  # int64 partial sums stay exact below this
-
-
-def _prefix_grid(pref, zeros, R: int, field: PrimeField) -> np.ndarray:
-    """P(alpha^l1, alpha^l2) mod q for l1, l2 in -R..R, at [l1 + R, l2 + R].
-
-    P(x, y) = sum_i x^pref_i y^zeros_i has one monomial per prefix.  The
-    block Y[l2] = alpha^(l2 * zeros) is built once; each l1 row is then an
-    int64 mat-vec of Y with alpha^(l1 * pref), split into spans short enough
-    that no partial sum of products below q^2 overflows (one span for every
-    n with n q^2 < 2^63).
-    """
-    q = field.q
-    table = alpha_power_table(field)
-    ls = range(-R, R + 1)
-    y = np.empty((len(ls), len(zeros)), dtype=np.int64)
-    for row, l2 in zip(y, ls):
-        np.take(table, l2 * zeros % (q - 1), out=row)
-    span = max(1, _EXACT_SUM // (q - 1) ** 2)
-    out = np.zeros((len(ls), len(ls)), dtype=np.int64)
-    for row, l1 in zip(out, ls):
-        x = np.take(table, l1 * pref % (q - 1))
-        for lo in range(0, len(x), span):
-            row += y[:, lo:lo + span] @ x[lo:lo + span] % q
-        row %= q
-    return out
-
-
 def _string_weight_profile(s: str) -> np.ndarray:
     """w_1..w_n of C(s) in O(n): w_l = CS[n+1] - CS[l] - CS[n-l+1]."""
     pref, _ = _prefix_arrays(s)
@@ -282,21 +256,12 @@ def _string_weight_profile(s: str) -> np.ndarray:
     return cs[n + 1] - cs[ls] - cs[n + 1 - ls]
 
 
-class _LevelView:
-    """Read-mostly stand-in for CompositionMultiset.levels."""
-
-    def __init__(self, obs):
-        self._obs = obs
-
-    def __getitem__(self, l):
-        return self._obs.level_counter(l)
-
-
 class DeltaObservation:
     """A composition multiset as a base string plus a sparse error delta.
 
-    All queries cost O(n) or less, so corruption and decoding of long strings
-    never materialize the quadratic multiset.
+    The sparse form of the observation protocol CompositionMultiset
+    documents.  All queries cost O(n) or less, so corruption and decoding of
+    long strings never materialize the quadratic multiset.
     """
 
     def __init__(self, s: str):
@@ -306,7 +271,6 @@ class DeltaObservation:
         self.pref, self.zeros = _prefix_arrays(s)
         self.base_w = _string_weight_profile(s)
         self.delta: dict[int, dict[int, int]] = {}  # level -> weight -> count
-        self._p_cache: dict = {}  # field -> (R, P grid of s with radius R)
 
     def copy(self) -> "DeltaObservation":
         out = object.__new__(DeltaObservation)
@@ -314,14 +278,7 @@ class DeltaObservation:
         out.pref, out.zeros = self.pref, self.zeros
         out.base_w = self.base_w
         out.delta = {l: dict(d) for l, d in self.delta.items()}
-        out._p_cache = self._p_cache  # shared: keyed on the immutable base
         return out
-
-    @property
-    def levels(self) -> _LevelView:
-        # built per access: a stored view would close a reference cycle and
-        # keep every observation's arrays alive until a cyclic collection
-        return _LevelView(self)
 
     def _bump(self, l: int, w: int, by: int) -> None:
         d = self.delta.setdefault(l, {})
@@ -368,26 +325,16 @@ class DeltaObservation:
                 del out[w]
         return out
 
-    def sym_eval(self, l1: int, l2: int, field: PrimeField) -> int:
-        """S(alpha^l1, alpha^l2) + S(alpha^-l1, alpha^-l2) mod q.
+    def sym_eval(self, R: int, field: PrimeField) -> np.ndarray:
+        """S(a^l1, a^l2) + S(a^-l1, a^-l2) mod q at [l1 + R, l2 + R], |l1|, |l2| <= R.
 
-        P(s) comes from one grid covering the point, grown on demand; a
-        decoder's first query, at the corner of its grid, builds it whole.
+        The base string's part is P(x,y) P(1/x,1/y) - (n+1), from one grid of
+        P; S is linear in the multiset, so the delta's part is the dense
+        evaluation of the delta read as a signed multiset.
         """
-        q, alpha = field.q, field.alpha
-        R, grid = self._p_cache.get(field, (-1, None))
-        if R < max(abs(l1), abs(l2)):
-            R = max(abs(l1), abs(l2))
-            grid = _prefix_grid(self.pref, self.zeros, R, field)
-            self._p_cache[field] = R, grid
-        base = (int(grid[R + l1, R + l2]) * int(grid[R - l1, R - l2])
-                - (self.n + 1)) % q
-        for l, d in self.delta.items():
-            for w, c in d.items():
-                e = (l1 * w + l2 * (l - w)) % (q - 1)
-                base = (base + c * (pow(alpha, e, q)
-                                    + pow(alpha, (q - 1 - e) % (q - 1), q))) % q
-        return base
+        p = monomial_grid(self.pref, self.zeros, R, field)
+        delta = CompositionMultiset(self.n, self.delta).sym_eval(R, field)
+        return (p * p[::-1, ::-1] - (self.n + 1) + delta) % field.q
 
     def correct(self, error: dict) -> "DeltaObservation":
         out = self.copy()
@@ -395,63 +342,6 @@ class DeltaObservation:
             out._bump(w + z, w, -c)
         out.validate_shape()
         return out
-
-
-class DenseObservation:
-    """Adapter giving a real CompositionMultiset the observation interface."""
-
-    def __init__(self, c: CompositionMultiset):
-        c.validate_shape()
-        self.c = c
-        self.n = c.n
-        self._arrays = None
-
-    def weight_profile(self) -> np.ndarray:
-        return np.array(cumulative_weights(self.c), dtype=np.int64)
-
-    def level_counter(self, l: int) -> Counter:
-        return self.c.levels[l]
-
-    def sym_eval(self, l1: int, l2: int, field: PrimeField) -> int:
-        q = field.q
-        if self._arrays is None or self._arrays[3] != q:
-            ls, ws, cnts = [], [], []
-            for l in range(1, self.n + 1):
-                for w, cnt in self.c.levels[l].items():
-                    ls.append(l)
-                    ws.append(w)
-                    cnts.append(cnt)
-            self._arrays = (np.array(ls, dtype=np.int64),
-                            np.array(ws, dtype=np.int64),
-                            np.array(cnts, dtype=np.int64), q)
-        ls, ws, cnts, _ = self._arrays
-        table = alpha_power_table(field)
-        e = (l1 * ws + l2 * (ls - ws)) % (q - 1)
-        fwd = int((cnts * table[e] % q).sum() % q)
-        bwd = int((cnts * table[(q - 1 - e) % (q - 1)] % q).sum() % q)
-        return (fwd + bwd) % q
-
-    def correct(self, error: dict) -> "DenseObservation":
-        fixed = self.c.copy()
-        for (w, z), c in error.items():
-            l = w + z
-            if c > 0:
-                if fixed.levels[l][w] < c:
-                    raise CorruptedInput(
-                        f"cannot remove {c} copies of weight {w} at level {l}")
-                fixed.levels[l][w] -= c
-                if fixed.levels[l][w] == 0:
-                    del fixed.levels[l][w]
-            elif c < 0:
-                fixed.levels[l][w] += -c
-        fixed.validate_shape()
-        return DenseObservation(fixed)
-
-
-def as_observation(c):
-    if isinstance(c, (DeltaObservation, DenseObservation)):
-        return c
-    return DenseObservation(c)
 
 
 # -- the systematic evaluation-constrained encoder --------------------------
@@ -565,7 +455,7 @@ def etn_encode(u: str, t: int, params: PolyCodeParams | None = None) -> str:
     if len(u) != p.nu or t != p.t:
         raise ValueError("payload length does not match the parameters")
     a = weight(u) % (2 * t + 1)
-    values = _prefix_grid(*_prefix_arrays(u), 4 * t, p.field)
+    values = monomial_grid(*_prefix_arrays(u), 4 * t, p.field)
     grid = dict(zip(_grid_points(t), values.ravel().tolist()))
     sbar = bblock_code(p.msg_len, t).encode(_grid_to_bits(a, grid, p))
     z = _parity_block(sbar)
@@ -644,15 +534,15 @@ def _reconstruct_known_shell(obs, pre_len: int, suffix: str,
     return _bits_str(s)
 
 
-def etn_decode(c, t: int) -> str:
-    """Recover the payload from a multiset with at most t symmetric errors.
+def etn_decode(obs, t: int) -> str:
+    """Recover the payload from an observation with at most t symmetric errors.
 
     Failure modes raise distinct types: BlockCodeFailure when the weight
     parities cannot be corrected, SparsityExceeded when the error trace does
     not fit the sparse model, ReconstructionFailure when the corrected
     multiset does not assemble back into a string.
     """
-    obs = as_observation(c)
+    obs.validate_shape()
     p = poly_params_from_length(obs.n, t)
     n, q, alpha = p.n, p.field.q, p.field.alpha
     half = p.r_hat // 2
@@ -672,7 +562,8 @@ def etn_decode(c, t: int) -> str:
     d_y = n - d_x
     d_xu, d_yu = wt_u, p.nu - wt_u
     R = 4 * t
-    z_grid = _prefix_grid(*_prefix_arrays(zeta), R, p.field)
+    z_grid = monomial_grid(*_prefix_arrays(zeta), R, p.field)
+    s_grid = obs.sym_eval(R, p.field).tolist()
     p_grid = {}
     F = {}
     for l1, l2 in _grid_points(t):
@@ -684,7 +575,7 @@ def etn_decode(c, t: int) -> str:
               * (pz - 1)) % q
         p_grid[(l1, l2)] = ps
         scale = pow(alpha, (l1 * d_x + l2 * d_y) % (q - 1), q)
-        F[(l1, l2)] = scale * (n + 1 + obs.sym_eval(l1, l2, p.field)) % q
+        F[(l1, l2)] = scale * (n + 1 + s_grid[l1 + R][l2 + R]) % q
     error = recover_error_poly(F, p_grid, d_x, d_y, t, p.field, n)
     fixed = obs.correct(error)
     w = fixed.weight_profile()

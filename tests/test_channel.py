@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from compocode.channel import ErrorModel, TrialReport, corrupt, run_trials
+from compocode.channel import (
+    REGISTRY,
+    ErrorModel,
+    TrialReport,
+    build_scheme,
+    corrupt,
+    run_trials,
+)
 from compocode.compositions import compose_all, multiset_symmetric_difference
 
 
@@ -95,3 +102,29 @@ def test_unknown_scheme_and_model():
         run_trials("nope", {"k": 4}, ErrorModel("symmetric", 0), 1)
     with pytest.raises(ValueError):
         ErrorModel("weird", 1)
+
+
+# small (k, t) per scheme and the channel each one corrects
+ROUND_TRIP = {
+    "recon": (12, 0, ErrorModel("asymmetric", 0)),
+    "asym1": (8, 0, ErrorModel("asymmetric", 1)),
+    "asym-t": (10, 2, ErrorModel("asymmetric", 2)),
+    "sym-poly": (8, 1, ErrorModel("symmetric", 1)),
+    "sym-catalan": (3, 1, ErrorModel("symmetric", 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_registry_round_trip(name):
+    k, t, model = ROUND_TRIP[name]
+    code = build_scheme(name, k, t)
+    rng = random.Random(name)
+    for _ in range(3):
+        info = "".join(rng.choice("01") for _ in range(k))
+        obs, log = corrupt(code.observe(code.encode(info)), model, rng)
+        assert len(log) == model.t
+        assert code.decode(obs)[0] == info
+        assert code.verify(info, obs)
+        other = ("1" if info[0] == "0" else "0") + info[1:]
+        assert not code.verify(other, code.observe(code.encode(info)))
+        assert not code.verify(other, obs)

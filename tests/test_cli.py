@@ -149,6 +149,12 @@ def test_exit_codes(tmp_path, capsys):
     # negative k -> 2
     assert main(["encode", "--scheme", "recon", "--k", "0",
                  "--input", str(inp2)]) == 2
+    # negative error count -> 2, not a traceback
+    ms = tmp_path / "ms.txt"
+    ms.write_text(serialize(compose_all("0110100")))
+    code, _, err = run(capsys, "corrupt", "--model", "asym", "--errors", "-1",
+                       "--input", str(ms))
+    assert code == 2 and err.startswith("error:")
 
 
 def test_sim_determinism_and_formats(tmp_path, capsys):
@@ -173,3 +179,30 @@ def test_sim_report_file_with_manifest(tmp_path, capsys):
     assert out.exists() and (tmp_path / "report.csv.manifest.json").exists()
     manifest = json.loads((tmp_path / "report.csv.manifest.json").read_text())
     assert manifest["success_rate"] == 1.0
+
+
+def test_one_parameter_rule_for_sim_encode_and_decode(tmp_path, capsys):
+    inp = tmp_path / "info.txt"
+    inp.write_text("1010")
+    sim = ("sim", "--model", "sym", "--errors", "0", "--trials", "3")
+    # t = 0 is a bad parameter for asym-t and sym-poly in every command
+    for scheme in ("asym-t", "sym-poly"):
+        params = ("--scheme", scheme, "--k", "4", "--t", "0")
+        code, _, enc_err = run(capsys, "encode", *params, "--input", str(inp))
+        assert code == 2 and enc_err.startswith("error:")
+        code, out, sim_err = run(capsys, *sim, *params)
+        assert code == 2 and out == "" and sim_err == enc_err
+        code, _, dec_err = run(capsys, "decode", *params, "--input",
+                               os.path.join(FIXTURES, "example2_clean.txt"))
+        assert code == 2 and dec_err == enc_err
+    # sym-catalan defines its t = 0 code, and every command runs it
+    params = ("--scheme", "sym-catalan", "--k", "4", "--t", "0")
+    cw = tmp_path / "cw.txt"
+    assert run(capsys, "encode", *params, "--input", str(inp),
+               "--output", str(cw))[0] == 0
+    ms = tmp_path / "ms.txt"
+    assert run(capsys, "compose", "--input", str(cw), "--output", str(ms))[0] == 0
+    code, out, _ = run(capsys, "decode", *params, "--input", str(ms))
+    assert code == 0 and out.strip() == "1010"
+    code, out, _ = run(capsys, *sim, *params, "--format", "json")
+    assert code == 0 and json.loads(out)["success_rate"] == 1.0

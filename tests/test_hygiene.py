@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import compocode
 
 PACKAGE_DIR = Path(compocode.__file__).parent
@@ -28,3 +30,20 @@ def test_source_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+@pytest.mark.parametrize("modules, absent", [
+    # the set-up of error-free reconstruction: numpy costs more to import
+    # than that whole set-up takes
+    (("compocode.channel", "compocode.backtrack", "compocode.catalan"),
+     ("numpy",)),
+    # the registry imports each scheme's modules only when it is built
+    (("compocode.cli",), ("compocode.sym", "compocode.asym")),
+], ids=["recon-setup-no-numpy", "cli-no-scheme-modules"])
+def test_cold_start_imports_stay_lazy(modules, absent):
+    code = "; ".join(f"import {m}" for m in modules) + \
+        f"; import sys; print([m for m in {absent!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -14,21 +14,26 @@ from compocode.compositions import (
     sigma_of_string,
     weight,
 )
-from compocode import sym
+from compocode import fields
 from compocode.backtrack import ReconstructionFailure
-from compocode.fields import BCHCode, SparsityExceeded, _field, bblock_code, field_setup
+from compocode.fields import (
+    BCHCode,
+    SparsityExceeded,
+    _field,
+    bblock_code,
+    field_setup,
+    monomial_grid,
+)
 from compocode.sym import (
     BlockCodeFailure,
     DeltaObservation,
-    DenseObservation,
     PolyCodeParams,
     _eval_prefix_string,
+    _eval_terms,
     _grid_msg_len,
     _parity_block,
     _prefix_arrays,
-    _prefix_grid,
     _reconstruct_known_shell,
-    as_observation,
     catalan_code_decode_bruteforce,
     catalan_code_encode,
     catalan_code_params,
@@ -124,10 +129,9 @@ def test_observations_agree_with_multiset():
         s = random_bits(rng, rng.randint(4, 30))
         c = compose_all(s)
         delta = DeltaObservation(s)
-        dense = DenseObservation(c.copy())
         for l in range(1, len(s) + 1):
-            assert delta.level_counter(l) == c.levels[l]
-        assert list(delta.weight_profile()) == list(dense.weight_profile())
+            assert delta.level_counter(l) == c.level_counter(l) == c.levels[l]
+        assert list(delta.weight_profile()) == list(c.weight_profile())
 
 
 def test_observation_replace_tracks_multiset():
@@ -152,9 +156,17 @@ def test_observation_sym_eval_matches_polynomial():
         s = random_bits(rng, rng.randint(3, 20))
         obs = DeltaObservation(s)
         obs.replace(2, weight(s[:2]), (weight(s[:2]) + 1) % 3)
-        dense = DenseObservation(obs_to_multiset(obs))
+        grid = obs.sym_eval(4, field)
+        assert grid.shape == (9, 9)
+        assert np.array_equal(grid, obs_to_multiset(obs).sym_eval(4, field))
+        # and against S itself, term by term
+        S = multiset_to_S(obs_to_multiset(obs))
         for l1, l2 in [(0, 0), (1, 2), (-3, 4), (2, -2)]:
-            assert obs.sym_eval(l1, l2, field) == dense.sym_eval(l1, l2, field)
+            x = pow(field.alpha, l1 % (q - 1), q)
+            y = pow(field.alpha, l2 % (q - 1), q)
+            want = (_eval_terms(S.terms, x, y, field) + _eval_terms(
+                S.terms, field.inv(x), field.inv(y), field)) % q
+            assert grid[l1 + 4, l2 + 4] == want
 
 
 def obs_to_multiset(obs):
@@ -181,6 +193,11 @@ def test_observation_correct_roundtrip():
     assert list(fixed.weight_profile()) == list(base.weight_profile())
     for l in range(1, len(s) + 1):
         assert fixed.level_counter(l) == base.level_counter(l)
+    dense = compose_all(s)
+    dense.replace(5, 2, 4)
+    assert dense.correct(error) == compose_all(s)
+    with pytest.raises(CorruptedInput):
+        compose_all(s).correct({(4, 1): 1})  # no weight-4 element at level 5
 
 
 def test_level_counter_rejects_levels_outside_1_to_n():
@@ -191,17 +208,12 @@ def test_level_counter_rejects_levels_outside_1_to_n():
         with pytest.raises(KeyError):
             c.levels[l]
         with pytest.raises(KeyError):
+            c.level_counter(l)
+        with pytest.raises(KeyError):
             obs.level_counter(l)
         with pytest.raises(KeyError):
             obs.replace(l, 0, 1)
     assert obs.delta == {}
-
-
-def test_as_observation_passthrough():
-    c = compose_all("0101")
-    assert isinstance(as_observation(c), DenseObservation)
-    d = DeltaObservation("0101")
-    assert as_observation(d) is d
 
 
 # -- parameters and the parity block -----------------------------------------
@@ -395,6 +407,18 @@ def test_etn_info_roundtrip_and_redundancy():
     assert etn_redundancy(8, 1) == len(c) - 8
 
 
+def test_etn_decodes_a_dense_multiset_end_to_end():
+    # the CLI's parsed-file path: the whole quadratic multiset, no delta
+    rng = random.Random(17)
+    info = random_bits(rng, 8)
+    s = etn_encode_info(info, 1)
+    c = compose_all(s)
+    l = rng.randrange(1, len(s) + 1)
+    old = rng.choice(sorted(c.level_counter(l).elements()))
+    c.replace(l, old, rng.choice([v for v in range(l + 1) if v != old]))
+    assert etn_decode_info(c, 8, 1) == info
+
+
 def test_recover_error_poly_zero_error():
     # with F built from the true string, the recovered error is empty
     u = "1011001010110"
@@ -406,16 +430,19 @@ def test_recover_error_poly_zero_error():
     q, alpha = p.field.q, p.field.alpha
     d_x = weight(s)
     d_y = p.n - d_x
+    R = 4 * t
+    s_grid = obs.sym_eval(R, p.field)
+    assert s_grid.shape == (2 * R + 1, 2 * R + 1)
     F, p_grid = {}, {}
     for l1, l2 in _grid_points(t):
         p_grid[(l1, l2)] = _eval_prefix_string(s, l1, l2, p.field)
         scale = pow(alpha, (l1 * d_x + l2 * d_y) % (q - 1), q)
-        F[(l1, l2)] = scale * (p.n + 1 + obs.sym_eval(l1, l2, p.field)) % q
+        F[(l1, l2)] = scale * (p.n + 1 + int(s_grid[l1 + R, l2 + R])) % q
     assert recover_error_poly(F, p_grid, d_x, d_y, t, p.field, p.n) == {}
 
 
 def _assert_grid_matches_pointwise(s, R, field):
-    grid = _prefix_grid(*_prefix_arrays(s), R, field)
+    grid = monomial_grid(*_prefix_arrays(s), R, field)
     assert grid.shape == (2 * R + 1, 2 * R + 1)
     for l1 in range(-R, R + 1):
         for l2 in range(-R, R + 1):
@@ -439,14 +466,22 @@ def test_prefix_grid_at_the_benchmark_length():
 
 
 def test_prefix_grid_split_sums_agree(monkeypatch):
-    # spans of 1, 2 and 5 products instead of one exact int64 dot per row
+    # blocks of 1, 2 and 5 terms instead of one exact int64 dot per row,
+    # bounded either by overflow or by the block size
     rng = random.Random(15)
     s = random_bits(rng, 40)
+    mult = np.array([rng.randrange(-3, 9) for _ in range(41)])
     field = field_setup(300)
-    whole = _prefix_grid(*_prefix_arrays(s), 3, field)
-    for span in (1, 2, 5):
-        monkeypatch.setattr(sym, "_EXACT_SUM", span * (field.q - 1) ** 2)
-        assert np.array_equal(_prefix_grid(*_prefix_arrays(s), 3, field), whole)
+    whole = monomial_grid(*_prefix_arrays(s), 3, field)
+    weighted = monomial_grid(*_prefix_arrays(s), 3, field, mult)
+    for name, bound in (("_EXACT_SUM", (field.q - 1) ** 2), ("_BLOCK", 1)):
+        for span in (1, 2, 5):
+            with monkeypatch.context() as m:
+                m.setattr(fields, name, span * bound)
+                assert np.array_equal(
+                    monomial_grid(*_prefix_arrays(s), 3, field), whole)
+                assert np.array_equal(
+                    monomial_grid(*_prefix_arrays(s), 3, field, mult), weighted)
 
 
 def test_known_shell_rejects_a_flipped_shell_sigma():
