@@ -24,14 +24,18 @@ check digit k, and sigma_i(s) = sigma_i(s') for i <= m/2.
 
 from __future__ import annotations
 
+from . import compositions
 from .backtrack import ReconstructionFailure, ToleranceBudget, tolerant_reconstruct
 from .catalan import sr_decode, sr_encode, sr_size
 from .compositions import (
     CompositionMultiset,
     CorruptedInput,
     cumulative_weights,
+    mirror_mismatches,
     sigma_of_string,
     sigma_partial,
+    weight,
+    weights_from_sigma,
 )
 from .fields import ternary_erasure_decode, ternary_erasure_encode, ternary_field_params
 
@@ -50,9 +54,9 @@ def s1_params(k: int) -> int:
 
 def _checksum(s: str) -> int:
     """sum of w_i over levels i <= ceil(n/2), mod 3."""
-    w = cumulative_weights(CompositionMultiset.of_string(s))
-    h = (len(s) + 1) // 2
-    return sum(w[:h]) % 3
+    n = len(s)
+    w = weights_from_sigma(sigma_of_string(s), weight(s), n)
+    return sum(w[:(n + 1) // 2]) % 3
 
 
 def s1_encode(info: str, n: int | None = None) -> str:
@@ -104,41 +108,22 @@ def s1_recover_sigma(c: CompositionMultiset, parity: int = 0):
     n = c.n
     h = (n + 1) // 2
     w_obs = cumulative_weights(c)
-    mism = sorted(
-        j for j in range(1, h) if w_obs[j - 1] != w_obs[n - j])
+    # for even n, level n/2 is pinned below like the middle of odd n
+    mism = [j for j in mirror_mismatches(w_obs, n) if j < h]
     if len(mism) > 1:
         raise CorruptedInput("more than one corrupted level: outside the model")
-    w1 = recover_w1(w_obs[0], w_obs[n - 1], parity)
+    # trusted profile: levels below j agree with their mirrors (w_1 repaired)
+    w = list(w_obs[:h])
+    w[0] = recover_w1(w_obs[0], w_obs[n - 1], parity)
     j = mism[0] if mism else h
-    # trusted profile: for i < j both mirror copies agree (or i=1 was repaired)
-    w = [0] * (h + 1)  # 1-indexed, levels 1..h
-    w[1] = w1
-    for i in range(2, h + 1):
-        w[i] = w_obs[i - 1]
-    # sigma_1 .. sigma_{j-2} from trusted levels, then pin w_j
-    sigma = [0] * (h + 1)
-    for i in range(1, j - 1):
-        sigma[i] = 2 * w[i] - w[i - 1] - w[i + 1]
-        if not 0 <= sigma[i] <= 2:
-            raise CorruptedInput(f"sigma_{i} out of range: outside the model")
     if j >= 2:
-        base = j * w1 - sum(i * sigma[j - i] for i in range(2, j))
-        target = -(sum(w[1:j]) + sum(w[j + 1:h + 1])) % 3
+        base = 2 * w[j - 2] - (w[j - 3] if j >= 3 else 0)
+        target = (w[j - 1] - sum(w)) % 3
         cands = [v for v in range(base - 2, base + 1) if v % 3 == target]
         if len(cands) != 1:
             raise CorruptedInput("checksum fails to pin the corrupted level")
-        w[j] = cands[0]
-    # full profile now trusted; difference out the remaining sigma entries
-    for i in range(max(1, j - 1), h):
-        sigma[i] = 2 * w[i] - w[i - 1] - w[i + 1]
-    sigma[h] = w[h] - w[h - 1]
-    out = tuple(sigma[1:h + 1])
-    top = 1 if n % 2 == 1 else 2
-    for i, v in enumerate(out):
-        hi = top if i == h - 1 else 2
-        if not 0 <= v <= hi:
-            raise CorruptedInput(f"sigma_{i+1} = {v} out of range")
-    return out
+        w[j - 1] = cands[0]
+    return compositions.sigma_from_weights(w, n)
 
 
 def s1_reconstruct(c: CompositionMultiset, parity: int = 0) -> str:

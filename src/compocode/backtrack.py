@@ -27,7 +27,7 @@ required.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .compositions import (
     CompositionMultiset,
@@ -47,7 +47,6 @@ class ReconstructionFailure(ValueError):
 class BacktrackStats:
     guesses: int = 0      # weight-tie branch points
     backtracks: int = 0   # rollbacks of an accepted extension
-    levels: int = 0       # deepest pair index reached
 
 
 @dataclass
@@ -67,51 +66,6 @@ class ToleranceBudget:
             raise ValueError("tolerance must be >= 0")
         if self.model not in ("asymmetric", "symmetric-single"):
             raise ValueError(f"unknown error model {self.model!r}")
-
-
-def build_T(prefix: str, suffix: str, sigma, n: int) -> CompositionMultiset:
-    """Multiset of all substring compositions determined by a partial state.
-
-    With |prefix| = |suffix| = L these are: substrings inside the prefix,
-    substrings inside the suffix, center-spanning substrings s_i^j with
-    i <= L+1 and j >= n-L, and the symmetric centers s_i^{n+1-i} for i > L+1
-    (their weight is a sigma tail sum).
-    """
-    L = len(prefix)
-    if len(suffix) != L or 2 * L > n:
-        raise ValueError("prefix/suffix lengths invalid")
-    h = (n + 1) // 2
-    if len(sigma) != h:
-        raise ValueError("sigma length must be ceil(n/2)")
-    W = sum(sigma)
-    pw = [0]
-    for ch in prefix:
-        pw.append(pw[-1] + (ch == "1"))
-    swr = [0]  # swr[b] = weight of the last b characters
-    for ch in reversed(suffix):
-        swr.append(swr[-1] + (ch == "1"))
-    levels: dict[int, Counter] = {l: Counter() for l in range(1, n + 1)}
-    seen: set[tuple[int, int]] = set()
-
-    def add(i, j, w):
-        if (i, j) not in seen:
-            seen.add((i, j))
-            levels[j - i + 1][w] += 1
-
-    for i in range(1, L + 1):
-        for j in range(i, L + 1):
-            add(i, j, pw[j] - pw[i - 1])
-            add(n - L + i, n - L + j, swr[L + 1 - i] - swr[L - j])
-    for i in range(1, L + 2):
-        for j in range(max(i, n - L), n + 1):
-            add(i, j, W - pw[i - 1] - swr[n - j])
-    tail = 0
-    for i in range(h, L + 1, -1):
-        tail += sigma[i - 1]
-        length = n + 2 - 2 * i
-        if length >= 1:
-            levels[length][tail] += 1
-    return CompositionMultiset(n, levels)
 
 
 def _pair_choices(sv: int):
@@ -181,7 +135,6 @@ def _search(c, sigma, bad_levels, stats, *, collect_all):
         return True
 
     def extend(k):
-        stats.levels = max(stats.levels, k)
         if k == steps:
             mid = str(sigma[h - 1]) if n % 2 else ""
             return finalize("".join(prefix) + mid + "".join(reversed(suffix)))
@@ -277,37 +230,3 @@ def tolerant_reconstruct(c: CompositionMultiset, sigma, budget: ToleranceBudget)
     if not sols:
         raise ReconstructionFailure("tolerance budget exhausted on all branches")
     return sols[0], stats
-
-
-def _ell(s: str) -> int:
-    """Number of guess points: prefix/suffix weight ties followed by sigma=1."""
-    n = len(s)
-    count = 0
-    for i in range(1, (n + 1) // 2):
-        if s[:i].count("1") == s[n - i:].count("1") and s[i] != s[n - 1 - i]:
-            count += 1
-    return count
-
-
-def confusable_oracle(n: int) -> dict[str, tuple[frozenset, int, int]]:
-    """Brute force: s -> (E_s, ell_s, ell_s*) over all 2^n strings.
-
-    E_s groups strings by composition multiset; ell_s counts the guess points
-    of s and ell_s* is the maximum over E_s.
-    """
-    import itertools
-
-    groups: dict[tuple, list[str]] = {}
-    for tup in itertools.product("01", repeat=n):
-        s = "".join(tup)
-        key = tuple(
-            tuple(sorted(compose_all(s).levels[l].items())) for l in range(1, n + 1))
-        groups.setdefault(key, []).append(s)
-    out = {}
-    for members in groups.values():
-        es = frozenset(members)
-        ells = {s: _ell(s) for s in members}
-        star = max(ells.values())
-        for s in members:
-            out[s] = (es, ells[s], star)
-    return out

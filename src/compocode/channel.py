@@ -129,6 +129,8 @@ def _within(clean: str, obs, t: int) -> bool:
 
 
 def _recon(k: int, t: int) -> Scheme:
+    if t:
+        raise ValueError("t must be 0")
     from .backtrack import reconstruct_unique
     from .catalan import sr_decode, sr_encode, sr_params
     encode = partial(sr_encode, t=0, n=sr_params(k, 0))
@@ -141,6 +143,8 @@ def _recon(k: int, t: int) -> Scheme:
 
 
 def _asym1(k: int, t: int) -> Scheme:
+    if t:
+        raise ValueError("t must be 0")
     from .asym import s1_decode, s1_encode, s1_params, s1_reconstruct, s1_strip
 
     def verify(info, c):
@@ -193,7 +197,7 @@ REGISTRY = {"recon": _recon, "asym1": _asym1, "asym-t": _asym_t,
 
 
 def build_scheme(name: str, k: int, t: int = 0) -> Scheme:
-    """The registered scheme `name` at (k, t); recon and asym1 ignore t.
+    """The registered scheme `name` at (k, t); recon and asym1 take t = 0.
 
     The code's parameters are derived here, so a bad (k, t) raises
     ValueError before anything is encoded.

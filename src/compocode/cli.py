@@ -233,6 +233,9 @@ def main(argv=None) -> int:
     if getattr(args, "t", 0) < 0:
         print("error: --t must be >= 0", file=sys.stderr)
         return EXIT_PARAMS
+    if getattr(args, "errors", 0) < 0:
+        print("error: --errors must be >= 0", file=sys.stderr)
+        return EXIT_PARAMS
     try:
         return args.func(args)
     except CliError as e:

@@ -183,6 +183,25 @@ def cumulative_weights(c: CompositionMultiset) -> tuple[int, ...]:
         sum(w * cnt for w, cnt in c.levels[l].items()) for l in range(1, c.n + 1))
 
 
+def mirror_mismatches(wp, n: int) -> list[int]:
+    """Levels l <= n/2 whose weight differs from its mirror: w_l != w_{n+1-l}."""
+    return [l for l in range(1, n // 2 + 1) if wp[l - 1] != wp[n - l]]
+
+
+def _differences(wp, h: int) -> list[int]:
+    """sigma_1..sigma_h from w_1..w_h by successive differencing, unchecked."""
+    prev = [0, *wp[:h - 1]]
+    sigma = [2 * w - p - nxt for p, w, nxt in zip(prev, wp, wp[1:h])]
+    sigma.append(wp[h - 1] - prev[h - 1])
+    return sigma
+
+
+def _out_of_range(sigma, n: int):
+    """0-based indices of entries outside {0,1,2} ({0,1} for the middle of odd n)."""
+    mid = len(sigma) - 1 if n % 2 else -1
+    return (i for i, v in enumerate(sigma) if not 0 <= v <= 2 - (i == mid))
+
+
 def sigma_from_weights(wp, n: int) -> tuple[int, ...]:
     """Solve the triangular pairwise-weight system by successive differencing.
 
@@ -193,34 +212,26 @@ def sigma_from_weights(wp, n: int) -> tuple[int, ...]:
     h = (n + 1) // 2
     if len(wp) < h:
         raise ValueError("weight profile too short")
-    sigma = []
-    for l in range(1, h):
-        prev = wp[l - 2] if l >= 2 else 0
-        sigma.append(2 * wp[l - 1] - prev - wp[l])
-    # middle entry
-    prev = wp[h - 2] if h >= 2 else 0
-    sigma.append(wp[h - 1] - prev)
-    top = 1 if (n % 2 == 1) else 2
-    for i, v in enumerate(sigma):
-        hi = top if i == len(sigma) - 1 else 2
-        if not (0 <= v <= hi):
-            raise CorruptedInput(f"sigma_{i+1} = {v} out of range: corrupted input")
+    sigma = _differences(wp, h)
+    for i in _out_of_range(sigma, n):
+        raise CorruptedInput(f"sigma_{i+1} = {sigma[i]} out of range: corrupted input")
     if sum(sigma) != wp[0]:
         raise CorruptedInput("sigma sum does not match w_1: corrupted input")
     return tuple(sigma)
 
 
 def weights_from_sigma(sigma, w1: int, n: int) -> tuple[int, ...]:
-    """Full profile w_1..w_n from sigma and w_1: w_j = j*w_1 - sum i*sigma_{j-i}."""
+    """Full profile w_1..w_n from sigma and w_1: w_{j+1} = w_j + w_1 - S_j."""
     h = (n + 1) // 2
     if len(sigma) != h:
         raise ValueError("sigma length must be ceil(n/2)")
-    w = [0] * n
-    for j in range(1, h + 1):
-        w[j - 1] = j * w1 - sum(i * sigma[j - i - 1] for i in range(1, j))
-    for j in range(h + 1, n + 1):
-        w[j - 1] = w[n - j]
-    return tuple(w)
+    w = []
+    level, step = 0, w1
+    for s in sigma:
+        level += step
+        w.append(level)
+        step -= s
+    return tuple(w + w[:n - h][::-1])
 
 
 def sigma_partial(wp, n: int) -> tuple[tuple[int, ...], tuple[bool, ...]]:
@@ -237,32 +248,13 @@ def sigma_partial(wp, n: int) -> tuple[tuple[int, ...], tuple[bool, ...]]:
     Returns (sigma_values, known_mask); erased entries carry value 0.
     """
     h = (n + 1) // 2
-    trusted = [False] * (h + 2)  # 1-indexed levels 1..h+1; index 0 = w_0, always good
-    trusted[0] = True
-    for l in range(1, min(h + 1, n) + 1):
-        mirror = n + 1 - l
-        if mirror < 1 or mirror > n:
-            continue
-        trusted[l] = wp[l - 1] == wp[mirror - 1]
-    sigma = [0] * h
-    known = [False] * h
-    for i in range(1, h + 1):
-        if i < h:
-            ok = trusted[i - 1] and trusted[i] and trusted[i + 1]
-        else:
-            ok = trusted[h - 1] and trusted[h]
-        if not ok:
-            continue
-        prev = wp[i - 2] if i >= 2 else 0
-        if i < h:
-            v = 2 * wp[i - 1] - prev - wp[i]
-        else:
-            v = wp[h - 1] - prev
-        top = 1 if (n % 2 == 1 and i == h) else 2
-        if 0 <= v <= top:
-            sigma[i - 1] = v
-            known[i - 1] = True
-    return tuple(sigma), tuple(known)
+    erased = set()
+    for l in mirror_mismatches(wp, n):
+        erased.update((l - 2, l - 1, l))  # 0-based sigma_{l-1}, sigma_l, sigma_{l+1}
+    sigma = _differences(wp, h)
+    erased.update(_out_of_range(sigma, n))
+    known = tuple(i not in erased for i in range(h))
+    return tuple(v if ok else 0 for v, ok in zip(sigma, known)), known
 
 
 def multiset_symmetric_difference(c1, c2):

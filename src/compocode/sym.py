@@ -34,12 +34,13 @@ from functools import lru_cache
 import numpy as np
 
 from .backtrack import ReconstructionFailure, reconstruct
-from .catalan import cb_count, sr_decode, sr_encode
+from .catalan import cb_count, cb_rank, cb_total, cb_unrank, sr_decode, sr_encode
 from .compositions import (
     CompositionMultiset,
     CorruptedInput,
     check_bits,
     cumulative_weights,
+    mirror_mismatches,
     sigma_from_weights,
     weight,
 )
@@ -604,12 +605,15 @@ def etn_redundancy(k: int, t: int) -> int:
 
 # -- the Catalan-path code --------------------------------------------------
 # Ranks are lexicographic.  Reversed, bit-swapped and behind a leading 0, the
-# prefix-dominated completions of rem bits from 0-surplus d are the CB strings
-# of length rem+1 with (rem-d)/2 ones, which cb_count counts.
+# balanced prefix-dominated strings of length 2h are the CB strings of length
+# 2h+1 with h ones: the last block of catalan.cb_rank, in reverse order.
 
 
 def catalan_number(h: int) -> int:
     return cb_count(2 * h + 1, h)
+
+
+_SWAP = str.maketrans("01", "10")
 
 
 def catalan_rank(s: str) -> int:
@@ -617,40 +621,16 @@ def catalan_rank(s: str) -> int:
     check_bits(s)
     if len(s) % 2:
         raise ValueError("balanced strings have even length")
-    d = 0
-    r = 0
-    rem = len(s)
-    for ch in s:
-        rem -= 1
-        if ch == "1":
-            r += cb_count(rem + 1, (rem - d - 1) // 2)
-            d -= 1
-        else:
-            d += 1
-        if d < 0:
-            raise ValueError("prefix dominance violated")
-    if d:
+    if 2 * s.count("1") != len(s):
         raise ValueError("string is not balanced")
-    return r
+    return cb_total(len(s) + 1) - 1 - cb_rank("0" + s[::-1].translate(_SWAP))
 
 
 def catalan_unrank(r: int, h: int) -> str:
     if not 0 <= r < catalan_number(h):
         raise ValueError("rank out of range")
-    out = []
-    d = 0
-    rem = 2 * h
-    for _ in range(2 * h):
-        rem -= 1
-        c0 = cb_count(rem + 1, (rem - d - 1) // 2)
-        if r < c0:
-            out.append("0")
-            d += 1
-        else:
-            r -= c0
-            out.append("1")
-            d -= 1
-    return "".join(out)
+    cb = cb_unrank(2 * h + 1, cb_total(2 * h + 1) - 1 - r)
+    return cb[1:][::-1].translate(_SWAP)
 
 
 def catalan_code_params(k: int, t: int) -> int:
@@ -700,13 +680,9 @@ def is_catalan_codeword(s: str, t: int) -> bool:
     return True
 
 
-def _mirror_mismatches(w, n: int):
-    return [l for l in range(1, n // 2 + 1) if w[l - 1] != w[n - l]]
-
-
 def _consistent(c: CompositionMultiset) -> bool:
     w = cumulative_weights(c)
-    if _mirror_mismatches(w, c.n):
+    if mirror_mismatches(w, c.n):
         return False
     try:
         sigma_from_weights(w, c.n)
@@ -724,7 +700,7 @@ def _revert_candidates(c: CompositionMultiset, budget: int):
     within the budget are pruned before any copy is made.
     """
     w = cumulative_weights(c)
-    mism = _mirror_mismatches(w, c.n)
+    mism = mirror_mismatches(w, c.n)
     if not mism and _consistent(c):
         yield c.copy()
     if budget == 0 or len(mism) > budget:

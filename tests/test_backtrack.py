@@ -7,14 +7,12 @@ import pytest
 from compocode.backtrack import (
     ReconstructionFailure,
     ToleranceBudget,
-    build_T,
-    confusable_oracle,
     reconstruct,
     reconstruct_unique,
     tolerant_reconstruct,
 )
 from compocode.catalan import sr_encode
-from compocode.compositions import compose_all, sigma_of_string
+from compocode.compositions import CompositionMultiset, compose_all, sigma_of_string
 
 
 def all_strings(n):
@@ -24,6 +22,83 @@ def all_strings(n):
 
 def multiset_key(c):
     return tuple(tuple(sorted(c.levels[l].items())) for l in range(1, c.n + 1))
+
+
+# -- brute-force oracles the search is checked against --
+
+
+def build_T(prefix: str, suffix: str, sigma, n: int) -> CompositionMultiset:
+    """Multiset of all substring compositions determined by a partial state.
+
+    With |prefix| = |suffix| = L these are: substrings inside the prefix,
+    substrings inside the suffix, center-spanning substrings s_i^j with
+    i <= L+1 and j >= n-L, and the symmetric centers s_i^{n+1-i} for i > L+1
+    (their weight is a sigma tail sum).
+    """
+    L = len(prefix)
+    if len(suffix) != L or 2 * L > n:
+        raise ValueError("prefix/suffix lengths invalid")
+    h = (n + 1) // 2
+    if len(sigma) != h:
+        raise ValueError("sigma length must be ceil(n/2)")
+    W = sum(sigma)
+    pw = [0]
+    for ch in prefix:
+        pw.append(pw[-1] + (ch == "1"))
+    swr = [0]  # swr[b] = weight of the last b characters
+    for ch in reversed(suffix):
+        swr.append(swr[-1] + (ch == "1"))
+    levels: dict[int, Counter] = {l: Counter() for l in range(1, n + 1)}
+    seen: set[tuple[int, int]] = set()
+
+    def add(i, j, w):
+        if (i, j) not in seen:
+            seen.add((i, j))
+            levels[j - i + 1][w] += 1
+
+    for i in range(1, L + 1):
+        for j in range(i, L + 1):
+            add(i, j, pw[j] - pw[i - 1])
+            add(n - L + i, n - L + j, swr[L + 1 - i] - swr[L - j])
+    for i in range(1, L + 2):
+        for j in range(max(i, n - L), n + 1):
+            add(i, j, W - pw[i - 1] - swr[n - j])
+    tail = 0
+    for i in range(h, L + 1, -1):
+        tail += sigma[i - 1]
+        length = n + 2 - 2 * i
+        if length >= 1:
+            levels[length][tail] += 1
+    return CompositionMultiset(n, levels)
+
+
+def _ell(s: str) -> int:
+    """Number of guess points: prefix/suffix weight ties followed by sigma=1."""
+    n = len(s)
+    count = 0
+    for i in range(1, (n + 1) // 2):
+        if s[:i].count("1") == s[n - i:].count("1") and s[i] != s[n - 1 - i]:
+            count += 1
+    return count
+
+
+def confusable_oracle(n: int) -> dict[str, tuple[frozenset, int, int]]:
+    """Brute force: s -> (E_s, ell_s, ell_s*) over all 2^n strings.
+
+    E_s groups strings by composition multiset; ell_s counts the guess points
+    of s and ell_s* is the maximum over E_s.
+    """
+    groups: dict[tuple, list[str]] = {}
+    for s in all_strings(n):
+        groups.setdefault(multiset_key(compose_all(s)), []).append(s)
+    out = {}
+    for members in groups.values():
+        es = frozenset(members)
+        ells = {s: _ell(s) for s in members}
+        star = max(ells.values())
+        for s in members:
+            out[s] = (es, ells[s], star)
+    return out
 
 
 def test_build_T_worked_example():

@@ -147,14 +147,17 @@ def test_exit_codes(tmp_path, capsys):
     assert run(capsys, "encode", "--scheme", "asym-t", "--k", "4",
                "--input", str(inp2))[0] == 2
     # negative k -> 2
-    assert main(["encode", "--scheme", "recon", "--k", "0",
-                 "--input", str(inp2)]) == 2
+    assert run(capsys, "encode", "--scheme", "recon", "--k", "0",
+               "--input", str(inp2))[0] == 2
     # negative error count -> 2, not a traceback
     ms = tmp_path / "ms.txt"
     ms.write_text(serialize(compose_all("0110100")))
     code, _, err = run(capsys, "corrupt", "--model", "asym", "--errors", "-1",
                        "--input", str(ms))
-    assert code == 2 and err.startswith("error:")
+    assert code == 2 and err == "error: --errors must be >= 0\n"
+    code, out, err = run(capsys, "sim", "--scheme", "recon", "--k", "4",
+                         "--model", "asym", "--errors", "-1", "--trials", "1")
+    assert code == 2 and out == "" and err == "error: --errors must be >= 0\n"
 
 
 def test_sim_determinism_and_formats(tmp_path, capsys):
@@ -185,11 +188,12 @@ def test_one_parameter_rule_for_sim_encode_and_decode(tmp_path, capsys):
     inp = tmp_path / "info.txt"
     inp.write_text("1010")
     sim = ("sim", "--model", "sym", "--errors", "0", "--trials", "3")
-    # t = 0 is a bad parameter for asym-t and sym-poly in every command
-    for scheme in ("asym-t", "sym-poly"):
-        params = ("--scheme", scheme, "--k", "4", "--t", "0")
+    # t = 0 is a bad parameter for asym-t and sym-poly, and any other t for
+    # recon and asym1, in every command
+    for scheme, t in (("asym-t", 0), ("sym-poly", 0), ("recon", 3), ("asym1", 5)):
+        params = ("--scheme", scheme, "--k", "4", "--t", str(t))
         code, _, enc_err = run(capsys, "encode", *params, "--input", str(inp))
-        assert code == 2 and enc_err.startswith("error:")
+        assert code == 2 and enc_err.startswith(f"error: scheme {scheme}: ")
         code, out, sim_err = run(capsys, *sim, *params)
         assert code == 2 and out == "" and sim_err == enc_err
         code, _, dec_err = run(capsys, "decode", *params, "--input",

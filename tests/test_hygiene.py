@@ -1,6 +1,7 @@
 """Package-wide rules checked over the source itself."""
 
 import ast
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -47,3 +48,15 @@ def test_cold_start_imports_stay_lazy(modules, absent):
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_bench_tracer_binds_every_traced_function():
+    # the tracer fails to install when a module drops or adds a by-name
+    # import of a function it traces; bench/ is not collected by this suite
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    t.install()
+    t.uninstall()

@@ -1,0 +1,247 @@
+"""The w <-> sigma solver and the Catalan ranker against the loops they replaced.
+
+Each loop_* function is the earlier implementation, kept verbatim apart from
+its name: per-entry differencing loops, a quadratic weights_from_sigma, and a
+lattice-path ranker of its own.  The current code must give the same value,
+or raise the same exception type, on every input tried here, including
+profiles and strings that no codeword produces.
+"""
+
+import itertools
+import random
+
+from compocode.asym import recover_w1, s1_encode, s1_recover_sigma
+from compocode.catalan import cb_count
+from compocode.channel import ErrorModel, corrupt
+from compocode.compositions import (
+    CorruptedInput,
+    check_bits,
+    compose_all,
+    cumulative_weights,
+    sigma_from_weights,
+    sigma_partial,
+    weights_from_sigma,
+)
+from compocode.sym import catalan_number, catalan_rank, catalan_unrank
+
+
+def outcome(f, *args):
+    """f's return value, or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as e:  # noqa: BLE001 - compared, not swallowed
+        return type(e)
+
+
+# -- the references ---------------------------------------------------------
+
+
+def loop_sigma_from_weights(wp, n):
+    h = (n + 1) // 2
+    if len(wp) < h:
+        raise ValueError("weight profile too short")
+    sigma = []
+    for l in range(1, h):
+        prev = wp[l - 2] if l >= 2 else 0
+        sigma.append(2 * wp[l - 1] - prev - wp[l])
+    prev = wp[h - 2] if h >= 2 else 0
+    sigma.append(wp[h - 1] - prev)
+    top = 1 if (n % 2 == 1) else 2
+    for i, v in enumerate(sigma):
+        hi = top if i == len(sigma) - 1 else 2
+        if not (0 <= v <= hi):
+            raise CorruptedInput(f"sigma_{i+1} = {v} out of range: corrupted input")
+    if sum(sigma) != wp[0]:
+        raise CorruptedInput("sigma sum does not match w_1: corrupted input")
+    return tuple(sigma)
+
+
+def loop_weights_from_sigma(sigma, w1, n):
+    h = (n + 1) // 2
+    if len(sigma) != h:
+        raise ValueError("sigma length must be ceil(n/2)")
+    w = [0] * n
+    for j in range(1, h + 1):
+        w[j - 1] = j * w1 - sum(i * sigma[j - i - 1] for i in range(1, j))
+    for j in range(h + 1, n + 1):
+        w[j - 1] = w[n - j]
+    return tuple(w)
+
+
+def loop_sigma_partial(wp, n):
+    h = (n + 1) // 2
+    trusted = [False] * (h + 2)
+    trusted[0] = True
+    for l in range(1, min(h + 1, n) + 1):
+        mirror = n + 1 - l
+        if mirror < 1 or mirror > n:
+            continue
+        trusted[l] = wp[l - 1] == wp[mirror - 1]
+    sigma = [0] * h
+    known = [False] * h
+    for i in range(1, h + 1):
+        if i < h:
+            ok = trusted[i - 1] and trusted[i] and trusted[i + 1]
+        else:
+            ok = trusted[h - 1] and trusted[h]
+        if not ok:
+            continue
+        prev = wp[i - 2] if i >= 2 else 0
+        if i < h:
+            v = 2 * wp[i - 1] - prev - wp[i]
+        else:
+            v = wp[h - 1] - prev
+        top = 1 if (n % 2 == 1 and i == h) else 2
+        if 0 <= v <= top:
+            sigma[i - 1] = v
+            known[i - 1] = True
+    return tuple(sigma), tuple(known)
+
+
+def loop_s1_recover_sigma(c, parity=0):
+    c.validate_shape()
+    n = c.n
+    h = (n + 1) // 2
+    w_obs = cumulative_weights(c)
+    mism = sorted(
+        j for j in range(1, h) if w_obs[j - 1] != w_obs[n - j])
+    if len(mism) > 1:
+        raise CorruptedInput("more than one corrupted level: outside the model")
+    w1 = recover_w1(w_obs[0], w_obs[n - 1], parity)
+    j = mism[0] if mism else h
+    w = [0] * (h + 1)
+    w[1] = w1
+    for i in range(2, h + 1):
+        w[i] = w_obs[i - 1]
+    sigma = [0] * (h + 1)
+    for i in range(1, j - 1):
+        sigma[i] = 2 * w[i] - w[i - 1] - w[i + 1]
+        if not 0 <= sigma[i] <= 2:
+            raise CorruptedInput(f"sigma_{i} out of range: outside the model")
+    if j >= 2:
+        base = j * w1 - sum(i * sigma[j - i] for i in range(2, j))
+        target = -(sum(w[1:j]) + sum(w[j + 1:h + 1])) % 3
+        cands = [v for v in range(base - 2, base + 1) if v % 3 == target]
+        if len(cands) != 1:
+            raise CorruptedInput("checksum fails to pin the corrupted level")
+        w[j] = cands[0]
+    for i in range(max(1, j - 1), h):
+        sigma[i] = 2 * w[i] - w[i - 1] - w[i + 1]
+    sigma[h] = w[h] - w[h - 1]
+    out = tuple(sigma[1:h + 1])
+    top = 1 if n % 2 == 1 else 2
+    for i, v in enumerate(out):
+        hi = top if i == h - 1 else 2
+        if not 0 <= v <= hi:
+            raise CorruptedInput(f"sigma_{i+1} = {v} out of range")
+    return out
+
+
+def loop_catalan_rank(s):
+    check_bits(s)
+    if len(s) % 2:
+        raise ValueError("balanced strings have even length")
+    d = 0
+    r = 0
+    rem = len(s)
+    for ch in s:
+        rem -= 1
+        if ch == "1":
+            r += cb_count(rem + 1, (rem - d - 1) // 2)
+            d -= 1
+        else:
+            d += 1
+        if d < 0:
+            raise ValueError("prefix dominance violated")
+    if d:
+        raise ValueError("string is not balanced")
+    return r
+
+
+def loop_catalan_unrank(r, h):
+    if not 0 <= r < catalan_number(h):
+        raise ValueError("rank out of range")
+    out = []
+    d = 0
+    rem = 2 * h
+    for _ in range(2 * h):
+        rem -= 1
+        c0 = cb_count(rem + 1, (rem - d - 1) // 2)
+        if r < c0:
+            out.append("0")
+            d += 1
+        else:
+            r -= c0
+            out.append("1")
+            d -= 1
+    return "".join(out)
+
+
+# -- the comparisons ----------------------------------------------------------
+
+
+def random_bits(rng, n):
+    return "".join(rng.choice("01") for _ in range(n))
+
+
+def random_profiles(rng, n):
+    """An arbitrary integer profile, a real one, and the real one with 1-3
+    levels moved by up to 2."""
+    yield [rng.randint(-3, 2 * n) for _ in range(n)]
+    w = list(cumulative_weights(compose_all(random_bits(rng, n))))
+    yield list(w)
+    for _ in range(rng.randint(1, 3)):
+        w[rng.randrange(n)] += rng.choice((-2, -1, 1, 2))
+    yield w
+
+
+def test_solver_matches_the_loops_on_arbitrary_profiles():
+    rng = random.Random(20)
+    for n in range(1, 81):
+        h = (n + 1) // 2
+        for _ in range(10):
+            for wp in random_profiles(rng, n):
+                for prof in (wp, wp[:h], wp[:h - 1]):
+                    assert outcome(sigma_from_weights, prof, n) == \
+                        outcome(loop_sigma_from_weights, prof, n), (prof, n)
+                    assert outcome(sigma_partial, prof, n) == \
+                        outcome(loop_sigma_partial, prof, n), (prof, n)
+            sigma = [rng.randint(-1, 3) for _ in range(h)]
+            w1 = rng.randint(-2, n)
+            for sig in (sigma, sigma[:-1], sigma + [1]):
+                assert outcome(weights_from_sigma, sig, w1, n) == \
+                    outcome(loop_weights_from_sigma, sig, w1, n), (sig, w1, n)
+
+
+def test_s1_recover_sigma_matches_the_loop_on_0_to_3_errors():
+    rng = random.Random(21)
+    for trial in range(300):
+        # asym1 codewords, and arbitrary strings of odd and even length
+        s = s1_encode(random_bits(rng, rng.randint(1, 10))) if trial % 2 \
+            else random_bits(rng, rng.randint(1, 30))
+        errors = rng.randint(0, min(3, len(s) // 2))
+        model = ErrorModel(rng.choice(("asymmetric", "symmetric")), errors)
+        c, _ = corrupt(compose_all(s), model, rng)
+        for parity in (0, 1):
+            assert outcome(s1_recover_sigma, c.copy(), parity) == \
+                outcome(loop_s1_recover_sigma, c.copy(), parity), (s, parity)
+
+
+def test_catalan_ranker_matches_the_loop():
+    for h in range(11):
+        for r in range(catalan_number(h)):
+            s = loop_catalan_unrank(r, h)
+            assert catalan_unrank(r, h) == s
+            assert outcome(catalan_rank, s) == outcome(loop_catalan_rank, s)
+        for r in (-1, catalan_number(h)):
+            assert outcome(catalan_unrank, r, h) is ValueError
+            assert outcome(loop_catalan_unrank, r, h) is ValueError
+    # every string up to length 9: odd, unbalanced, non-dominated and valid
+    for m in range(10):
+        for tup in itertools.product("01", repeat=m):
+            s = "".join(tup)
+            assert outcome(catalan_rank, s) == outcome(loop_catalan_rank, s), s
+    rng = random.Random(22)
+    for _ in range(2000):
+        s = random_bits(rng, rng.randint(10, 41))
+        assert outcome(catalan_rank, s) == outcome(loop_catalan_rank, s), s
