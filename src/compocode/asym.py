@@ -95,6 +95,12 @@ def recover_w1(w1_obs: int, wn_obs: int, parity: int = 0) -> int:
     return wn_obs
 
 
+def _mod3_pin(base: int, target: int) -> int:
+    """The v in base-2..base with v = target mod 3: three consecutive
+    integers hold each residue mod 3 exactly once, so v exists and is unique."""
+    return base - (base - target) % 3
+
+
 def s1_recover_sigma(c: CompositionMultiset, parity: int = 0):
     """Exact sigma sequence from a multiset with at most one bad element.
 
@@ -118,11 +124,7 @@ def s1_recover_sigma(c: CompositionMultiset, parity: int = 0):
     j = mism[0] if mism else h
     if j >= 2:
         base = 2 * w[j - 2] - (w[j - 3] if j >= 3 else 0)
-        target = (w[j - 1] - sum(w)) % 3
-        cands = [v for v in range(base - 2, base + 1) if v % 3 == target]
-        if len(cands) != 1:
-            raise CorruptedInput("checksum fails to pin the corrupted level")
-        w[j - 1] = cands[0]
+        w[j - 1] = _mod3_pin(base, (w[j - 1] - sum(w)) % 3)
     return compositions.sigma_from_weights(w, n)
 
 

@@ -28,12 +28,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 
 from .compositions import (
     CompositionMultiset,
     CorruptedInput,
-    compose_all,
+    compose_all,  # noqa: F401 - bench/tracer.py rebinds this by-name import
     cumulative_weights,
+    level_of_prefix,
+    prefix_weights,
     sigma_from_weights,
     weights_from_sigma,
 )
@@ -89,30 +92,27 @@ def _search(c, sigma, bad_levels, stats, *, collect_all):
     solutions: list[str] = []
     first_one = next((i for i in range(steps) if sigma[i] == 1), None)
 
+    def expected_level(pws, sws):
+        # W - wt(prefix) - wt(suffix) over paired prefix and suffix weights
+        return Counter(map(W.__sub__, map(add, pws, sws)))
+
+    def level_matches(expected, obs, l):
+        # equal, or one swapped element at a level known to be corrupted
+        return expected == obs or l in bad_levels and (
+            (expected - obs).total() + (obs - expected).total() == 2)
+
     def level_ok(k):
         # expected compositions at level n-k after k placed pairs
         m = n - k
-        expected = Counter()
-        for i in range(1, k + 2):
-            expected[W - pw[i - 1] - sw[k + 1 - i]] += 1
-        obs = c.levels[m]
-        d = 0
-        for w in expected.keys() | obs.keys():
-            d += abs(expected[w] - obs.get(w, 0))
-        if d == 0:
-            return True
-        return d == 2 and m in bad_levels
+        return level_matches(expected_level(pw, reversed(sw)), c.levels[m], m)
 
     def order_choices(k, choices):
         # try first the branch matching the largest composition left at the
         # next level after the already-determined ones are taken out
-        rem = Counter(c.levels[n - k - 1])
-        for i in range(2, k + 2):
-            rem[W - pw[i - 1] - sw[k + 2 - i]] -= 1
-        positives = [w for w, cnt in rem.items() if cnt > 0]
-        if not positives:
+        rem = c.levels[n - k - 1] - expected_level(pw[1:], reversed(sw[1:]))
+        if not rem:
             return choices
-        wmax = max(positives)
+        wmax = max(rem)
 
         def score(pair):
             a, b = pair
@@ -122,15 +122,12 @@ def _search(c, sigma, bad_levels, stats, *, collect_all):
         return tuple(sorted(choices, key=score))
 
     def finalize(s):
-        cc = compose_all(s)
-        for l in range(1, n + 1):
-            a, b = cc.levels[l], c.levels[l]
-            d = sum(abs(a[w] - b.get(w, 0)) for w in a.keys() | b.keys())
-            if d == 0:
-                continue
-            if d == 2 and l in bad_levels:
-                continue
-            return False
+        # level_ok checked levels n-steps..n-1 on the way down; the rest
+        # are checked here against the string's own compositions
+        P = prefix_weights(s)
+        for l in (*range(1, n - steps), n):
+            if not level_matches(level_of_prefix(P, l), c.levels[l], l):
+                return False
         solutions.append(s)
         return True
 

@@ -134,6 +134,7 @@ def partition_unrank(m: int, i: int, within: int):
 # -- codebook sizes and parameters -----------------------------------------
 
 
+@lru_cache(maxsize=None)
 def sr_size(n: int, t: int = 0) -> int:
     """Codebook size for shift t and length n (odd n allowed only for t=0)."""
     if t < 0:
@@ -152,6 +153,7 @@ def sr_size(n: int, t: int = 0) -> int:
         for i in range(half_free + 1))
 
 
+@lru_cache(maxsize=None)
 def sr_params(k: int, t: int = 0):
     """Smallest codeword length n with codebook size >= 2^k."""
     if k < 1:

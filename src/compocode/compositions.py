@@ -27,6 +27,8 @@ i.e. plain successive differencing with exact integer arithmetic.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
+from operator import sub
 
 
 class CorruptedInput(ValueError):
@@ -83,17 +85,8 @@ class CompositionMultiset:
     @classmethod
     def of_string(cls, s: str) -> "CompositionMultiset":
         check_bits(s)
-        n = len(s)
-        prefix = [0] * (n + 1)
-        for i, ch in enumerate(s):
-            prefix[i + 1] = prefix[i] + (ch == "1")
-        levels: dict[int, Counter] = {}
-        for l in range(1, n + 1):
-            c: Counter = Counter()
-            for i in range(n - l + 1):
-                c[prefix[i + l] - prefix[i]] += 1
-            levels[l] = c
-        return cls(n, levels)
+        P = prefix_weights(s)
+        return cls(len(s), {l: level_of_prefix(P, l) for l in range(1, len(s) + 1)})
 
     def copy(self) -> "CompositionMultiset":
         return CompositionMultiset(self.n, {l: Counter(c) for l, c in self.levels.items()})
@@ -177,6 +170,16 @@ def compose_all(s: str) -> CompositionMultiset:
     return CompositionMultiset.of_string(s)
 
 
+def prefix_weights(s: str) -> list[int]:
+    """P[i] = wt(s_1 .. s_i) for i = 0..n."""
+    return [0, *accumulate(map(int, s))]
+
+
+def level_of_prefix(P, l: int) -> Counter:
+    """Level l of the string with prefix weights P: weights P[i+l] - P[i]."""
+    return Counter(map(sub, P[l:], P))
+
+
 def cumulative_weights(c: CompositionMultiset) -> tuple[int, ...]:
     """w_l = sum of 1-counts at level l; returned 0-indexed (entry l-1 = w_l)."""
     return tuple(
@@ -207,7 +210,9 @@ def sigma_from_weights(wp, n: int) -> tuple[int, ...]:
 
     wp holds w_1..w_n (or at least w_1..w_{ceil(n/2)}), 0-indexed.
     Raises CorruptedInput if the solution leaves {0,1,2} (or {0,1} for the
-    middle entry of odd n).
+    middle entry of odd n).  No sum check is needed: with d_l = w_l - w_{l-1},
+    sigma_l = d_l - d_{l+1} for l < h and sigma_h = d_h, so the sum telescopes
+    to d_1 = w_1 for every integer profile.
     """
     h = (n + 1) // 2
     if len(wp) < h:
@@ -215,8 +220,6 @@ def sigma_from_weights(wp, n: int) -> tuple[int, ...]:
     sigma = _differences(wp, h)
     for i in _out_of_range(sigma, n):
         raise CorruptedInput(f"sigma_{i+1} = {sigma[i]} out of range: corrupted input")
-    if sum(sigma) != wp[0]:
-        raise CorruptedInput("sigma sum does not match w_1: corrupted input")
     return tuple(sigma)
 
 

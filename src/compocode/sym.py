@@ -466,13 +466,6 @@ def etn_encode(u: str, t: int, params: PolyCodeParams | None = None) -> str:
     return s
 
 
-def etn_split(s: str, t: int) -> tuple[str, str, str]:
-    """(zero prefix, payload, parity suffix) of a codeword-shaped string."""
-    p = poly_params_from_length(len(s), t)
-    half = p.r_hat // 2
-    return s[:half], s[half:half + p.nu], s[half + p.nu:]
-
-
 def _zero_run_eval(m: int, l2: int, field: PrimeField) -> int:
     """P of 0^m at y = alpha^l2: the geometric sum over y^0..y^m."""
     q, alpha = field.q, field.alpha

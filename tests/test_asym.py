@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from compocode.asym import (
+    _mod3_pin,
     recover_w1,
     s1_decode,
     s1_encode,
@@ -159,6 +162,14 @@ def test_s1_fixture_reconstructions():
     c3 = compose_all("00001111111")
     c3.replace(7, 7, 6)
     assert s1_reconstruct(c3) == "00001111111"
+
+
+@given(st.integers(-10**6, 10**6), st.integers(0, 2))
+def test_mod3_pin_is_the_one_window_value_with_the_residue(base, target):
+    # why s1_recover_sigma cannot fail to pin: the window holds each residue once
+    v = _mod3_pin(base, target)
+    assert base - 2 <= v <= base and v % 3 == target
+    assert [u for u in range(base - 2, base + 1) if u % 3 == target] == [v]
 
 
 def test_s1_recover_sigma_rejects_two_errors():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from compocode.compositions import (
     CompositionMultiset,
     CorruptedInput,
+    _differences,
     compose_all,
     cumulative_weights,
     multiset_symmetric_difference,
@@ -112,6 +113,13 @@ def test_sigma_exhaustive_small():
 def test_sigma_matches_direct(s):
     w = cumulative_weights(compose_all(s))
     assert sigma_from_weights(w, len(s)) == sigma_of_string(s)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=80))
+def test_differences_telescope_to_w1(wp):
+    # why sigma_from_weights needs no sum check: sigma_1 + ... + sigma_h = w_1
+    # for every integer profile, not only for real ones
+    assert sum(_differences(wp, (len(wp) + 1) // 2)) == wp[0]
 
 
 def test_sigma_rejects_corrupt_profile():

@@ -7,11 +7,13 @@ modulus, a table scan order or a ranker shows up here as a changed codeword.
 """
 
 import hashlib
+import itertools
 import random
 
 import pytest
 
-from compocode.asym import st_encode
+from compocode.asym import s1_params, st_encode, st_params
+from compocode.catalan import sr_params, sr_size
 from compocode.fields import GF, BCHCode, ternary_erasure_encode, ternary_field_params
 from compocode.sym import catalan_code_encode, etn_encode_info
 
@@ -62,3 +64,57 @@ def test_bch_encode_pinned():
 ])
 def test_field_modulus_pinned(p, m, packed):
     assert GF(p, m).modulus == packed
+
+
+# sr_params(k, t) for k = 1..300: the value at k = 1, then the step to each
+# next k, recorded from the implementation that re-summed sr_size on every
+# call (before sr_size and sr_params were memoised)
+SR_PARAMS_STEPS = {
+    0: (3,
+        "2111121111111111111111111111111111112111111111111111111111111111"
+        "1111111111111111111111111111111111111111111111111111111111111111"
+        "1111111111111111111111111111121111111111111111111111111111111111"
+        "1111111111111111111111111111111111111111111111111111111111111111"
+        "1111111111111111111111111111111111111111111"),
+    1: (6,
+        "2020220202020202020202020202020202022020202020202020202020202020"
+        "2020202020202020202020202020202020202020202020202020202020202020"
+        "2020202020202020202020202020220202020202020202020202020202020202"
+        "0202020202020202020202020202020202020202020202020202020202020202"
+        "0202020202020202020202020202020202020202020"),
+    2: (8,
+        "2020220202020202020202020202020202022020202020202020202020202020"
+        "2020202020202020202020202020202020202020202020202020202020202020"
+        "2020202020202020202020202020220202020202020202020202020202020202"
+        "0202020202020202020202020202020202020202020202020202020202020202"
+        "0202020202020202020202020202020202020202020"),
+    3: (10,
+        "2020220202020202020202020202020202022020202020202020202020202020"
+        "2020202020202020202020202020202020202020202020202020202020202020"
+        "2020202020202020202020202020220202020202020202020202020202020202"
+        "0202020202020202020202020202020202020202020202020202020202020202"
+        "0202020202020202020202020202020202020202020"),
+}
+
+
+def recorded_sr_params(t):
+    first, steps = SR_PARAMS_STEPS[t]
+    return list(itertools.accumulate(map(int, steps), initial=first))
+
+
+@pytest.mark.parametrize("t", range(4))
+def test_sr_params_pinned(t):
+    assert [sr_params(k, t) for k in range(1, 301)] == recorded_sr_params(t)
+
+
+def test_code_lengths_pinned():
+    assert s1_params(64) == 77
+    assert st_params(128, 3) == (140, 212)
+    assert st_params(25, 2) == (34, 70)
+
+
+@pytest.mark.parametrize("t", range(4))
+def test_memoised_sr_size_matches_the_sum(t):
+    lengths = range(2 * t + 2, recorded_sr_params(t)[-1] + 1, 1 if t == 0 else 2)
+    assert [sr_size(n, t) for n in lengths] == \
+        [sr_size.__wrapped__(n, t) for n in lengths]

@@ -50,6 +50,27 @@ def test_cold_start_imports_stay_lazy(modules, absent):
     assert out.strip() == "[]"
 
 
+RECON_TRIAL = """
+import random, sys
+from compocode.channel import ErrorModel, build_scheme, corrupt
+code = build_scheme("recon", 64)
+rng = random.Random(1)
+info = "".join(rng.choice("01") for _ in range(64))
+c, _ = corrupt(code.observe(code.encode(info)), ErrorModel("asymmetric", 0), rng)
+got, _ = code.decode(c)
+print(got == info, code.verify(got, c), "numpy" in sys.modules)
+"""
+
+
+def test_recon_trial_loads_no_numpy():
+    # a lazy import inside compose or the search would pass the import-only
+    # check above, yet cost recon its memory and start-up time on first use
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", RECON_TRIAL], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["True", "True", "False"]
+
+
 def test_bench_tracer_binds_every_traced_function():
     # the tracer fails to install when a module drops or adds a by-name
     # import of a function it traces; bench/ is not collected by this suite

@@ -1,24 +1,29 @@
-"""The w <-> sigma solver and the Catalan ranker against the loops they replaced.
+"""The solvers, the ranker and the search against the loops they replaced.
 
 Each loop_* function is the earlier implementation, kept verbatim apart from
-its name: per-entry differencing loops, a quadratic weights_from_sigma, and a
-lattice-path ranker of its own.  The current code must give the same value,
+its name: per-entry differencing loops, a quadratic weights_from_sigma, a
+lattice-path ranker of its own, per-substring composition counting and a
+reconstruction search that recomposes every level of each candidate.  The current code must give the same value,
 or raise the same exception type, on every input tried here, including
 profiles and strings that no codeword produces.
 """
 
 import itertools
 import random
+from collections import Counter
 
-from compocode.asym import recover_w1, s1_encode, s1_recover_sigma
-from compocode.catalan import cb_count
+from compocode.asym import recover_w1, s1_encode, s1_recover_sigma, st_encode
+from compocode.backtrack import BacktrackStats, _pair_choices, _search
+from compocode.catalan import cb_count, sr_encode
 from compocode.channel import ErrorModel, corrupt
 from compocode.compositions import (
+    CompositionMultiset,
     CorruptedInput,
     check_bits,
     compose_all,
     cumulative_weights,
     sigma_from_weights,
+    sigma_of_string,
     sigma_partial,
     weights_from_sigma,
 )
@@ -177,6 +182,113 @@ def loop_catalan_unrank(r, h):
     return "".join(out)
 
 
+def loop_of_string(s):
+    check_bits(s)
+    n = len(s)
+    prefix = [0] * (n + 1)
+    for i, ch in enumerate(s):
+        prefix[i + 1] = prefix[i] + (ch == "1")
+    levels = {}
+    for l in range(1, n + 1):
+        c = Counter()
+        for i in range(n - l + 1):
+            c[prefix[i + l] - prefix[i]] += 1
+        levels[l] = c
+    return CompositionMultiset(n, levels)
+
+
+def loop_search(c, sigma, bad_levels, stats, *, collect_all):
+    n = c.n
+    h = (n + 1) // 2
+    W = sum(sigma)
+    steps = n // 2
+    prefix = []
+    suffix = []  # suffix[k-1] = s_{n+1-k}
+    pw = [0]
+    sw = [0]
+    solutions = []
+    first_one = next((i for i in range(steps) if sigma[i] == 1), None)
+
+    def level_ok(k):
+        # expected compositions at level n-k after k placed pairs
+        m = n - k
+        expected = Counter()
+        for i in range(1, k + 2):
+            expected[W - pw[i - 1] - sw[k + 1 - i]] += 1
+        obs = c.levels[m]
+        d = 0
+        for w in expected.keys() | obs.keys():
+            d += abs(expected[w] - obs.get(w, 0))
+        if d == 0:
+            return True
+        return d == 2 and m in bad_levels
+
+    def order_choices(k, choices):
+        # try first the branch matching the largest composition left at the
+        # next level after the already-determined ones are taken out
+        rem = Counter(c.levels[n - k - 1])
+        for i in range(2, k + 2):
+            rem[W - pw[i - 1] - sw[k + 2 - i]] -= 1
+        positives = [w for w, cnt in rem.items() if cnt > 0]
+        if not positives:
+            return choices
+        wmax = max(positives)
+
+        def score(pair):
+            a, b = pair
+            new = (W - sw[k] - (b == "1"), W - pw[k] - (a == "1"))
+            return 0 if wmax in new else 1
+
+        return tuple(sorted(choices, key=score))
+
+    def finalize(s):
+        cc = loop_of_string(s)
+        for l in range(1, n + 1):
+            a, b = cc.levels[l], c.levels[l]
+            d = sum(abs(a[w] - b.get(w, 0)) for w in a.keys() | b.keys())
+            if d == 0:
+                continue
+            if d == 2 and l in bad_levels:
+                continue
+            return False
+        solutions.append(s)
+        return True
+
+    def extend(k):
+        if k == steps:
+            mid = str(sigma[h - 1]) if n % 2 else ""
+            return finalize("".join(prefix) + mid + "".join(reversed(suffix)))
+        choices = _pair_choices(sigma[k])
+        if sigma[k] == 1:
+            if k == first_one:
+                choices = (("0", "1"),)
+            else:
+                if pw[k] == sw[k]:
+                    stats.guesses += 1
+                choices = order_choices(k, choices)
+        found = False
+        for a, b in choices:
+            prefix.append(a)
+            suffix.append(b)
+            pw.append(pw[-1] + (a == "1"))
+            sw.append(sw[-1] + (b == "1"))
+            if level_ok(k + 1):
+                sub = extend(k + 1)
+                if not sub:
+                    stats.backtracks += 1
+                found = found or sub
+            prefix.pop()
+            suffix.pop()
+            pw.pop()
+            sw.pop()
+            if found and not collect_all:
+                break
+        return found
+
+    extend(0)
+    return solutions
+
+
 # -- the comparisons ----------------------------------------------------------
 
 
@@ -245,3 +357,47 @@ def test_catalan_ranker_matches_the_loop():
     for _ in range(2000):
         s = random_bits(rng, rng.randint(10, 41))
         assert outcome(catalan_rank, s) == outcome(loop_catalan_rank, s), s
+
+
+def search_outcome(search, c, sigma, bad_levels, collect_all):
+    """The solutions a search returns, with its guess and backtrack counts."""
+    stats = BacktrackStats()
+    sols = search(c, sigma, bad_levels, stats, collect_all=collect_all)
+    return sols, stats.guesses, stats.backtracks
+
+
+def test_search_matches_the_loop_on_every_short_string():
+    for n in range(1, 13):
+        for tup in itertools.product("01", repeat=n):
+            s = "".join(tup)
+            c = compose_all(s)
+            assert c == loop_of_string(s), s
+            sigma = sigma_from_weights(cumulative_weights(c), n)
+            for collect_all in (True, False):
+                assert search_outcome(_search, c, sigma, frozenset(), collect_all) == \
+                    search_outcome(loop_search, c, sigma, frozenset(), collect_all), s
+
+
+def single_swaps(c):
+    """Every multiset one swapped element away from c, with the swapped level."""
+    for l in range(1, c.n + 1):
+        for w in list(c.levels[l]):
+            for new_w in range(l + 1):
+                if new_w != w:
+                    out = c.copy()
+                    out.replace(l, w, new_w)
+                    yield l, out
+
+
+def test_search_matches_the_loop_on_every_single_swap():
+    rng = random.Random(23)
+    codewords = [sr_encode(random_bits(rng, k)) for k in (4, 8, 11)]
+    codewords += [s1_encode(random_bits(rng, k)) for k in (3, 6)]
+    codewords += [st_encode(random_bits(rng, k), t) for k, t in ((3, 1), (1, 2))]
+    for s in codewords:
+        sigma = sigma_of_string(s)
+        for l, c in single_swaps(compose_all(s)):
+            for bad in (frozenset(), frozenset({l})):
+                for collect_all in (True, False):
+                    assert search_outcome(_search, c, sigma, bad, collect_all) == \
+                        search_outcome(loop_search, c, sigma, bad, collect_all), (s, l)

@@ -46,7 +46,6 @@ from compocode.sym import (
     etn_encode,
     etn_encode_info,
     etn_redundancy,
-    etn_split,
     is_catalan_codeword,
     multiset_to_S,
     poly_params_from_length,
@@ -288,6 +287,13 @@ def test_parity_block_reads_back():
 
 
 # -- the systematic encoder --------------------------------------------------
+
+
+def etn_split(s, t):
+    """(zero prefix, payload, parity suffix) of a codeword-shaped string."""
+    p = poly_params_from_length(len(s), t)
+    half = p.r_hat // 2
+    return s[:half], s[half:half + p.nu], s[half + p.nu:]
 
 
 def test_etn_encoder_structure_and_parities():
