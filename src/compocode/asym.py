@@ -2,8 +2,9 @@
 
 Two constructions share the same skeleton: protect the sigma sequence with
 number-theoretic (single error) or Reed-Solomon (t errors) redundancy, recover
-sigma from the corrupted multiset, then run the tolerant backtracking
-reconstruction and strip the redundancy.
+sigma from the corrupted multiset's cumulative level weights, then run the
+tolerant backtracking reconstruction on those same weights and strip the
+redundancy.
 
 Single-error code, odd length n with ceil(n/2) divisible by 3:
   * deleting positions 2 and n-1 leaves a reconstruction codeword of length
@@ -25,7 +26,7 @@ check digit k, and sigma_i(s) = sigma_i(s') for i <= m/2.
 from __future__ import annotations
 
 from . import compositions
-from .backtrack import ReconstructionFailure, ToleranceBudget, tolerant_reconstruct
+from .backtrack import ReconstructionFailure, tolerant_reconstruct
 from .catalan import sr_decode, sr_encode, sr_size
 from .compositions import (
     CompositionMultiset,
@@ -101,8 +102,9 @@ def _mod3_pin(base: int, target: int) -> int:
     return base - (base - target) % 3
 
 
-def s1_recover_sigma(c: CompositionMultiset, parity: int = 0):
-    """Exact sigma sequence from a multiset with at most one bad element.
+def s1_recover_sigma(w_obs, n: int, parity: int = 0):
+    """Exact sigma sequence from the weight profile w_1..w_n of a multiset
+    with at most one bad element.
 
     A corrupted level j != ceil(n/2) betrays itself by w_j != w_{n+1-j};
     level ceil(n/2) is its own mirror, so an undetected error is attributed
@@ -110,10 +112,7 @@ def s1_recover_sigma(c: CompositionMultiset, parity: int = 0):
     w_j = base - sigma_{j-1} with sigma_{j-1} in {0,1,2} (a width-3 window)
     plus the mod-3 checksum over levels <= ceil(n/2).
     """
-    c.validate_shape()
-    n = c.n
     h = (n + 1) // 2
-    w_obs = cumulative_weights(c)
     # for even n, level n/2 is pinned below like the middle of odd n
     mism = [j for j in mirror_mismatches(w_obs, n) if j < h]
     if len(mism) > 1:
@@ -130,9 +129,10 @@ def s1_recover_sigma(c: CompositionMultiset, parity: int = 0):
 
 def s1_reconstruct(c: CompositionMultiset, parity: int = 0) -> str:
     """The codeword string behind a multiset with at most one bad element."""
-    sigma = s1_recover_sigma(c, parity)
-    budget = ToleranceBudget(1, model="symmetric-single")
-    s, _ = tolerant_reconstruct(c, sigma, budget)
+    c.validate_shape()
+    w_obs = cumulative_weights(c)
+    sigma = s1_recover_sigma(w_obs, c.n, parity)
+    s, _ = tolerant_reconstruct(c, w_obs, sigma, 1)
     return s
 
 
@@ -200,7 +200,7 @@ def st_decode(c: CompositionMultiset, k: int, t: int) -> str:
     except ValueError as e:
         raise ReconstructionFailure(f"sigma recovery failed: {e}") from e
     full_sigma = tuple(ternary_erasure_encode(sig, 3 * t))
-    s, _ = tolerant_reconstruct(c, full_sigma, ToleranceBudget(t, "asymmetric"))
+    s, _ = tolerant_reconstruct(c, w_obs, full_sigma, t)
     inner = s[:m // 2] + s[n - m // 2:]
     return sr_decode(inner, k, t)
 

@@ -17,11 +17,11 @@ Reconstruction is inherently two-sided: C(s) = C(s^r), so the first sigma = 1
 pair is fixed canonically to (0, 1) and reversals are restored afterwards.
 
 The tolerant mode accepts a multiset with up to t corrupted levels (one
-element swapped per level).  Given the exact sigma sequence, the corrupted
-levels are exactly those whose observed cumulative weight disagrees with the
-sigma-derived profile, and at such a level a single swapped element (a
-symmetric difference of 2) is tolerated; everywhere else exact agreement is
-required.
+element swapped per level).  Given the exact sigma sequence and the observed
+cumulative weights, the corrupted levels are exactly those whose weight
+disagrees with the sigma-derived profile, and at such a level a single
+swapped element (a symmetric difference of 2) is tolerated; everywhere else
+exact agreement is required.
 """
 
 from __future__ import annotations
@@ -50,25 +50,6 @@ class ReconstructionFailure(ValueError):
 class BacktrackStats:
     guesses: int = 0      # weight-tie branch points
     backtracks: int = 0   # rollbacks of an accepted extension
-
-
-@dataclass
-class ToleranceBudget:
-    """How much multiset corruption the search absorbs.
-
-    t corrupted levels at most, each holding a single swapped element (so at
-    most 2 mismatches per level).  Under the asymmetric model a level and its
-    mirror are never both corrupted.
-    """
-
-    t: int = 0
-    model: str = "asymmetric"  # or "symmetric-single"
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("tolerance must be >= 0")
-        if self.model not in ("asymmetric", "symmetric-single"):
-            raise ValueError(f"unknown error model {self.model!r}")
 
 
 def _pair_choices(sv: int):
@@ -185,43 +166,38 @@ def reconstruct(c: CompositionMultiset) -> set[str]:
     return set(sols) | {s[::-1] for s in sols}
 
 
-def reconstruct_unique(c: CompositionMultiset, strict: bool = True):
+def reconstruct_unique(c: CompositionMultiset):
     """Reconstruct a codeword multiset; the 0-heavy branch is canonical.
 
-    Returns (string, stats).  With strict=True a rollback is an error, since
-    codewords with the prefix/suffix weight-gap guarantee never need one.
+    Returns (string, stats).  A rollback is an error, since codewords with
+    the prefix/suffix weight-gap guarantee never need one.
     """
     stats = BacktrackStats()
     sols = _search_exact(c, stats, collect_all=False)
-    if strict and stats.backtracks:
+    if stats.backtracks:
         raise ReconstructionFailure(
             "backtracking occurred: input is not a codeword multiset")
     return sols[0], stats
 
 
-def tolerant_reconstruct(c: CompositionMultiset, sigma, budget: ToleranceBudget):
-    """Reconstruct from a multiset with up to budget.t corrupted levels.
+def tolerant_reconstruct(c: CompositionMultiset, w_obs, sigma, t: int):
+    """Reconstruct from a multiset with up to t corrupted levels.
 
-    sigma must be exact (recovered upstream).  Corrupted levels are identified
-    by their cumulative-weight disagreement with the sigma-derived profile;
-    each absorbs one swapped element.  Returns (string, stats).
+    w_obs is the weight profile of c, whose shape the caller has checked;
+    sigma must be exact.  Corrupted levels are those where w_obs disagrees
+    with the sigma-derived profile; each absorbs one swapped element, and a
+    level and its mirror are never both corrupted.  Returns (string, stats).
     """
-    c.validate_shape()
     n = c.n
-    h = (n + 1) // 2
-    if len(sigma) != h:
-        raise ValueError("sigma length must be ceil(n/2)")
     w_true = weights_from_sigma(sigma, sum(sigma), n)
-    w_obs = cumulative_weights(c)
     bad = frozenset(l for l in range(1, n + 1) if w_obs[l - 1] != w_true[l - 1])
-    if len(bad) > budget.t:
+    if len(bad) > t:
         raise ReconstructionFailure(
-            f"{len(bad)} corrupted levels exceed the tolerance of {budget.t}")
-    if budget.model == "asymmetric":
-        for l in bad:
-            if n + 1 - l in bad and n + 1 - l != l:
-                raise ReconstructionFailure(
-                    "mirror levels both corrupted: outside the asymmetric model")
+            f"{len(bad)} corrupted levels exceed the tolerance of {t}")
+    for l in bad:
+        if n + 1 - l in bad and n + 1 - l != l:
+            raise ReconstructionFailure(
+                "mirror levels both corrupted: outside the asymmetric model")
     stats = BacktrackStats()
     sols = _search(c, tuple(sigma), bad, stats, collect_all=False)
     if not sols:

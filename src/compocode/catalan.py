@@ -147,10 +147,17 @@ def sr_size(n: int, t: int = 0) -> int:
         return 2 * sr_size(n - 1, 0)
     if n < 2 * t + 2:
         raise ValueError("length too short for the requested shift")
-    half_free = n // 2 - t - 1  # positions t+2 .. n/2
-    return sum(
-        comb(half_free, i) * 2 ** (half_free - i) * cb_total(i + 1)
-        for i in range(half_free + 1))
+    return sum(_block_sizes(n // 2 - t - 1))
+
+
+# bounded: sr_params' search visits every shorter length, and keeping all
+# their tables would double a recon process's memory at k = 1024
+@lru_cache(maxsize=8)
+def _block_sizes(hf: int) -> tuple[int, ...]:
+    """Codewords per 1-count block: hf free first-half positions (t+2 .. n/2),
+    i of them joining position t+1 in the CB set I, the rest free bits."""
+    return tuple(comb(hf, i) * 2 ** (hf - i) * cb_total(i + 1)
+                 for i in range(hf + 1))
 
 
 @lru_cache(maxsize=None)
@@ -170,15 +177,12 @@ def sr_params(k: int, t: int = 0):
 def _encode_even(ind: int, n: int, t: int):
     half = n // 2
     hf = half - t - 1
-    i = 0
-    while True:
-        block = comb(hf, i) * 2 ** (hf - i) * cb_total(i + 1)
+    for i, block in enumerate(_block_sizes(hf)):
         if ind < block:
             break
         ind -= block
-        i += 1
-        if i > hf:
-            raise ValueError("info rank exceeds codebook size")
+    else:
+        raise ValueError("info rank exceeds codebook size")
     cbt = cb_total(i + 1)
     nfree = hf - i
     p, rem = divmod(ind, (2 ** nfree) * cbt)
@@ -202,14 +206,11 @@ def _encode_even(ind: int, n: int, t: int):
 
 
 def _decode_even(s: str, t: int) -> int:
+    """Rank of an even-length codeword; sr_decode has checked is_member."""
     n = len(s)
     half = n // 2
     hf = half - t - 1
-    if any(s[j - 1] != "0" or s[n - j] != "1" for j in range(1, t + 1)):
-        raise ValueError("not a codeword")
     i_half = [j for j in range(t + 1, half + 1) if s[j - 1] != s[n - j]]
-    if (t + 1) not in i_half:
-        raise ValueError("not a codeword")
     extra = [j - (t + 1) for j in i_half if j > t + 1]
     i = len(extra)
     cb = "".join(s[j - 1] for j in i_half)
@@ -221,8 +222,7 @@ def _decode_even(s: str, t: int) -> int:
     v = int(free_bits, 2) if free_bits else 0
     rc = cb_rank(cb)  # global rank: the radix slot spans cb_total(i+1)
     ind = (p * 2 ** nfree + v) * cbt + rc
-    return sum(
-        comb(hf, j) * 2 ** (hf - j) * cb_total(j + 1) for j in range(i)) + ind
+    return sum(_block_sizes(hf)[:i]) + ind
 
 
 def sr_encode(info: str, t: int = 0, n: int | None = None) -> str:

@@ -92,9 +92,7 @@ def _parse_bits(text: str) -> str:
 
 def _parse_multiset(text: str) -> CompositionMultiset:
     try:
-        c = parse(text)
-        c.validate_shape()
-        return c
+        return parse(text)
     except CorruptedInput as e:
         raise CliError(EXIT_INPUT, f"malformed multiset file: {e}") from e
 

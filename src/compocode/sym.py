@@ -673,29 +673,20 @@ def is_catalan_codeword(s: str, t: int) -> bool:
     return True
 
 
-def _consistent(c: CompositionMultiset) -> bool:
-    w = cumulative_weights(c)
-    if mirror_mismatches(w, c.n):
-        return False
-    try:
-        sigma_from_weights(w, c.n)
-    except (CorruptedInput, ValueError):
-        return False
-    return True
-
-
 def _revert_candidates(c: CompositionMultiset, budget: int):
     """Lazily yield mirror-consistent multisets reachable by <= budget reverts.
 
     A revert swaps one element for a different same-length composition.  Each
     revert changes exactly one level weight, so a candidate needs at least one
     revert per mirror-mismatched level pair; branches that cannot rebalance
-    within the budget are pruned before any copy is made.
+    within the budget are pruned before any copy is made.  Candidates are
+    yielded as they are, to be read and not changed; one whose sigma leaves
+    range is left for reconstruct to reject.
     """
     w = cumulative_weights(c)
     mism = mirror_mismatches(w, c.n)
-    if not mism and _consistent(c):
-        yield c.copy()
+    if not mism:
+        yield c
     if budget == 0 or len(mism) > budget:
         return
     if mism:
@@ -712,14 +703,13 @@ def _revert_candidates(c: CompositionMultiset, budget: int):
             continue
         for rm in sorted(c.levels[level]):
             if mism and budget == len(mism):
-                # the revert must rebalance this pair exactly
+                # the revert must rebalance this pair exactly; the pair is
+                # mismatched, so delta != 0 and the new weight differs
                 delta = w[other - 1] - w[level - 1]
                 adds = [rm + delta] if 0 <= rm + delta <= level else []
             else:
                 adds = [v for v in range(level + 1) if v != rm]
             for add in adds:
-                if add == rm:
-                    continue
                 cc = c.copy()
                 cc.replace(level, rm, add)
                 yield from _revert_candidates(cc, budget - 1)

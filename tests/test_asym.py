@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -18,7 +19,9 @@ from compocode.asym import (
     st_redundancy,
 )
 from compocode.catalan import is_member
+from compocode import asym, backtrack
 from compocode.compositions import (
+    CompositionMultiset,
     CorruptedInput,
     compose_all,
     cumulative_weights,
@@ -107,13 +110,13 @@ def test_s1_recover_sigma_clean():
     for _ in range(20):
         s = s1_encode(random_info(rng, rng.randint(1, 8)))
         c = compose_all(s)
-        assert s1_recover_sigma(c) == sigma_of_string(s)
+        assert s1_recover_sigma(cumulative_weights(c), c.n) == sigma_of_string(s)
 
 
 def test_s1_recover_sigma_example_corruption():
     c = compose_all("00001111111")
     c.replace(4, 0, 4)
-    assert s1_recover_sigma(c) == (1, 1, 1, 1, 2, 1)
+    assert s1_recover_sigma(cumulative_weights(c), c.n) == (1, 1, 1, 1, 2, 1)
 
 
 def test_s1_recover_sigma_all_single_errors_small():
@@ -130,7 +133,8 @@ def test_s1_recover_sigma_all_single_errors_small():
                         continue
                     c = compose_all(s)
                     c.replace(level, old, new)
-                    assert s1_recover_sigma(c) == true_sigma, (s, level, old, new)
+                    assert s1_recover_sigma(cumulative_weights(c), c.n) == \
+                        true_sigma, (s, level, old, new)
 
 
 def test_s1_roundtrip_clean():
@@ -179,7 +183,7 @@ def test_s1_recover_sigma_rejects_two_errors():
     corrupt(c, 3, rng)
     corrupt(c, 5, rng)
     with pytest.raises(CorruptedInput):
-        s1_recover_sigma(c)
+        s1_recover_sigma(cumulative_weights(c), c.n)
 
 
 # -- t-error code ----------------------------------------------------------
@@ -263,3 +267,32 @@ def test_st_redundancy_bound():
             m, n = st_params(k, t)
             r = st_redundancy(k, t)
             assert r <= (0.5 + 3 * t) * math.log2(n) + 2 * t + 6, (k, t, r, n)
+
+
+def test_each_decode_validates_and_weighs_once(monkeypatch):
+    # sigma recovery and the tolerant search share one shape check and one
+    # weight profile per decode
+    rng = random.Random(14)
+    info = "1011"
+    c1 = compose_all(s1_encode(info))
+    corrupt(c1, 7, rng)
+    c2 = compose_all(st_encode(info, 2))
+    asym_corrupt(c2, 2, rng)
+    calls = Counter()
+    validate = CompositionMultiset.validate_shape
+
+    def counting_validate(c):
+        calls["validate_shape"] += 1
+        return validate(c)
+
+    def counting_weights(c):
+        calls["cumulative_weights"] += 1
+        return cumulative_weights(c)
+
+    monkeypatch.setattr(CompositionMultiset, "validate_shape", counting_validate)
+    for module in (asym, backtrack):
+        monkeypatch.setattr(module, "cumulative_weights", counting_weights)
+    for decode, c, args in ((s1_decode, c1, ()), (st_decode, c2, (2,))):
+        calls.clear()
+        assert decode(c, len(info), *args) == info
+        assert calls == {"validate_shape": 1, "cumulative_weights": 1}

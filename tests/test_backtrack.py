@@ -5,14 +5,20 @@ from collections import Counter
 import pytest
 
 from compocode.backtrack import (
+    BacktrackStats,
     ReconstructionFailure,
-    ToleranceBudget,
+    _search,
     reconstruct,
     reconstruct_unique,
     tolerant_reconstruct,
 )
 from compocode.catalan import sr_encode
-from compocode.compositions import CompositionMultiset, compose_all, sigma_of_string
+from compocode.compositions import (
+    CompositionMultiset,
+    compose_all,
+    cumulative_weights,
+    sigma_of_string,
+)
 
 
 def all_strings(n):
@@ -232,7 +238,9 @@ def test_reconstruct_unique_strict_raises_after_rollback():
     # a weight tie at position 2 whose wrong branch dies one level deeper
     with pytest.raises(ReconstructionFailure):
         reconstruct_unique(compose_all("011001"))
-    s, stats = reconstruct_unique(compose_all("011001"), strict=False)
+    stats = BacktrackStats()
+    s = _search(compose_all("011001"), sigma_of_string("011001"), frozenset(),
+                stats, collect_all=False)[0]
     assert s == "011001"
     assert stats.backtracks == 1 and stats.guesses >= 1
 
@@ -248,8 +256,9 @@ def test_tolerant_degenerate_budget_matches_unique():
     for _ in range(20):
         k = rng.randint(1, 12)
         cw = sr_encode("".join(rng.choice("01") for _ in range(k)))
+        c = compose_all(cw)
         s, _ = tolerant_reconstruct(
-            compose_all(cw), sigma_of_string(cw), ToleranceBudget(0))
+            c, cumulative_weights(c), sigma_of_string(cw), 0)
         assert s == cw
 
 
@@ -264,7 +273,8 @@ def test_tolerant_single_level_errors():
         c = compose_all(cw)
         level = rng.randint(1, n)
         corrupt_one_level(c, level, rng)
-        s, _ = tolerant_reconstruct(c, sigma_of_string(cw), ToleranceBudget(1))
+        s, _ = tolerant_reconstruct(
+            c, cumulative_weights(c), sigma_of_string(cw), 1)
         assert s == cw
         done += 1
 
@@ -289,7 +299,8 @@ def test_tolerant_multi_level_asymmetric():
             chosen.append(level)
         for level in chosen:
             corrupt_one_level(c, level, rng)
-        s, _ = tolerant_reconstruct(c, sigma_of_string(cw), ToleranceBudget(t))
+        s, _ = tolerant_reconstruct(
+            c, cumulative_weights(c), sigma_of_string(cw), t)
         assert s == cw
         done += 1
 
@@ -302,7 +313,7 @@ def test_tolerant_budget_exceeded():
     for level in (2, 5, n - 3):
         corrupt_one_level(c, level, rng)
     with pytest.raises(ReconstructionFailure):
-        tolerant_reconstruct(c, sigma_of_string(cw), ToleranceBudget(1))
+        tolerant_reconstruct(c, cumulative_weights(c), sigma_of_string(cw), 1)
 
 
 def test_tolerant_rejects_mirror_pair_under_asymmetric_model():
@@ -313,7 +324,7 @@ def test_tolerant_rejects_mirror_pair_under_asymmetric_model():
     corrupt_one_level(c, 3, rng)
     corrupt_one_level(c, n - 2, rng)
     with pytest.raises(ReconstructionFailure):
-        tolerant_reconstruct(c, sigma_of_string(cw), ToleranceBudget(2))
+        tolerant_reconstruct(c, cumulative_weights(c), sigma_of_string(cw), 2)
 
 
 def example_2_multiset():
@@ -331,7 +342,7 @@ def example_3_multiset():
 def test_example_low_level_error_does_not_disturb_search():
     c = example_2_multiset()
     s, stats = tolerant_reconstruct(
-        c, sigma_of_string("00001111111"), ToleranceBudget(1))
+        c, cumulative_weights(c), sigma_of_string("00001111111"), 1)
     assert s == "00001111111"
     assert stats.backtracks == 0
 
@@ -339,6 +350,6 @@ def test_example_low_level_error_does_not_disturb_search():
 def test_example_high_level_error_forces_one_rollback():
     c = example_3_multiset()
     s, stats = tolerant_reconstruct(
-        c, sigma_of_string("00001111111"), ToleranceBudget(1))
+        c, cumulative_weights(c), sigma_of_string("00001111111"), 1)
     assert s == "00001111111"
     assert stats.backtracks == 1

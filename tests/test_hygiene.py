@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import itertools
 import os
 import pkgutil
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import compocode
+from compocode.catalan import sr_decode, sr_encode, sr_size
 
 PACKAGE_DIR = Path(compocode.__file__).parent
 
@@ -71,13 +73,45 @@ def test_recon_trial_loads_no_numpy():
     assert out.split() == ["True", "True", "False"]
 
 
+def load_bench_module(name):
+    # bench/ is not a package and is not collected by this suite
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_bench_tracer_binds_every_traced_function():
     # the tracer fails to install when a module drops or adds a by-name
-    # import of a function it traces; bench/ is not collected by this suite
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    # import of a function it traces
+    tracer = load_bench_module("tracer")
     t = tracer.Tracer()
     t.install()
     t.uninstall()
+
+
+def test_sr_decode_failures_are_classified_by_the_bench():
+    # the bench counts a bare ValueError as a decode failure only by its
+    # message, so every non-codeword must raise one the bench recognises
+    workloads = load_bench_module("workloads")
+    messages = set()
+    for n in range(3, 13):
+        for t in range(3):
+            try:
+                k = sr_size(n, t).bit_length() - 1
+            except ValueError:
+                k = 1  # no shift-t code of length n: nothing is a member
+            if k < 1:
+                continue  # a one-word codebook carries no info bit
+            for tup in itertools.product("01", repeat=n):
+                s = "".join(tup)
+                try:
+                    info = sr_decode(s, k, t)
+                except ValueError as e:
+                    assert workloads.is_decode_failure(e), (s, t, e)
+                    messages.add(str(e).split(":")[0])
+                    continue
+                assert sr_encode(info, t, n) == s, (s, t)
+    assert messages == {"membership violation",
+                        "codeword outside the 2^k information range"}

@@ -2,10 +2,12 @@
 
 Each loop_* function is the earlier implementation, kept verbatim apart from
 its name: per-entry differencing loops, a quadratic weights_from_sigma, a
-lattice-path ranker of its own, per-substring composition counting and a
-reconstruction search that recomposes every level of each candidate.  The current code must give the same value,
-or raise the same exception type, on every input tried here, including
-profiles and strings that no codeword produces.
+lattice-path ranker of its own, per-substring composition counting, a
+reconstruction search that recomposes every level of each candidate, and a
+sym-catalan candidate enumeration that solves sigma before reconstruct does.
+The current code must give the same value, or raise the same exception type,
+on every input tried here, including profiles and strings that no codeword
+produces.
 """
 
 import itertools
@@ -13,7 +15,13 @@ import random
 from collections import Counter
 
 from compocode.asym import recover_w1, s1_encode, s1_recover_sigma, st_encode
-from compocode.backtrack import BacktrackStats, _pair_choices, _search
+from compocode.backtrack import (
+    BacktrackStats,
+    ReconstructionFailure,
+    _pair_choices,
+    _search,
+    reconstruct,
+)
 from compocode.catalan import cb_count, sr_encode
 from compocode.channel import ErrorModel, corrupt
 from compocode.compositions import (
@@ -22,12 +30,20 @@ from compocode.compositions import (
     check_bits,
     compose_all,
     cumulative_weights,
+    mirror_mismatches,
     sigma_from_weights,
     sigma_of_string,
     sigma_partial,
     weights_from_sigma,
 )
-from compocode.sym import catalan_number, catalan_rank, catalan_unrank
+from compocode.sym import (
+    catalan_code_decode_bruteforce,
+    catalan_code_encode,
+    catalan_number,
+    catalan_rank,
+    catalan_unrank,
+    is_catalan_codeword,
+)
 
 
 def outcome(f, *args):
@@ -289,6 +305,85 @@ def loop_search(c, sigma, bad_levels, stats, *, collect_all):
     return solutions
 
 
+def loop_consistent(c: CompositionMultiset) -> bool:
+    w = cumulative_weights(c)
+    if mirror_mismatches(w, c.n):
+        return False
+    try:
+        sigma_from_weights(w, c.n)
+    except (CorruptedInput, ValueError):
+        return False
+    return True
+
+
+def loop_revert_candidates(c: CompositionMultiset, budget: int):
+    """Lazily yield mirror-consistent multisets reachable by <= budget reverts.
+
+    A revert swaps one element for a different same-length composition.  Each
+    revert changes exactly one level weight, so a candidate needs at least one
+    revert per mirror-mismatched level pair; branches that cannot rebalance
+    within the budget are pruned before any copy is made.
+    """
+    w = cumulative_weights(c)
+    mism = mirror_mismatches(w, c.n)
+    if not mism and loop_consistent(c):
+        yield c.copy()
+    if budget == 0 or len(mism) > budget:
+        return
+    if mism:
+        targets = (mism[0], c.n + 1 - mism[0])
+    else:
+        if budget < 2:
+            return  # a lone revert always unbalances some pair
+        targets = range(1, c.n + 1)
+    for level in targets:
+        other = c.n + 1 - level
+        cost_after = len(mism) - 1 if (level in mism or other in mism) \
+            else len(mism) + 1
+        if cost_after > budget - 1:
+            continue
+        for rm in sorted(c.levels[level]):
+            if mism and budget == len(mism):
+                # the revert must rebalance this pair exactly
+                delta = w[other - 1] - w[level - 1]
+                adds = [rm + delta] if 0 <= rm + delta <= level else []
+            else:
+                adds = [v for v in range(level + 1) if v != rm]
+            for add in adds:
+                if add == rm:
+                    continue
+                cc = c.copy()
+                cc.replace(level, rm, add)
+                yield from loop_revert_candidates(cc, budget - 1)
+
+
+def loop_catalan_code_decode_bruteforce(c: CompositionMultiset, t: int) -> str:
+    """The unique codeword whose multiset is within t replacements.
+
+    Pairwise codeword multisets differ in at least 4t+1 elements, so at most
+    one codeword can explain the observation; none or several signal a
+    violated error model.
+    """
+    c.validate_shape()
+    pad = 4 * t + 1
+    if c.n % 2 or c.n < 2 * pad + 2:
+        raise ValueError("length incompatible with the code format")
+    found = set()
+    for cand in loop_revert_candidates(c, t):
+        try:
+            strings = reconstruct(cand)
+        except ReconstructionFailure:
+            continue
+        for s in strings:
+            if is_catalan_codeword(s, t):
+                found.add(s)
+    if not found:
+        raise ReconstructionFailure("no codeword within the error budget")
+    if len(found) > 1:
+        raise ReconstructionFailure("ambiguous: multiple codewords fit")
+    return found.pop()
+
+
 # -- the comparisons ----------------------------------------------------------
 
 
@@ -335,7 +430,7 @@ def test_s1_recover_sigma_matches_the_loop_on_0_to_3_errors():
         model = ErrorModel(rng.choice(("asymmetric", "symmetric")), errors)
         c, _ = corrupt(compose_all(s), model, rng)
         for parity in (0, 1):
-            assert outcome(s1_recover_sigma, c.copy(), parity) == \
+            assert outcome(s1_recover_sigma, cumulative_weights(c), c.n, parity) == \
                 outcome(loop_s1_recover_sigma, c.copy(), parity), (s, parity)
 
 
@@ -401,3 +496,18 @@ def test_search_matches_the_loop_on_every_single_swap():
                 for collect_all in (True, False):
                     assert search_outcome(_search, c, sigma, bad, collect_all) == \
                         search_outcome(loop_search, c, sigma, bad, collect_all), (s, l)
+
+
+def test_catalan_decoder_matches_the_loop_beyond_single_errors():
+    # criterion 09 covers every single error at t = 1; each of these rows
+    # also reaches mirror-consistent candidates whose sigma leaves range,
+    # which the loop filters out and the current code leaves to reconstruct
+    rng = random.Random(24)
+    for k, t, errors, trials in ((3, 1, 2, 100), (2, 2, 1, 2), (2, 2, 2, 12),
+                                 (2, 2, 3, 100)):
+        for _ in range(trials):
+            s = catalan_code_encode(random_bits(rng, k), t)
+            model = ErrorModel("symmetric", errors)
+            c, _ = corrupt(compose_all(s), model, rng)
+            assert outcome(catalan_code_decode_bruteforce, c, t) == \
+                outcome(loop_catalan_code_decode_bruteforce, c, t), (s, errors)
