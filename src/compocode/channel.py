@@ -55,12 +55,16 @@ def corrupt(c, model: ErrorModel, rng=None, adversarial=False):
         raise ValueError("not enough levels for the requested error count")
     log = []
     for level in sorted(chosen):
-        old = rng.choice(sorted(out.level_counter(level).elements()))
-        others = [w for w in range(level + 1) if w != old]
+        # rng.choice(seq) is seq[_randbelow(len(seq))]: draw as if from lists
+        counts = out.level_counter(level)
+        r = rng.choice(range(sum(counts.values())))
+        old = next(w for w in sorted(counts) if (r := r - counts[w]) < 0)
         if adversarial:
+            others = [w for w in range(level + 1) if w != old]
             new = max(others, key=lambda w: abs(w - old))
         else:
-            new = rng.choice(others)
+            new = rng.choice(range(level))
+            new += new >= old
         out.replace(level, old, new)
         log.append((level, old, new))
     return out, log

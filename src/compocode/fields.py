@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -297,22 +298,31 @@ def _berlekamp_massey(seq, F) -> list[int]:
 # -- sparse recovery from power evaluations --------------------------------
 
 
-def _solve_linear(mat, rhs, q):
-    """Gaussian elimination over GF(q); mat is square and expected invertible."""
-    k = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col] % q), None)
-        if piv is None:
-            raise SparsityExceeded("locator roots are not distinct")
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], q - 2, q)
-        a[col] = [v * inv % q for v in a[col]]
-        for r in range(k):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(v - f * w) % q for v, w in zip(a[r], a[col])]
-    return [a[r][k] for r in range(k)]
+class SupportFit:
+    """Fits values E(alpha^l), l = -T..T, on a fixed support of L <= T exponents:
+    the inverse Vandermonde matrix of the support at the first L points solves
+    for the coefficients, and each term's value at every point checks them."""
+
+    def __init__(self, support, T: int, field: PrimeField):
+        q, alpha = field.q, field.alpha
+        self.q, self.support = q, tuple(support)
+        xs = [pow(alpha, e, q) for e in self.support]
+        self.powers = [[pow(x, l, q) for x in xs] for l in range(-T, T + 1)]
+        # row j: X_j^T prod_{m != j} (z - X_m) / (X_j - X_m), low power first
+        self.inverse = []
+        for x in xs:
+            row = [pow(x, T, q)]
+            for y in (y for y in xs if y != x):
+                s = pow(x - y, -1, q)
+                row = [(lo - y * hi) * s % q for lo, hi in zip([0, *row], [*row, 0])]
+            self.inverse.append(row)
+
+    def __call__(self, seq) -> dict[int, int] | None:
+        """The fit of seq (values in [0, q)) without its zero terms, or None."""
+        coeffs = [sum(map(mul, row, seq)) % self.q for row in self.inverse]
+        fits = all(sum(map(mul, row, coeffs)) % self.q == v
+                   for row, v in zip(self.powers, seq))
+        return {e: c for e, c in zip(self.support, coeffs) if c} if fits else None
 
 
 @lru_cache(maxsize=64)
@@ -329,12 +339,10 @@ def sparse_interpolate(evals, T: int, field: PrimeField) -> dict[int, int]:
     Returns {exponent: coefficient} over exponents 0..q-2.  Raises
     SparsityExceeded when no such polynomial reproduces the evaluations.
     """
-    q, alpha = field.q, field.alpha
+    q = field.q
     if len(evals) != 2 * T + 1:
         raise ValueError("need exactly 2T+1 evaluations")
     seq = [v % q for v in evals]
-    if all(v == 0 for v in seq):
-        return {}
     lam = _berlekamp_massey(seq, field)
     L = len(lam) - 1
     if L > T:
@@ -349,19 +357,12 @@ def sparse_interpolate(evals, T: int, field: PrimeField) -> dict[int, int]:
     if len(roots) != L:
         raise SparsityExceeded(
             f"locator has {len(roots)} roots in range, expected {L}")
-    xs = [pow(alpha, e, q) for e in roots]
-    mat = [[pow(x, i, q) for x in xs] for i in range(L)]
-    shifted = _solve_linear(mat, seq[:L], q)  # c_j * X_j^(-T)
-    coeffs = [c * pow(x, T, q) % q for c, x in zip(shifted, xs)]
-    poly = {e: c for e, c in zip(roots, coeffs) if c}
-    # confirm against every provided evaluation
-    for i, v in enumerate(seq):
-        ell = i - T
-        acc = 0
-        for e, c in poly.items():
-            acc = (acc + c * pow(alpha, (e * ell) % (q - 1), q)) % q
-        if acc != v:
-            raise SparsityExceeded("evaluations inconsistent with any sparse fit")
+    # the roots are distinct exponents below q - 1 and alpha is primitive, so
+    # the points alpha^e are distinct and their Vandermonde matrix is
+    # invertible: the solve always succeeds and only the check can fail
+    poly = SupportFit(roots, T, field)(seq)
+    if poly is None:
+        raise SparsityExceeded("evaluations inconsistent with any sparse fit")
     return poly
 
 

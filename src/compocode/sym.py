@@ -47,6 +47,7 @@ from .compositions import (
 from .fields import (
     PrimeField,
     SparsityExceeded,
+    SupportFit,
     alpha_power_table,
     bblock_code,
     bch_shape,
@@ -158,6 +159,23 @@ def _signed(v: int, q: int) -> int:
     return v - q if v > q // 2 else v
 
 
+def _interpolate_rows(rows, T: int, field: PrimeField):
+    """sparse_interpolate of each row (values mod q), one per step so that a
+    caller's checks keep their order.  Rows are fitted on the support of
+    sum_k (k+1) row_k, found by one scan.  A fit that passes its check is the
+    only one with <= T terms (two would differ by <= 2T terms vanishing at 2T+1
+    consecutive powers of alpha); a row that does not fit is interpolated alone."""
+    mix = [sum(k * row[i] for k, row in enumerate(rows, 1)) % field.q
+           for i in range(2 * T + 1)]
+    try:
+        fit = SupportFit(sorted(sparse_interpolate(mix, T, field)), T, field)
+    except SparsityExceeded:
+        fit = SupportFit((), T, field)  # no support: only zero rows fit
+    for row in rows:
+        poly = fit(row)
+        yield sparse_interpolate(row, T, field) if poly is None else poly
+
+
 def recover_error_poly(F: dict, p_grid: dict, d_x: int, d_y: int, t: int,
                        field: PrimeField, n: int) -> dict:
     """The error polynomial E from F values and P evaluations on the grid.
@@ -171,12 +189,6 @@ def recover_error_poly(F: dict, p_grid: dict, d_x: int, d_y: int, t: int,
     q, alpha = field.q, field.alpha
     R = 4 * t
     rng_l = range(-R, R + 1)
-    et_evals = {}
-    for l1 in rng_l:
-        for l2 in rng_l:
-            pp = pow(alpha, (l1 * d_x + l2 * d_y) % (q - 1), q) \
-                * p_grid[(l1, l2)] * p_grid[(-l1, -l2)] % q
-            et_evals[(l1, l2)] = (F[(l1, l2)] - pp) % q
 
     def in_window(poly, lo, hi):
         # full-circle exponents back into the unique degree window
@@ -189,21 +201,20 @@ def recover_error_poly(F: dict, p_grid: dict, d_x: int, d_y: int, t: int,
         return out
 
     # stage 1: for each l2, the x-support and the values M_i(alpha^l2)
+    cols = [[(F[(l1, l2)] - pow(alpha, (l1 * d_x + l2 * d_y) % (q - 1), q)
+              * p_grid[(l1, l2)] * p_grid[(-l1, -l2)]) % q for l1 in rng_l]
+            for l2 in rng_l]
     col_vals: dict[int, dict[int, int]] = {}
-    for l2 in rng_l:
-        evals = [et_evals[(l1, l2)] for l1 in rng_l]
-        poly = in_window(sparse_interpolate(evals, R, field),
-                         d_x - n, d_x + n)
-        for i, v in poly.items():
+    for l2, found in zip(rng_l, _interpolate_rows(cols, R, field)):
+        for i, v in in_window(found, d_x - n, d_x + n).items():
             col_vals.setdefault(i, {})[l2] = v
     if len(col_vals) > R:
         raise SparsityExceeded("more than 4t x-exponents in the error trace")
     # stage 2: per x-exponent, interpolate the y-polynomial multiplier
     etilde: dict = {}
-    for i, vals in col_vals.items():
-        evals = [vals.get(l2, 0) for l2 in rng_l]
-        my = in_window(sparse_interpolate(evals, R, field), d_y - n, d_y + n)
-        for j, c in my.items():
+    rows = [[vals.get(l2, 0) for l2 in rng_l] for vals in col_vals.values()]
+    for i, found in zip(col_vals, _interpolate_rows(rows, R, field)):
+        for j, c in in_window(found, d_y - n, d_y + n).items():
             etilde[(i, j)] = c
     if len(etilde) > R:
         raise SparsityExceeded("more than 4t terms in the error trace")
@@ -726,8 +737,12 @@ def catalan_code_decode_bruteforce(c: CompositionMultiset, t: int) -> str:
     pad = 4 * t + 1
     if c.n % 2 or c.n < 2 * pad + 2:
         raise ValueError("length incompatible with the code format")
-    found = set()
+    found, tried = set(), set()  # reverts in any order reach one multiset
     for cand in _revert_candidates(c, t):
+        key = tuple(tuple(sorted(cand.levels[l].items())) for l in range(1, c.n + 1))
+        if key in tried:
+            continue
+        tried.add(key)
         try:
             strings = reconstruct(cand)
         except ReconstructionFailure:

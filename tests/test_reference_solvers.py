@@ -4,7 +4,8 @@ Each loop_* function is the earlier implementation, kept verbatim apart from
 its name: per-entry differencing loops, a quadratic weights_from_sigma, a
 lattice-path ranker of its own, per-substring composition counting, a
 reconstruction search that recomposes every level of each candidate, and a
-sym-catalan candidate enumeration that solves sigma before reconstruct does.
+sym-catalan candidate enumeration that solves sigma before reconstruct does,
+and a channel that lists every element of a level to draw one.
 The current code must give the same value, or raise the same exception type,
 on every input tried here, including profiles and strings that no codeword
 produces.
@@ -37,6 +38,7 @@ from compocode.compositions import (
     weights_from_sigma,
 )
 from compocode.sym import (
+    DeltaObservation,
     catalan_code_decode_bruteforce,
     catalan_code_encode,
     catalan_number,
@@ -384,6 +386,40 @@ def loop_catalan_code_decode_bruteforce(c: CompositionMultiset, t: int) -> str:
     return found.pop()
 
 
+def loop_corrupt(c, model: ErrorModel, rng=None, adversarial=False):
+    """Apply exactly model.t replacements to an observation.
+
+    Returns (corrupted copy, log); the log lists (level, removed weight,
+    added weight) per error.  In adversarial mode the replacement maximizes
+    the weight change instead of being uniform.
+    """
+    rng = rng if rng is not None else random.Random(model.seed)
+    n = c.n
+    out = c.copy()
+    chosen: list[int] = []
+    pool = list(range(1, n + 1))
+    rng.shuffle(pool)
+    for level in pool:
+        if len(chosen) == model.t:
+            break
+        if model.kind == "asymmetric" and (n + 1 - level) in chosen:
+            continue
+        chosen.append(level)
+    if len(chosen) < model.t:
+        raise ValueError("not enough levels for the requested error count")
+    log = []
+    for level in sorted(chosen):
+        old = rng.choice(sorted(out.level_counter(level).elements()))
+        others = [w for w in range(level + 1) if w != old]
+        if adversarial:
+            new = max(others, key=lambda w: abs(w - old))
+        else:
+            new = rng.choice(others)
+        out.replace(level, old, new)
+        log.append((level, old, new))
+    return out, log
+
+
 # -- the comparisons ----------------------------------------------------------
 
 
@@ -511,3 +547,28 @@ def test_catalan_decoder_matches_the_loop_beyond_single_errors():
             c, _ = corrupt(compose_all(s), model, rng)
             assert outcome(catalan_code_decode_bruteforce, c, t) == \
                 outcome(loop_catalan_code_decode_bruteforce, c, t), (s, errors)
+
+
+def corrupt_outcome(corrupt_fn, observe, s, model, seed, adversarial):
+    """The log and every level of the corrupted observation (or the exception
+    type), with the generator's state afterwards."""
+    rng = random.Random(seed)
+    got = outcome(corrupt_fn, observe(s), model, rng, adversarial)
+    if isinstance(got, tuple):
+        obs, log = got
+        got = log, [obs.level_counter(l) for l in range(1, obs.n + 1)]
+    return got, rng.getstate()
+
+
+def test_corrupt_matches_the_loop():
+    # the same draws from the same random stream, for both observation types
+    rng = random.Random(25)
+    for trial in range(480):
+        s = random_bits(rng, rng.randint(1, 30))
+        model = ErrorModel(("asymmetric", "symmetric")[trial % 2], trial // 2 % 4)
+        adversarial = bool(trial // 8 % 2)
+        for observe in (compose_all, DeltaObservation):
+            seed = rng.random()
+            assert corrupt_outcome(corrupt, observe, s, model, seed, adversarial) == \
+                corrupt_outcome(loop_corrupt, observe, s, model, seed, adversarial), \
+                (s, model, adversarial)

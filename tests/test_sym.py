@@ -14,8 +14,9 @@ from compocode.compositions import (
     sigma_of_string,
     weight,
 )
-from compocode import fields
+from compocode import fields, sym
 from compocode.backtrack import ReconstructionFailure
+from compocode.channel import ErrorModel, corrupt
 from compocode.fields import (
     BCHCode,
     SparsityExceeded,
@@ -23,6 +24,7 @@ from compocode.fields import (
     bblock_code,
     field_setup,
     monomial_grid,
+    sparse_interpolate,
 )
 from compocode.sym import (
     BlockCodeFailure,
@@ -31,6 +33,7 @@ from compocode.sym import (
     _eval_prefix_string,
     _eval_terms,
     _grid_msg_len,
+    _interpolate_rows,
     _parity_block,
     _prefix_arrays,
     _reconstruct_known_shell,
@@ -445,6 +448,87 @@ def test_recover_error_poly_zero_error():
         scale = pow(alpha, (l1 * d_x + l2 * d_y) % (q - 1), q)
         F[(l1, l2)] = scale * (p.n + 1 + int(s_grid[l1 + R, l2 + R])) % q
     assert recover_error_poly(F, p_grid, d_x, d_y, t, p.field, p.n) == {}
+
+
+# -- shared-support interpolation ---------------------------------------------
+
+
+def sparse_values(poly, T, field):
+    """E(alpha^l) for l = -T..T, E given as {exponent: coefficient}."""
+    q, alpha = field.q, field.alpha
+    return [sum(c * pow(alpha, e * l % (q - 1), q) for e, c in poly.items()) % q
+            for l in range(-T, T + 1)]
+
+
+def shared_support_rows(case, rng, T, field):
+    """Rows of 2T+1 values whose polynomials share a support, per case."""
+    q = field.q
+    support = rng.sample(range(q - 1), rng.randint(1, T))
+    polys = [{e: rng.randrange(1, q) for e in support}
+             for _ in range(rng.randint(1, 6))]
+    if case == "subset":
+        polys = [{e: c for e, c in p.items() if rng.random() < 0.5} for p in polys]
+    elif case == "extra-term":
+        # the hint has it too: past T terms the hint fails, every row falls back
+        extra = rng.choice([e for e in range(q - 1) if e not in support])
+        rng.choice(polys)[extra] = rng.randrange(1, q)
+    elif case == "zero-rows":
+        polys = [p if rng.random() < 0.5 else {} for p in polys]
+    elif case == "wide-union":
+        polys = [{e: rng.randrange(1, q) for e in rng.sample(range(q - 1), T)}
+                 for _ in range(rng.randint(2, 6))]
+    elif case == "cancelling-hint":
+        # row_1 = -row_0 / 2 on some exponents: 1 row_0 + 2 row_1 drops them
+        half = pow(2, -1, q)
+        polys = polys[:1] + [{e: -c * half % q if rng.random() < 0.5 else c
+                              for e, c in polys[0].items()}]
+    return [sparse_values(p, T, field) for p in polys]
+
+
+def interpolate_each(rows, T, field, interpolate):
+    """Each row's items in order, up to the first exception as (type, text)."""
+    out = []
+    try:
+        for poly in interpolate(rows, T, field):
+            out.append(list(poly.items()))
+    except ValueError as e:
+        out.append((type(e), str(e)))
+    return out
+
+
+def per_row(rows, T, field):
+    return (sparse_interpolate(row, T, field) for row in rows)
+
+
+@pytest.mark.parametrize("case", ["one-support", "subset", "extra-term",
+                                  "zero-rows", "wide-union", "cancelling-hint"])
+def test_shared_support_rows_match_per_row_interpolation(case):
+    rng = random.Random(f"shared-{case}")
+    for field in (field_setup(50), field_setup(1000)):
+        for _ in range(150):
+            T = rng.randint(1, 6)
+            rows = shared_support_rows(case, rng, T, field)
+            assert interpolate_each(rows, T, field, _interpolate_rows) == \
+                interpolate_each(rows, T, field, per_row), (case, T, rows)
+
+
+def test_a_two_error_decode_interpolates_at_most_twice(monkeypatch):
+    # one full interpolation per stage: each row is fitted on its support
+    rng = random.Random(31)
+    u = random_bits(rng, 13)
+    s = etn_encode(u, 2)
+    calls = []
+
+    def counting(evals, T, field):
+        calls.append(T)
+        return sparse_interpolate(evals, T, field)
+
+    monkeypatch.setattr(sym, "sparse_interpolate", counting)
+    for _ in range(4):
+        obs, _ = corrupt(DeltaObservation(s), ErrorModel("symmetric", 2), rng)
+        calls.clear()
+        assert etn_decode(obs, 2) == u
+        assert len(calls) <= 2
 
 
 def _assert_grid_matches_pointwise(s, R, field):
