@@ -26,16 +26,15 @@ exact agreement is required.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from operator import add
+from operator import sub
+from struct import pack
 
 from .compositions import (
     CompositionMultiset,
     CorruptedInput,
     compose_all,  # noqa: F401 - bench/tracer.py rebinds this by-name import
     cumulative_weights,
-    level_of_prefix,
     prefix_weights,
     sigma_from_weights,
     weights_from_sigma,
@@ -60,8 +59,45 @@ def _pair_choices(sv: int):
     return (("0", "1"), ("1", "0"))
 
 
+def _lanes(v: int, size: int) -> str:
+    """The first size 32-bit lanes of v, lowest first, one code point each.
+
+    Lanes hold window weights, which never exceed n, so each is a valid code
+    point while n < 0x110000; surrogatepass admits 0xD800..0xDFFF.
+    """
+    return v.to_bytes(4 * size, "little").decode("utf-32-le", "surrogatepass")
+
+
+def _pack(values) -> int:
+    """values as the 32-bit lanes of one int, the first in the lowest lane."""
+    return int.from_bytes(pack(f"<{len(values)}I", *values), "little")
+
+
+def _remainder(level, v: int, size: int) -> dict[int, int]:
+    """Each observed weight's multiplicity in level less its count in v's lanes."""
+    counts = map(_lanes(v, size).count, map(chr, level))
+    return dict(zip(level, map(sub, level.values(), counts)))
+
+
+def _excess(rem) -> int:
+    """How many observed elements the counted windows leave unexplained.
+
+    That is the sum of the positive remainders: (sum |r| + sum r) / 2.
+    """
+    r = rem.values()
+    return (sum(map(abs, r)) + sum(r)) // 2
+
+
 def _search(c, sigma, bad_levels, stats, *, collect_all):
-    """Depth-first pair placement.  Returns the list of consistent strings."""
+    """Depth-first pair placement.  Returns the list of consistent strings.
+
+    With k pairs placed, Q holds W - wt(s_1^j) in lane j-1 and S holds
+    wt(s_{n+1-i}^n) in lane k-i, so lane j-1 of Q - S is the weight of the
+    level-(n-k-1) window s_{j+1} .. s_{n-k-1+j}, for j = 1..k: the windows
+    the next pair does not touch.  A level matches when the windows leave
+    no observed element unexplained (one at a corrupted level); validate_shape
+    has fixed every level's size, so this is multiset equality.
+    """
     n = c.n
     h = (n + 1) // 2
     W = sum(sigma)
@@ -73,27 +109,12 @@ def _search(c, sigma, bad_levels, stats, *, collect_all):
     solutions: list[str] = []
     first_one = next((i for i in range(steps) if sigma[i] == 1), None)
 
-    def expected_level(pws, sws):
-        # W - wt(prefix) - wt(suffix) over paired prefix and suffix weights
-        return Counter(map(W.__sub__, map(add, pws, sws)))
-
-    def level_matches(expected, obs, l):
-        # equal, or one swapped element at a level known to be corrupted
-        return expected == obs or l in bad_levels and (
-            (expected - obs).total() + (obs - expected).total() == 2)
-
-    def level_ok(k):
-        # expected compositions at level n-k after k placed pairs
-        m = n - k
-        return level_matches(expected_level(pw, reversed(sw)), c.levels[m], m)
-
-    def order_choices(k, choices):
+    def order_choices(k, choices, rem):
         # try first the branch matching the largest composition left at the
         # next level after the already-determined ones are taken out
-        rem = c.levels[n - k - 1] - expected_level(pw[1:], reversed(sw[1:]))
-        if not rem:
+        wmax = max((w for w, r in rem.items() if r > 0), default=None)
+        if wmax is None:
             return choices
-        wmax = max(rem)
 
         def score(pair):
             a, b = pair
@@ -103,19 +124,27 @@ def _search(c, sigma, bad_levels, stats, *, collect_all):
         return tuple(sorted(choices, key=score))
 
     def finalize(s):
-        # level_ok checked levels n-steps..n-1 on the way down; the rest
-        # are checked here against the string's own compositions
-        P = prefix_weights(s)
+        # extend checked levels n-steps..n-1 on the way down.  Level l of
+        # the string is the lane-wise difference of its packed prefix
+        # weights X shifted down by l lanes and X itself; prefix weights
+        # never decrease, so no lane borrows.
+        X = _pack(prefix_weights(s))
         for l in (*range(1, n - steps), n):
-            if not level_matches(level_of_prefix(P, l), c.levels[l], l):
+            size = n + 1 - l
+            windows = (X >> 32 * l) - (X & ((1 << 32 * size) - 1))
+            if _excess(_remainder(c.levels[l], windows, size)) > (l in bad_levels):
                 return False
         solutions.append(s)
         return True
 
-    def extend(k):
+    def extend(k, Q, S):
         if k == steps:
             mid = str(sigma[h - 1]) if n % 2 else ""
             return finalize("".join(prefix) + mid + "".join(reversed(suffix)))
+        # level n-k-1 less its k windows already known
+        m = n - k - 1
+        rem = _remainder(c.levels[m], Q - S, k)
+        excess = _excess(rem)
         choices = _pair_choices(sigma[k])
         if sigma[k] == 1:
             if k == first_one:
@@ -123,27 +152,38 @@ def _search(c, sigma, bad_levels, stats, *, collect_all):
             else:
                 if pw[k] == sw[k]:
                     stats.guesses += 1
-                choices = order_choices(k, choices)
+                choices = order_choices(k, choices, rem)
         found = False
         for a, b in choices:
-            prefix.append(a)
-            suffix.append(b)
-            pw.append(pw[-1] + (a == "1"))
-            sw.append(sw[-1] + (b == "1"))
-            if level_ok(k + 1):
-                sub = extend(k + 1)
-                if not sub:
+            pa = pw[k] + (a == "1")
+            sb = sw[k] + (b == "1")
+            # the pair's two windows, s_1 .. s_{n-k-1} and s_{k+2} .. s_n,
+            # each explain one element if level n-k-1 has one left for it
+            x, y = W - sb, W - pa
+            if excess - (rem.get(x, 0) > 0) - (rem.get(y, 0) - (x == y) > 0) \
+                    <= (m in bad_levels):
+                prefix.append(a)
+                suffix.append(b)
+                pw.append(pa)
+                sw.append(sb)
+                below = extend(k + 1, Q | (W - pa) << 32 * k, S << 32 | sb)
+                if not below:
                     stats.backtracks += 1
-                found = found or sub
-            prefix.pop()
-            suffix.pop()
-            pw.pop()
-            sw.pop()
+                found = found or below
+                prefix.pop()
+                suffix.pop()
+                pw.pop()
+                sw.pop()
             if found and not collect_all:
                 break
         return found
 
-    extend(0)
+    try:
+        extend(0, 0, 0)
+    finally:
+        # extend's closure holds extend itself: clearing the cell frees the
+        # closure, and c with it, now rather than at the next cyclic GC
+        del extend
     return solutions
 
 

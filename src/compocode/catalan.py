@@ -20,6 +20,7 @@ composition of (1-count block, partition rank, free bits, CB rank, middle bit).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from math import comb
 
@@ -121,13 +122,14 @@ def partition_unrank(m: int, i: int, within: int):
         raise ValueError("rank out of range")
     out = []
     r = within
+    hi = m
     for j in range(i, 0, -1):
-        ell = j
-        while comb(ell, j) <= r:
-            ell += 1
-        # now comb(ell-1+1, j) > r >= comb(ell-1, j): position is ell
+        # the smallest ell in j..hi with comb(ell, j) > r >= comb(ell-1, j);
+        # then r - comb(ell-1, j) < comb(ell-1, j-1), so the next ell < ell
+        ell = j + bisect_right(range(j, hi + 1), r, key=lambda e: comb(e, j))
         r -= comb(ell - 1, j)
         out.append(ell)
+        hi = ell - 1
     return sorted(out)
 
 
@@ -190,7 +192,8 @@ def _encode_even(ind: int, n: int, t: int):
     extra = partition_unrank(hf, i, p)  # subset of {1..hf} -> positions t+2..half
     i_half = [t + 1] + [t + 1 + e for e in extra]
     cb = cb_unrank(i + 1, rc)
-    free_pos = [j for j in range(t + 1, half + 1) if j not in set(i_half)]
+    in_i = set(i_half)
+    free_pos = [j for j in range(t + 1, half + 1) if j not in in_i]
     free_bits = format(v, f"0{nfree}b") if nfree else ""
     s = ["?"] * n
     for j in range(1, t + 1):
@@ -214,7 +217,8 @@ def _decode_even(s: str, t: int) -> int:
     extra = [j - (t + 1) for j in i_half if j > t + 1]
     i = len(extra)
     cb = "".join(s[j - 1] for j in i_half)
-    free_pos = [j for j in range(t + 1, half + 1) if j not in set(i_half)]
+    in_i = set(i_half)
+    free_pos = [j for j in range(t + 1, half + 1) if j not in in_i]
     free_bits = "".join(s[j - 1] for j in free_pos)
     cbt = cb_total(i + 1)
     nfree = hf - i

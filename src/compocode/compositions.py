@@ -67,6 +67,8 @@ class CompositionMultiset:
 
     levels[l] is a Counter weight -> multiplicity for l in 1..n.  A valid
     (possibly corrupted) channel output has exactly n-l+1 elements at level l.
+    A copy shares its source's Counters until replace or correct writes one,
+    so nothing else may write them.
 
     This is the dense form of the observation protocol: n, level_counter,
     weight_profile, sym_eval, correct, replace, copy and validate_shape.
@@ -74,11 +76,12 @@ class CompositionMultiset:
     decoder and the scheme registry's checks read either.
     """
 
-    __slots__ = ("n", "levels")
+    __slots__ = ("n", "levels", "_owned")
 
     def __init__(self, n: int, levels: dict[int, Counter]):
         self.n = n
         self.levels = levels
+        self._owned = None  # levels replace/correct may write; None: all
 
     # -- construction -----------------------------------------------------
 
@@ -89,7 +92,17 @@ class CompositionMultiset:
         return cls(len(s), {l: level_of_prefix(P, l) for l in range(1, len(s) + 1)})
 
     def copy(self) -> "CompositionMultiset":
-        return CompositionMultiset(self.n, {l: Counter(c) for l, c in self.levels.items()})
+        """A copy sharing every level until either side writes one."""
+        out = CompositionMultiset(self.n, dict(self.levels))
+        self._owned, out._owned = set(), set()
+        return out
+
+    def _writable(self, l: int) -> Counter:
+        """Level l, first copied if it may be shared with another multiset."""
+        if self._owned is not None and l not in self._owned:
+            self.levels[l] = Counter(self.levels[l])
+            self._owned.add(l)
+        return self.levels[l]
 
     # -- basic queries ----------------------------------------------------
 
@@ -126,7 +139,7 @@ class CompositionMultiset:
         """
         out = self.copy()
         for (w, z), c in error.items():
-            level = out.levels[w + z]
+            level = out._writable(w + z)
             if level[w] < c:
                 raise CorruptedInput(
                     f"cannot remove {c} copies of weight {w} at level {w + z}")
@@ -140,13 +153,15 @@ class CompositionMultiset:
         for l in range(1, self.n + 1):
             if l not in self.levels:
                 raise CorruptedInput(f"level {l} missing")
+            for w, m in self.levels[l].items():
+                if m < 1:
+                    raise CorruptedInput(f"level {l} holds weight {w} {m} times")
+                if not 0 <= w <= l:
+                    raise CorruptedInput(f"level {l} contains weight {w} out of range")
             got = self.level_size(l)
             if got != self.n - l + 1:
                 raise CorruptedInput(
                     f"level {l} has {got} elements, expected {self.n - l + 1}")
-            for w in self.levels[l]:
-                if w < 0 or w > l:
-                    raise CorruptedInput(f"level {l} contains weight {w} out of range")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompositionMultiset):
@@ -160,10 +175,11 @@ class CompositionMultiset:
             raise CorruptedInput(f"no composition of weight {old_w} at level {l}")
         if not (0 <= new_w <= l):
             raise ValueError(f"weight {new_w} invalid at level {l}")
-        self.levels[l][old_w] -= 1
-        if self.levels[l][old_w] == 0:
-            del self.levels[l][old_w]
-        self.levels[l][new_w] += 1
+        level = self._writable(l)
+        level[old_w] -= 1
+        if level[old_w] == 0:
+            del level[old_w]
+        level[new_w] += 1
 
 
 def compose_all(s: str) -> CompositionMultiset:

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -7,6 +9,8 @@ import pytest
 from compocode.backtrack import (
     BacktrackStats,
     ReconstructionFailure,
+    _lanes,
+    _pack,
     _search,
     reconstruct,
     reconstruct_unique,
@@ -353,3 +357,36 @@ def test_example_high_level_error_forces_one_rollback():
         c, cumulative_weights(c), sigma_of_string("00001111111"), 1)
     assert s == "00001111111"
     assert stats.backtracks == 1
+
+
+def test_lanes_round_trip_every_code_point_range():
+    # one byte, two bytes, the surrogate block and beyond the BMP
+    values = [0, 1, 255, 256, 0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0xE000,
+              0xFFFF, 0x10000, 0x10FFFF]
+    v = _pack(values)
+    assert [ord(ch) for ch in _lanes(v, len(values))] == values
+    # lane-wise differences, as the search takes them, never borrow
+    lo, hi = values[:-1], values[1:]
+    diff = _lanes(_pack(hi) - _pack(lo), len(lo))
+    assert [ord(ch) for ch in diff] == [b - a for a, b in zip(lo, hi)]
+
+
+def test_decoding_leaves_no_reference_cycle():
+    cw = sr_encode("1011001110", 0)
+    c = compose_all(cw)
+    decodes = (
+        reconstruct_unique,
+        reconstruct,
+        lambda c: tolerant_reconstruct(
+            c, cumulative_weights(c), sigma_of_string(cw), 1),
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for decode in decodes:
+            before = sys.getrefcount(c)
+            decode(c)
+            assert sys.getrefcount(c) == before, decode
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -95,6 +96,14 @@ def test_partition_rank_round_trip():
             block = sum(comb(m, j) for j in range(i))
             assert partition_unrank(m, i, rank - block) == sorted(subset)
         assert sorted(seen) == list(range(2 ** m))
+    # codeword-sized ranges, where the unranking bisects over long spans
+    rng = random.Random(5)
+    for m in (60, 129, 300):
+        for _ in range(20):
+            subset = sorted(rng.sample(range(1, m + 1), rng.randint(0, m)))
+            block = sum(comb(m, j) for j in range(len(subset)))
+            rank = partition_rank(m, subset) - block
+            assert partition_unrank(m, len(subset), rank) == subset
 
 
 def test_partition_blocks_contiguous():

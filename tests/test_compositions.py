@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compocode.channel import ErrorModel, corrupt
 from compocode.compositions import (
     CompositionMultiset,
     CorruptedInput,
@@ -208,3 +209,37 @@ def test_parse_accepts_corrupted_but_well_formed():
     c = compose_all("0100")
     c.replace(2, 1, 2)
     assert parse(serialize(c)) == c
+
+
+@pytest.mark.parametrize("level", [Counter({2: 1, 3: 1, 1: -1}), Counter({2: 1, 1: 0})])
+def test_validate_shape_rejects_multiplicities_below_one(level):
+    # the level still holds one element in all, so only the count check
+    # can catch it; the negative count would make w_4 read 4, not 2
+    c = compose_all("0110")
+    c.levels[4] = level
+    with pytest.raises(CorruptedInput):
+        c.validate_shape()
+
+
+def test_copy_shares_levels_until_written():
+    src = compose_all("0110100111")
+    before = {l: Counter(level) for l, level in src.levels.items()}
+    cp = src.copy()
+    cp.replace(3, 1, 3)
+    cp.correct({(0, 2): -1, (1, 1): 1})
+    assert src.levels == before
+    assert cp.copy().correct({(3, 0): 1, (1, 2): -1}) == src
+    # the source's own writes after a copy leave the copy alone too
+    cp2 = src.copy()
+    src.replace(5, 2, 5)
+    assert cp2.levels == before
+    assert src.levels[5] != before[5]
+
+
+def test_corrupt_leaves_its_input_unchanged():
+    src = compose_all("0110100111")
+    before = {l: Counter(level) for l, level in src.levels.items()}
+    for kind in ("asymmetric", "symmetric"):
+        out, log = corrupt(src, ErrorModel(kind, 3), random.Random(1))
+        assert len(log) == 3 and out != src
+        assert src.levels == before

@@ -534,6 +534,28 @@ def test_search_matches_the_loop_on_every_single_swap():
                         search_outcome(loop_search, c, sigma, bad, collect_all), (s, l)
 
 
+def test_search_matches_the_loop_on_long_strings():
+    # past the exhaustive lengths, and past one byte per window weight
+    rng = random.Random(26)
+    strings = [random_bits(rng, rng.randint(257, 600)) for _ in range(2)]
+    strings.append("".join(rng.choices("01", (1, 4), k=rng.randint(400, 600))))
+    strings += [sr_encode(random_bits(rng, k)) for k in (252, 400, 590)]
+    assert max(s.count("1") for s in strings) > 255
+    for s in strings:
+        c = compose_all(s)
+        sigma = sigma_of_string(s)
+        l = rng.randint(1, len(s))
+        old = rng.choice(sorted(c.levels[l]))
+        swapped = c.copy()
+        swapped.replace(l, old, rng.choice([w for w in range(l + 1) if w != old]))
+        for obs, bad in ((c, frozenset()), (swapped, frozenset()),
+                         (swapped, frozenset({l}))):
+            for collect_all in (True, False):
+                assert search_outcome(_search, obs, sigma, bad, collect_all) == \
+                    search_outcome(loop_search, obs, sigma, bad, collect_all), \
+                    (s, l, bad)
+
+
 def test_catalan_decoder_matches_the_loop_beyond_single_errors():
     # criterion 09 covers every single error at t = 1; each of these rows
     # also reaches mirror-consistent candidates whose sigma leaves range,
