@@ -10,6 +10,7 @@ input, 4 decode failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import random
@@ -57,8 +58,7 @@ def _emit(args, text: str, manifest: dict) -> None:
         with open(args.output, "w") as f:
             f.write(text)
         with open(args.output + ".manifest.json", "w") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
-            f.write("\n")
+            f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(text)
         print(json.dumps(manifest, sort_keys=True), file=sys.stderr)
@@ -174,7 +174,10 @@ def cmd_sim(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parse_args keeps no
+    state, so every main() call shares it."""
     ap = argparse.ArgumentParser(
         prog="compocode",
         description="encode, corrupt, and decode strings observed as "

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import accumulate
-from operator import sub
+from operator import mul, sub
 
 
 class CorruptedInput(ValueError):
@@ -198,8 +198,8 @@ def level_of_prefix(P, l: int) -> Counter:
 
 def cumulative_weights(c: CompositionMultiset) -> tuple[int, ...]:
     """w_l = sum of 1-counts at level l; returned 0-indexed (entry l-1 = w_l)."""
-    return tuple(
-        sum(w * cnt for w, cnt in c.levels[l].items()) for l in range(1, c.n + 1))
+    return tuple(sum(map(mul, lv, lv.values()))
+                 for lv in map(c.levels.__getitem__, range(1, c.n + 1)))
 
 
 def mirror_mismatches(wp, n: int) -> list[int]:
@@ -284,6 +284,11 @@ def multiset_symmetric_difference(c1, c2):
     detail: dict[int, list[tuple[int, int]]] = {}
     for l in range(1, c1.n + 1):
         a, b = c1.level_counter(l), c2.level_counter(l)
+        # Equal dicts differ by 0 at every weight.  No level holds a zero
+        # count, so dict equality (in C; Counter's runs a generator) is
+        # Counter equality, and every equal level is skipped.
+        if dict.__eq__(a, b):
+            continue
         diffs = []
         for w in set(a) | set(b):
             d = a[w] - b[w]
@@ -304,8 +309,10 @@ def multiset_symmetric_difference(c1, c2):
 def serialize(c: CompositionMultiset) -> str:
     lines = [f"n={c.n}"]
     for l in range(c.n, 0, -1):
-        ws = sorted(c.levels[l].elements())
-        lines.append(f"{l}: " + " ".join(map(str, ws)))
+        lv = c.levels[l]
+        # each token with its trailing space, repeated by its multiplicity
+        ws = "".join([f"{w} " * lv[w] for w in sorted(lv)])
+        lines.append(f"{l}: " + ws[:-1])
     return "\n".join(lines) + "\n"
 
 
@@ -324,12 +331,12 @@ def parse(text: str) -> CompositionMultiset:
         head, _, rest = ln.partition(":")
         try:
             l = int(head)
-            ws = [int(tok) for tok in rest.split()]
+            level = Counter(map(int, rest.split()))
         except ValueError as e:
             raise CorruptedInput(f"malformed line: {ln!r}") from e
         if l in levels:
             raise CorruptedInput(f"level {l} repeated")
-        levels[l] = Counter(ws)
+        levels[l] = level
     c = CompositionMultiset(n, levels)
     c.validate_shape()
     return c

@@ -684,7 +684,7 @@ def is_catalan_codeword(s: str, t: int) -> bool:
     return True
 
 
-def _revert_candidates(c: CompositionMultiset, budget: int):
+def _revert_candidates(c: CompositionMultiset, w, budget: int):
     """Lazily yield mirror-consistent multisets reachable by <= budget reverts.
 
     A revert swaps one element for a different same-length composition.  Each
@@ -692,9 +692,8 @@ def _revert_candidates(c: CompositionMultiset, budget: int):
     revert per mirror-mismatched level pair; branches that cannot rebalance
     within the budget are pruned before any copy is made.  Candidates are
     yielded as they are, to be read and not changed; one whose sigma leaves
-    range is left for reconstruct to reject.
+    range is left for reconstruct to reject.  w is c's weight profile.
     """
-    w = cumulative_weights(c)
     mism = mirror_mismatches(w, c.n)
     if not mism:
         yield c
@@ -723,7 +722,9 @@ def _revert_candidates(c: CompositionMultiset, budget: int):
             for add in adds:
                 cc = c.copy()
                 cc.replace(level, rm, add)
-                yield from _revert_candidates(cc, budget - 1)
+                cw = list(w)
+                cw[level - 1] += add - rm
+                yield from _revert_candidates(cc, cw, budget - 1)
 
 
 def catalan_code_decode_bruteforce(c: CompositionMultiset, t: int) -> str:
@@ -738,7 +739,7 @@ def catalan_code_decode_bruteforce(c: CompositionMultiset, t: int) -> str:
     if c.n % 2 or c.n < 2 * pad + 2:
         raise ValueError("length incompatible with the code format")
     found, tried = set(), set()  # reverts in any order reach one multiset
-    for cand in _revert_candidates(c, t):
+    for cand in _revert_candidates(c, cumulative_weights(c), t):
         key = tuple(tuple(sorted(cand.levels[l].items())) for l in range(1, c.n + 1))
         if key in tried:
             continue

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import compocode
 from compocode.cli import main
 from compocode.compositions import compose_all, parse, serialize
 
@@ -210,3 +213,61 @@ def test_one_parameter_rule_for_sim_encode_and_decode(tmp_path, capsys):
     assert code == 0 and out.strip() == "1010"
     code, out, _ = run(capsys, *sim, *params, "--format", "json")
     assert code == 0 and json.loads(out)["success_rate"] == 1.0
+
+
+def run_fresh(argv, env):
+    """Exit code and stderr of argv run alone by a new interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "compocode.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stderr
+
+
+def outputs(path):
+    """A command's output file and its manifest without the argv it records."""
+    if not os.path.exists(path):
+        return None
+    with open(path) as f, open(path + ".manifest.json") as g:
+        text, manifest = f.read(), json.load(g)
+    del manifest["command"]
+    return text, manifest
+
+
+def test_the_shared_parser_leaks_nothing_between_calls(tmp_path, capsys,
+                                                       monkeypatch):
+    # one process runs the sequence on one parser; each command then runs
+    # alone on the same inputs and must give the same files, stderr and code
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(compocode.__file__)))
+    shared, alone = tmp_path / "shared", tmp_path / "alone"
+    shared.mkdir()
+    alone.mkdir()
+    info = tmp_path / "info.txt"
+    info.write_text("101100\n")
+    asym1 = ("--scheme", "asym1", "--k", "6")
+    corrupt = ("corrupt", "--model", "asym", "--errors", "1", "--seed", "3")
+    steps = [
+        ("cw", ("encode", *asym1, "--input", str(info))),
+        ("ms", ("compose", "--input", str(shared / "cw"))),
+        ("adv", (*corrupt, "--adversarial", "--input", str(shared / "ms"))),
+        ("bad", (*corrupt, "--input", str(shared / "ms"))),
+        ("err", ("corrupt", "--adversarial", "--model", "asym", "--errors",
+                 "1", "--seed", "x", "--input", str(shared / "ms"))),
+        ("sim", ("sim", "--scheme", "asym-t", "--k", "4", "--t", "2",
+                 "--model", "asym", "--errors", "2", "--trials", "3")),
+        ("out", ("decode", *asym1, "--input", str(shared / "bad"))),
+        ("out-adv", ("decode", *asym1, "--input", str(shared / "adv"))),
+    ]
+    results = {}
+    for name, argv in steps:
+        try:
+            code = main([*argv, "--output", str(shared / name)])
+        except SystemExit as e:
+            code = e.code
+        results[name] = code, capsys.readouterr().err
+    assert [code for code, _ in results.values()] == [0, 0, 0, 0, 2, 0, 0, 0]
+    assert outputs(str(shared / "adv")) != outputs(str(shared / "bad"))
+    for name, argv in steps:
+        assert run_fresh([*argv, "--output", str(alone / name)], env) == \
+            results[name], name
+        assert outputs(str(alone / name)) == outputs(str(shared / name)), name

@@ -52,6 +52,35 @@ def test_cold_start_imports_stay_lazy(modules, absent):
     assert out.strip() == "[]"
 
 
+CLI_PARSERS = """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from compocode import cli
+counts = [len(built)]
+for _ in range(2):
+    try:
+        cli.main(["encode", "--k", "x"])
+    except SystemExit:
+        pass
+    counts.append(len(built))
+print(counts)
+"""
+
+
+def test_cli_builds_its_parser_once_on_first_use():
+    # importing the CLI builds no parser; the first main() builds the parser
+    # and its five subcommand parsers, and later calls reuse them
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", CLI_PARSERS], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[0, 6, 6]"
+
+
 RECON_TRIAL = """
 import random, sys
 from compocode.channel import ErrorModel, build_scheme, corrupt

@@ -5,13 +5,15 @@ its name: per-entry differencing loops, a quadratic weights_from_sigma, a
 lattice-path ranker of its own, per-substring composition counting, a
 reconstruction search that recomposes every level of each candidate, and a
 sym-catalan candidate enumeration that solves sigma before reconstruct does,
-and a channel that lists every element of a level to draw one.
+a channel that lists every element of a level to draw one, per-element
+level sums and comparisons, and a text format that lists every element.
 The current code must give the same value, or raise the same exception type,
 on every input tried here, including profiles and strings that no codeword
 produces.
 """
 
 import itertools
+import os
 import random
 from collections import Counter
 
@@ -32,6 +34,9 @@ from compocode.compositions import (
     compose_all,
     cumulative_weights,
     mirror_mismatches,
+    multiset_symmetric_difference,
+    parse,
+    serialize,
     sigma_from_weights,
     sigma_of_string,
     sigma_partial,
@@ -420,6 +425,65 @@ def loop_corrupt(c, model: ErrorModel, rng=None, adversarial=False):
     return out, log
 
 
+def loop_cumulative_weights(c: CompositionMultiset) -> tuple[int, ...]:
+    """w_l = sum of 1-counts at level l; returned 0-indexed (entry l-1 = w_l)."""
+    return tuple(
+        sum(w * cnt for w, cnt in c.levels[l].items()) for l in range(1, c.n + 1))
+
+
+def loop_multiset_symmetric_difference(c1, c2):
+    """Total count and per-level detail of (C1 \\ C2) u (C2 \\ C1), for any observations."""
+    if c1.n != c2.n:
+        raise ValueError("multisets describe strings of different lengths")
+    count = 0
+    detail: dict[int, list[tuple[int, int]]] = {}
+    for l in range(1, c1.n + 1):
+        a, b = c1.level_counter(l), c2.level_counter(l)
+        diffs = []
+        for w in set(a) | set(b):
+            d = a[w] - b[w]
+            if d:
+                diffs.append((w, d))
+                count += abs(d)
+        if diffs:
+            detail[l] = sorted(diffs)
+    return count, detail
+
+
+def loop_serialize(c: CompositionMultiset) -> str:
+    lines = [f"n={c.n}"]
+    for l in range(c.n, 0, -1):
+        ws = sorted(c.levels[l].elements())
+        lines.append(f"{l}: " + " ".join(map(str, ws)))
+    return "\n".join(lines) + "\n"
+
+
+def loop_parse(text: str) -> CompositionMultiset:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith("n="):
+        raise CorruptedInput("first line must be n=<int>")
+    try:
+        n = int(lines[0][2:])
+    except ValueError as e:
+        raise CorruptedInput("malformed n= line") from e
+    if n < 1 or len(lines) != n + 1:
+        raise CorruptedInput(f"expected {n} level lines")
+    levels: dict[int, Counter] = {}
+    for ln in lines[1:]:
+        head, _, rest = ln.partition(":")
+        try:
+            l = int(head)
+            ws = [int(tok) for tok in rest.split()]
+        except ValueError as e:
+            raise CorruptedInput(f"malformed line: {ln!r}") from e
+        if l in levels:
+            raise CorruptedInput(f"level {l} repeated")
+        levels[l] = Counter(ws)
+    c = CompositionMultiset(n, levels)
+    c.validate_shape()
+    return c
+
+
 # -- the comparisons ----------------------------------------------------------
 
 
@@ -594,3 +658,115 @@ def test_corrupt_matches_the_loop():
             assert corrupt_outcome(corrupt, observe, s, model, seed, adversarial) == \
                 corrupt_outcome(loop_corrupt, observe, s, model, seed, adversarial), \
                 (s, model, adversarial)
+
+
+def seeded_multisets(seed, lengths):
+    """compose_all of a random string of each length, then the same multiset
+    after 1-3 asymmetric or symmetric errors, uniform or adversarial."""
+    rng = random.Random(seed)
+    for n in lengths:
+        c = compose_all(random_bits(rng, n))
+        yield c
+        for kind in ("asymmetric", "symmetric"):
+            t = rng.randint(1, 3)
+            if kind == "asymmetric" and t > (n + 1) // 2 or t > n:
+                continue
+            yield corrupt(c, ErrorModel(kind, t), rng, adversarial=rng.random() < 0.3)[0]
+
+
+def test_cumulative_weights_matches_the_loop():
+    for c in seeded_multisets(26, range(1, 61)):
+        assert cumulative_weights(c) == loop_cumulative_weights(c)
+
+
+def test_symmetric_difference_matches_the_loop():
+    # equal, shifted and zero-delta observations, dense and sparse alike
+    rng = random.Random(27)
+    for n in range(1, 41):
+        s = random_bits(rng, n)
+        dense, sparse = compose_all(s), DeltaObservation(s)
+        shifted = corrupt(sparse, ErrorModel("symmetric", min(n, 2)), rng)[0]
+        undone = shifted.copy()  # reverted one error at a time: an empty delta
+        for l, d in shifted.delta.items():
+            (lo, _), (hi, _) = sorted(d.items(), key=lambda item: item[1])
+            undone.replace(l, hi, lo)
+        assert undone.delta == {}
+        other = compose_all(random_bits(rng, n))
+        for a, b in ((dense, sparse), (sparse, sparse), (dense, shifted),
+                     (shifted, sparse), (undone, dense), (dense, other),
+                     (shifted, other)):
+            assert multiset_symmetric_difference(a, b) == \
+                loop_multiset_symmetric_difference(a, b)
+
+
+def text_outcome(parse_fn, text):
+    """n and every level's items in order, or the exception's type and message."""
+    try:
+        c = parse_fn(text)
+    except Exception as e:  # noqa: BLE001 - compared, not swallowed
+        return type(e), str(e)
+    return c.n, [(l, list(level.items())) for l, level in c.levels.items()]
+
+
+# Replacements for one token: non-canonical spellings of a weight, a negative
+# or out-of-range weight, and text int() rejects.
+TOKENS = ("01", "+1", "1_0", "00", "-1", "-0", "\u0663", "99", "x", "1.0",
+          "1__0", "_1", "0x1", "1e0")
+
+
+def malformed(rng, text):
+    """text with one random defect: a token, a level line or the n= line."""
+    lines = text.splitlines()
+    i = rng.randrange(1, len(lines))
+    head, _, rest = lines[i].partition(": ")
+    toks = rest.split()
+    kind = rng.randrange(7)
+    if kind == 0 and toks:  # respell or replace a token
+        toks[rng.randrange(len(toks))] = rng.choice(TOKENS)
+        lines[i] = f"{head}: " + " ".join(toks)
+    elif kind == 1 and toks:  # a 0-padded copy of one token replaces a token
+        j = rng.randrange(len(toks))
+        toks.insert(j, "0" + toks[j])
+        del toks[j + 1 if rng.random() < 0.5 else rng.randrange(len(toks))]
+        lines[i] = f"{head}: " + " ".join(toks)
+    elif kind == 2:  # repeat a level line
+        lines.insert(i, lines[rng.randrange(1, len(lines))])
+    elif kind == 3:  # drop a level line
+        del lines[i]
+    elif kind == 4:  # relabel a level
+        lines[i] = f"{rng.choice(('0', '-1', '01', 'x', '', str(len(lines))))}: {rest}"
+    elif kind == 5:  # break the n= line
+        lines[0] = rng.choice(("n=", "n=x", "n=0", "n=-1", "m=3", "n= 05",
+                               f"n={len(lines)}", f"n={len(lines) - 2}",
+                               "n=1_0", f"n=+{len(lines) - 1}"))
+    else:  # blank lines, padding and CRLF endings parse like the clean text
+        lines.insert(i, "  ")
+        lines[i - 1] = f"\t{lines[i - 1]}  "
+        return "\r\n".join(lines) + "\r\n"
+    return "\n".join(lines) + "\n"
+
+
+def test_text_format_matches_the_loop():
+    rng = random.Random(28)
+    for c in seeded_multisets(29, range(1, 81)):
+        text = serialize(c)
+        assert text == loop_serialize(c)
+        assert text_outcome(parse, text) == text_outcome(loop_parse, text)
+        for _ in range(3):
+            bad = malformed(rng, text)
+            assert text_outcome(parse, bad) == text_outcome(loop_parse, bad), bad
+    for bad in ("", "\n\n", "n=1", "1: 0", "n=1\n1: 0 01", "n=2\n2: 1\n1: 0 01",
+                "n=2\n2: 1\n1: 1 01", "n=2\n1: 0 1\n2: 1", "n=2\n2: 1\n2: 1"):
+        assert text_outcome(parse, bad) == text_outcome(loop_parse, bad), bad
+
+
+def test_text_format_reproduces_the_fixtures():
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    texts = []
+    for name in sorted(os.listdir(fixtures)):
+        with open(os.path.join(fixtures, name)) as f:
+            texts.append(f.read())
+    multisets = [text for text in texts if text.startswith("n=")]
+    assert len(multisets) == 3
+    for text in multisets:
+        assert serialize(parse(text)) == text

@@ -665,6 +665,26 @@ def test_catalan_decode_clean_and_single_errors():
             assert catalan_code_decode_bruteforce(cc, 1) == s
 
 
+def test_catalan_decode_weighs_the_observation_once(monkeypatch):
+    # each revert moves one level weight, so the candidate enumeration
+    # carries the profile down instead of re-summing every level per node
+    calls = []
+    weigh = sym.cumulative_weights
+
+    def counting_weights(c):
+        calls.append(c)
+        return weigh(c)
+
+    monkeypatch.setattr(sym, "cumulative_weights", counting_weights)
+    rng = random.Random(15)
+    s = catalan_code_encode("101", 1)
+    for errors in (0, 1):
+        c, _ = corrupt(compose_all(s), ErrorModel("symmetric", errors), rng)
+        calls.clear()
+        assert catalan_code_decode_bruteforce(c, 1) == s
+        assert calls == [c]
+
+
 def test_catalan_decode_flags_unexplainable_input():
     s = catalan_code_encode("010", 1)
     c = compose_all(s)
