@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from . import compositions
 from .backtrack import ReconstructionFailure, tolerant_reconstruct
-from .catalan import sr_decode, sr_encode, sr_size
+from .catalan import sr_decode, sr_encode, sr_params, sr_size
 from .compositions import (
     CompositionMultiset,
     CorruptedInput,
@@ -46,11 +46,11 @@ from .fields import ternary_erasure_decode, ternary_erasure_encode, ternary_fiel
 
 def s1_params(k: int) -> int:
     """Smallest odd n with ceil(n/2) = 0 mod 3 whose inner codebook fits k bits."""
-    n = 5
-    while True:
-        if (n + 1) // 2 % 3 == 0 and sr_size(n - 3, 0) >= 2 ** k:
-            return n
+    # no inner length below sr_params(k, 0) fits k bits
+    n = (sr_params(k, 0) + 3) | 1
+    while (n + 1) // 2 % 3 or sr_size(n - 3, 0) < 2 ** k:
         n += 2
+    return n
 
 
 def _checksum(s: str) -> int:
@@ -156,9 +156,7 @@ def st_params(k: int, t: int):
     """(m, n) for the t-error code: inner length and total length."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    m = 2 * t + 2
-    while sr_size(m, t) < 2 ** k:
-        m += 2
+    m = sr_params(k, t)
     e = ternary_field_params(m // 2, 3 * t)
     n = m + 6 * t * e
     return m, n

@@ -11,7 +11,8 @@ observed level n-k.  The sigma value of the next pair leaves zero (sigma in
 {0,2}) or two (sigma = 1) branch choices; when sigma = 1 and the prefix and
 suffix have equal weight the two choices are indistinguishable at this level
 (a guess) and the search explores both depth-first, rolling back on the first
-inconsistency.
+inconsistency.  It runs as one loop over an explicit stack of placements, so
+no call depth grows with n.
 
 Reconstruction is inherently two-sided: C(s) = C(s^r), so the first sigma = 1
 pair is fixed canonically to (0, 1) and reversals are restored afterwards.
@@ -88,59 +89,66 @@ def _excess(rem) -> int:
     return (sum(map(abs, r)) + sum(r)) // 2
 
 
+def _finalize(c, s: str, n: int, steps: int, bad_levels) -> bool:
+    """Whether s matches the levels the search skips: 1 .. n-steps-1 and n.
+
+    Level l of s is the lane-wise difference of its packed prefix weights X
+    shifted down by l lanes and X itself; prefix weights never decrease, so
+    no lane borrows.
+    """
+    X = _pack(prefix_weights(s))
+    for l in (*range(1, n - steps), n):
+        size = n + 1 - l
+        windows = (X >> 32 * l) - (X & ((1 << 32 * size) - 1))
+        if _excess(_remainder(c.levels[l], windows, size)) > (l in bad_levels):
+            return False
+    return True
+
+
 def _search(c, sigma, bad_levels, stats, *, collect_all):
     """Depth-first pair placement.  Returns the list of consistent strings.
 
-    With k pairs placed, Q holds W - wt(s_1^j) in lane j-1 and S holds
-    wt(s_{n+1-i}^n) in lane k-i, so lane j-1 of Q - S is the weight of the
-    level-(n-k-1) window s_{j+1} .. s_{n-k-1+j}, for j = 1..k: the windows
-    the next pair does not touch.  A level matches when the windows leave
-    no observed element unexplained (one at a corrupted level); validate_shape
-    has fixed every level's size, so this is multiset equality.
+    The stack holds placements (k, (a, b, pw, sw), Q, S) of the k-th pair
+    (a, b) = (s_k, s_{n+1-k}), with the prefix and suffix weights after it.
+    Q holds W - wt(s_1^j) in lane j-1 and S holds wt(s_{n+1-i}^n) in lane
+    k-i, so lane j-1 of Q - S is the weight of the level-(n-k-1) window
+    s_{j+1} .. s_{n-k-1+j}, for j = 1..k: the windows the next pair does not
+    touch.  A level matches when the windows leave no observed element
+    unexplained (one at a corrupted level); validate_shape has fixed every
+    level's size, so this is multiset equality.
+
+    A backtrack is an entered placement with no solution below it.  In
+    depth-first order a solution's path is new from where it leaves the
+    last solution's, so `shared`, the pairs the current path shares with
+    the last solution, lets each solution-path placement be counted once.
     """
     n = c.n
-    h = (n + 1) // 2
     W = sum(sigma)
     steps = n // 2
-    prefix: list[str] = []
-    suffix: list[str] = []  # suffix[k-1] = s_{n+1-k}
-    pw = [0]
-    sw = [0]
-    solutions: list[str] = []
+    mid = str(sigma[steps]) if n % 2 else ""
     first_one = next((i for i in range(steps) if sigma[i] == 1), None)
-
-    def order_choices(k, choices, rem):
-        # try first the branch matching the largest composition left at the
-        # next level after the already-determined ones are taken out
-        wmax = max((w for w, r in rem.items() if r > 0), default=None)
-        if wmax is None:
-            return choices
-
-        def score(pair):
-            a, b = pair
-            new = (W - sw[k] - (b == "1"), W - pw[k] - (a == "1"))
-            return 0 if wmax in new else 1
-
-        return tuple(sorted(choices, key=score))
-
-    def finalize(s):
-        # extend checked levels n-steps..n-1 on the way down.  Level l of
-        # the string is the lane-wise difference of its packed prefix
-        # weights X shifted down by l lanes and X itself; prefix weights
-        # never decrease, so no lane borrows.
-        X = _pack(prefix_weights(s))
-        for l in (*range(1, n - steps), n):
-            size = n + 1 - l
-            windows = (X >> 32 * l) - (X & ((1 << 32 * size) - 1))
-            if _excess(_remainder(c.levels[l], windows, size)) > (l in bad_levels):
-                return False
-        solutions.append(s)
-        return True
-
-    def extend(k, Q, S):
+    solutions: list[str] = []
+    path: list[tuple] = []  # path[i] is the placement of pair i+1
+    stack = [(0, ("", "", 0, 0), 0, 0)]
+    entered = on_path = shared = 0
+    while stack:
+        k, pair, Q, S = stack.pop()
+        _, _, pw, sw = pair
+        if k:
+            entered += 1
+            del path[k - 1:]
+            path.append(pair)
+            shared = min(shared, k - 1)
         if k == steps:
-            mid = str(sigma[h - 1]) if n % 2 else ""
-            return finalize("".join(prefix) + mid + "".join(reversed(suffix)))
+            s = "".join(p[0] for p in path) + mid + \
+                "".join(p[1] for p in reversed(path))
+            if _finalize(c, s, n, steps, bad_levels):
+                solutions.append(s)
+                on_path += k - shared
+                shared = k
+                if not collect_all:
+                    break
+            continue
         # level n-k-1 less its k windows already known
         m = n - k - 1
         rem = _remainder(c.levels[m], Q - S, k)
@@ -150,40 +158,27 @@ def _search(c, sigma, bad_levels, stats, *, collect_all):
             if k == first_one:
                 choices = (("0", "1"),)
             else:
-                if pw[k] == sw[k]:
+                if pw == sw:
                     stats.guesses += 1
-                choices = order_choices(k, choices, rem)
-        found = False
-        for a, b in choices:
-            pa = pw[k] + (a == "1")
-            sb = sw[k] + (b == "1")
+                # try first the branch whose new windows hold the largest
+                # weight left at level m: W - sw and W - pw - 1 for (1, 0).
+                # Some weight is left, since validate_shape gave level m k+2
+                # elements and the k known windows explain at most k of them
+                wmax = max(w for w, r in rem.items() if r > 0)
+                if wmax in (W - sw, W - pw - 1) and \
+                        wmax not in (W - sw - 1, W - pw):
+                    choices = choices[::-1]
+        for a, b in reversed(choices):
+            pa = pw + (a == "1")
+            sb = sw + (b == "1")
             # the pair's two windows, s_1 .. s_{n-k-1} and s_{k+2} .. s_n,
             # each explain one element if level n-k-1 has one left for it
             x, y = W - sb, W - pa
             if excess - (rem.get(x, 0) > 0) - (rem.get(y, 0) - (x == y) > 0) \
                     <= (m in bad_levels):
-                prefix.append(a)
-                suffix.append(b)
-                pw.append(pa)
-                sw.append(sb)
-                below = extend(k + 1, Q | (W - pa) << 32 * k, S << 32 | sb)
-                if not below:
-                    stats.backtracks += 1
-                found = found or below
-                prefix.pop()
-                suffix.pop()
-                pw.pop()
-                sw.pop()
-            if found and not collect_all:
-                break
-        return found
-
-    try:
-        extend(0, 0, 0)
-    finally:
-        # extend's closure holds extend itself: clearing the cell frees the
-        # closure, and c with it, now rather than at the next cyclic GC
-        del extend
+                stack.append((k + 1, (a, b, pa, sb),
+                              Q | (W - pa) << 32 * k, S << 32 | sb))
+    stats.backtracks += entered - on_path
     return solutions
 
 

@@ -152,8 +152,8 @@ def sr_size(n: int, t: int = 0) -> int:
     return sum(_block_sizes(n // 2 - t - 1))
 
 
-# bounded: sr_params' search visits every shorter length, and keeping all
-# their tables would double a recon process's memory at k = 1024
+# bounded: a table holds about n/2 big ints, and a process needs only those
+# of the few lengths its parameter searches try
 @lru_cache(maxsize=8)
 def _block_sizes(hf: int) -> tuple[int, ...]:
     """Codewords per 1-count block: hf free first-half positions (t+2 .. n/2),
@@ -167,7 +167,9 @@ def sr_params(k: int, t: int = 0):
     """Smallest codeword length n with codebook size >= 2^k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = 2 * t + 2
+    # a codeword fixes 2t+2 bits (0^t, 1^t, s_{t+1} = 0 and its mirror), so
+    # sr_size(n, t) <= 2^(n-2-2t) < 2^k below k+2+2t; t >= 1 takes even n
+    n = k + 2 + 2 * t + (k % 2 if t else 0)
     while sr_size(n, t) < 2 ** k:
         n += 1 if t == 0 else 2
     return n

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -53,6 +54,13 @@ def test_s1_params_structure():
         n = s1_params(k)
         assert n % 2 == 1
         assert (n + 1) // 2 % 3 == 0
+
+
+def test_params_reject_an_empty_info_word():
+    # both codes embed a reconstruction codeword, which needs k >= 1
+    for params in (lambda: s1_params(0), lambda: st_params(0, 1)):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            params()
 
 
 def test_s1_encode_invariants():
@@ -157,6 +165,19 @@ def test_s1_decode_all_single_errors():
             c = compose_all(s)
             corrupt(c, level, rng)
             assert s1_decode(c, k) == info, (info, level)
+
+
+def test_s1_decode_has_no_recursion_cliff():
+    rng = random.Random(2048)
+    info = random_info(rng, 2048)
+    c = compose_all(s1_encode(info))
+    corrupt(c, rng.randint(1, c.n), rng)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        assert s1_decode(c, 2048) == info
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_s1_fixture_reconstructions():

@@ -390,3 +390,17 @@ def test_decoding_leaves_no_reference_cycle():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_reconstruct_unique_has_no_recursion_cliff():
+    # n = 4,103: the search runs as one loop, so no call depth grows with n
+    rng = random.Random(4096)
+    cw = sr_encode("".join(rng.choice("01") for _ in range(4096)))
+    c = compose_all(cw)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        s, stats = reconstruct_unique(c)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert s == cw and stats.backtracks == 0

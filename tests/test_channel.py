@@ -1,7 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
+from compocode.backtrack import ReconstructionFailure
 from compocode.channel import (
     REGISTRY,
     ErrorModel,
@@ -95,6 +97,27 @@ def test_report_accounting():
     rep = TrialReport("x", {}, 10, 7, {"boom": 3}, seed=1)
     assert rep.successes + sum(rep.failures.values()) == rep.trials
     assert rep.success_rate == 0.7
+
+
+def failing_recon(exc, recon=REGISTRY["recon"]):
+    """The recon builder with a decoder that raises exc."""
+    def build(k, t):
+        def decode(c):
+            raise exc
+        return dataclasses.replace(recon(k, t), decode=decode)
+    return build
+
+
+def test_run_trials_counts_decode_failures_and_raises_faults(monkeypatch):
+    model = ErrorModel("symmetric", 0)
+    monkeypatch.setitem(REGISTRY, "recon",
+                        failing_recon(ReconstructionFailure("no string")))
+    rep = run_trials("recon", {"k": 4}, model, trials=2)
+    assert rep.failures == {"ReconstructionFailure": 2}
+    # a programming error is not a channel failure
+    monkeypatch.setitem(REGISTRY, "recon", failing_recon(TypeError("bug")))
+    with pytest.raises(TypeError):
+        run_trials("recon", {"k": 4}, model, trials=2)
 
 
 def test_unknown_scheme_and_model():

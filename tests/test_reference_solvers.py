@@ -6,7 +6,8 @@ lattice-path ranker of its own, per-substring composition counting, a
 reconstruction search that recomposes every level of each candidate, and a
 sym-catalan candidate enumeration that solves sigma before reconstruct does,
 a channel that lists every element of a level to draw one, per-element
-level sums and comparisons, and a text format that lists every element.
+level sums and comparisons, a text format that lists every element, and
+parameter searches that walk up from the shortest admissible length.
 The current code must give the same value, or raise the same exception type,
 on every input tried here, including profiles and strings that no codeword
 produces.
@@ -17,7 +18,14 @@ import os
 import random
 from collections import Counter
 
-from compocode.asym import recover_w1, s1_encode, s1_recover_sigma, st_encode
+from compocode.asym import (
+    recover_w1,
+    s1_encode,
+    s1_params,
+    s1_recover_sigma,
+    st_encode,
+    st_params,
+)
 from compocode.backtrack import (
     BacktrackStats,
     ReconstructionFailure,
@@ -25,7 +33,7 @@ from compocode.backtrack import (
     _search,
     reconstruct,
 )
-from compocode.catalan import cb_count, sr_encode
+from compocode.catalan import cb_count, sr_encode, sr_params, sr_size
 from compocode.channel import ErrorModel, corrupt
 from compocode.compositions import (
     CompositionMultiset,
@@ -42,6 +50,7 @@ from compocode.compositions import (
     sigma_partial,
     weights_from_sigma,
 )
+from compocode.fields import ternary_field_params
 from compocode.sym import (
     DeltaObservation,
     catalan_code_decode_bruteforce,
@@ -203,6 +212,34 @@ def loop_catalan_unrank(r, h):
             out.append("1")
             d -= 1
     return "".join(out)
+
+
+def loop_sr_params(k, t=0):
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = 2 * t + 2
+    while sr_size(n, t) < 2 ** k:
+        n += 1 if t == 0 else 2
+    return n
+
+
+def loop_s1_params(k):
+    n = 5
+    while True:
+        if (n + 1) // 2 % 3 == 0 and sr_size(n - 3, 0) >= 2 ** k:
+            return n
+        n += 2
+
+
+def loop_st_params(k, t):
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    m = 2 * t + 2
+    while sr_size(m, t) < 2 ** k:
+        m += 2
+    e = ternary_field_params(m // 2, 3 * t)
+    n = m + 6 * t * e
+    return m, n
 
 
 def loop_of_string(s):
@@ -552,6 +589,15 @@ def test_catalan_ranker_matches_the_loop():
     for _ in range(2000):
         s = random_bits(rng, rng.randint(10, 41))
         assert outcome(catalan_rank, s) == outcome(loop_catalan_rank, s), s
+
+
+def test_parameter_searches_match_the_loops():
+    for k in range(1, 401):
+        assert s1_params(k) == loop_s1_params(k), k
+        for t in range(4):
+            assert sr_params(k, t) == loop_sr_params(k, t), (k, t)
+            if t:
+                assert st_params(k, t) == loop_st_params(k, t), (k, t)
 
 
 def search_outcome(search, c, sigma, bad_levels, collect_all):
