@@ -194,11 +194,10 @@ def st_decode(c: CompositionMultiset, k: int, t: int) -> str:
     sigma_vals, known = sigma_partial(w_obs, n)
     word = [v if ok else None for v, ok in zip(sigma_vals, known)]
     try:
-        sig = ternary_erasure_decode(word, m // 2, 3 * t)
+        sigma = ternary_erasure_decode(word, m // 2, 3 * t)
     except ValueError as e:
         raise ReconstructionFailure(f"sigma recovery failed: {e}") from e
-    full_sigma = tuple(ternary_erasure_encode(sig, 3 * t))
-    s, _ = tolerant_reconstruct(c, w_obs, full_sigma, t)
+    s, _ = tolerant_reconstruct(c, w_obs, sigma, t)
     inner = s[:m // 2] + s[n - m // 2:]
     return sr_decode(inner, k, t)
 

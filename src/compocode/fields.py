@@ -9,7 +9,8 @@
 Both expose add/sub/mul/inv, so one Berlekamp-Massey serves the sparse
 polynomial recovery over GF(q), the systematic erasure code over the ternary
 alphabet (built on GF(3^e)) and the systematic binary BCH codes of minimum
-distance 2t+1 (built on GF(2^m)).
+distance 2t+1 (built on GF(2^m)).  Both codes' decoders return the whole
+corrected codeword, message first, so no caller re-encodes what it decoded.
 """
 
 from __future__ import annotations
@@ -407,6 +408,34 @@ def _rs_interpolate_eval(F: GF, pts, targets):
     return out
 
 
+def _ternary_complete(word, msg_len: int, n_era: int) -> list[int]:
+    """The codeword that the first K intact field symbols of word fix, with
+    erased digits marked None: message digits first, then the check digits.
+
+    The message, zero-padded to K symbols of e digits, and the n_era check
+    symbols sit at the points alpha^0, alpha^1, ...; the interpolant through
+    the first K intact symbols is evaluated at every point.  A codeword's pad
+    digits are zero, so a nonzero one means that no codeword fits.
+    """
+    e = ternary_field_params(msg_len, n_era)
+    F = _field(3, e)
+    K = -(-msg_len // e)
+    if len(word) != msg_len + n_era * e:
+        raise ValueError("codeword length inconsistent with parameters")
+    padded = word[:msg_len] + [0] * (K * e - msg_len) + word[msg_len:]
+    xs = F.antilog[:K + n_era]  # distinct nonzero points
+    chunks = [padded[i * e:(i + 1) * e] for i in range(K + n_era)]
+    known = [(x, F.pack(c)) for x, c in zip(xs, chunks) if None not in c]
+    if len(known) < K:
+        raise EraseBudgetExceeded(
+            f"only {len(known)} intact symbols, need {K}")
+    digits = [d for y in _rs_interpolate_eval(F, known[:K], xs)
+              for d in F.digits(y)]
+    if any(digits[msg_len:K * e]):
+        raise EraseBudgetExceeded("no codeword fits the intact symbols")
+    return digits[:msg_len] + digits[K * e:]
+
+
 def ternary_erasure_encode(msg, n_era: int) -> list[int]:
     """Systematic erasure code over {0,1,2}: message digits verbatim, then
     n_era extension-field check symbols spelled out as ternary digits.
@@ -417,51 +446,17 @@ def ternary_erasure_encode(msg, n_era: int) -> list[int]:
     msg = list(msg)
     if any(d not in (0, 1, 2) for d in msg):
         raise ValueError("message digits must be ternary")
-    if n_era == 0:
-        return msg
     e = ternary_field_params(len(msg), n_era)
-    F = _field(3, e)
-    K = -(-len(msg) // e)
-    padded = msg + [0] * (K * e - len(msg))
-    syms = [F.pack(padded[i * e:(i + 1) * e]) for i in range(K)]
-    xs = [F.antilog[i] for i in range(K + n_era)]  # distinct nonzero points
-    pts = list(zip(xs[:K], syms))
-    parity = _rs_interpolate_eval(F, pts, xs[K:])
-    out = msg[:]
-    for p in parity:
-        out.extend(F.digits(p))
-    return out
+    return _ternary_complete(msg + [None] * (n_era * e), len(msg), n_era)
 
 
 def ternary_erasure_decode(word, msg_len: int, n_era: int) -> list[int]:
-    """Recover the message from a codeword with erased digits marked None."""
+    """The whole codeword, message digits first, from a received word with
+    erased digits marked None."""
     word = list(word)
     if any(d not in (0, 1, 2, None) for d in word):
         raise ValueError("codeword digits must be ternary or None")
-    if n_era == 0:
-        if any(d is None for d in word):
-            raise EraseBudgetExceeded("erasures present but no redundancy")
-        return word[:msg_len]
-    e = ternary_field_params(msg_len, n_era)
-    F = _field(3, e)
-    K = -(-msg_len // e)
-    if len(word) != msg_len + n_era * e:
-        raise ValueError("codeword length inconsistent with parameters")
-    padded = word[:msg_len] + [0] * (K * e - msg_len) + word[msg_len:]
-    xs = [F.antilog[i] for i in range(K + n_era)]
-    known = []
-    for i in range(K + n_era):
-        chunk = padded[i * e:(i + 1) * e]
-        if all(d is not None for d in chunk):
-            known.append((xs[i], F.pack(chunk)))
-    if len(known) < K:
-        raise EraseBudgetExceeded(
-            f"only {len(known)} intact symbols, need {K}")
-    msg_syms = _rs_interpolate_eval(F, known[:K], xs[:K])
-    digits = []
-    for s in msg_syms:
-        digits.extend(F.digits(s))
-    return digits[:msg_len]
+    return _ternary_complete(word, msg_len, n_era)
 
 
 # -- binary BCH codes of distance 2t+1 -------------------------------------
@@ -559,13 +554,14 @@ class BCHCode:
         return bits + [(rem >> i) & 1 for i in range(r)]
 
     def decode(self, received):
+        """The corrected codeword, message bits first."""
         received = list(received)
         if len(received) != self.code_len:
             raise ValueError("codeword length mismatch")
         f, t = self.f, self.t
         synd = self._syndromes(received)
         if all(s == 0 for s in synd):
-            return received[:self.msg_len]
+            return received
         lam = _berlekamp_massey(synd, f)
         L = len(lam) - 1
         if L > t:
@@ -584,7 +580,7 @@ class BCHCode:
             fixed[idx] ^= 1
         if any(self._syndromes(fixed)):
             raise ValueError("correction did not cancel the syndromes")
-        return fixed[:self.msg_len]
+        return fixed
 
 
 # the shared distance-(2t+1) code for msg_len-bit messages

@@ -554,11 +554,10 @@ def etn_decode(obs, t: int) -> str:
     w_obs = obs.weight_profile()
     received = (w_obs[1:half:2] % 2).tolist()
     try:
-        msg = bblock_code(p.msg_len, t).decode(received)
+        sbar = bblock_code(p.msg_len, t).decode(received)
     except ValueError as e:
         raise BlockCodeFailure(f"weight parities undecodable: {e}") from e
-    sbar = bblock_code(p.msg_len, t).encode(msg)
-    a, u_grid = _bits_to_grid(msg, p)
+    a, u_grid = _bits_to_grid(sbar, p)
     z = _parity_block(sbar)
     zeta = z[::-1]
     wt_z = z.count("1")
@@ -600,11 +599,6 @@ def etn_encode_info(info: str, t: int) -> str:
 
 def etn_decode_info(c, k: int, t: int) -> str:
     return sr_decode(etn_decode(c, t), k, 0)
-
-
-def etn_redundancy(k: int, t: int) -> int:
-    u_len = len(sr_encode("0" * k, 0))
-    return poly_params_from_payload(u_len, t).n - k
 
 
 # -- the Catalan-path code --------------------------------------------------
@@ -740,7 +734,12 @@ def catalan_code_decode_bruteforce(c: CompositionMultiset, t: int) -> str:
         raise ValueError("length incompatible with the code format")
     found, tried = set(), set()  # reverts in any order reach one multiset
     for cand in _revert_candidates(c, cumulative_weights(c), t):
-        key = tuple(tuple(sorted(cand.levels[l].items())) for l in range(1, c.n + 1))
+        # a revert writes a copy of its level, so every level the candidate
+        # still shares with c is unchanged; a level reverted and restored is
+        # a copy that compares equal
+        key = tuple((l, tuple(sorted(level.items())))
+                    for l, level in cand.levels.items()
+                    if level is not c.levels[l] and level != c.levels[l])
         if key in tried:
             continue
         tried.add(key)

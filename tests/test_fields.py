@@ -165,7 +165,7 @@ def test_ternary_erasure_roundtrip_no_erasures():
         msg = [rng.randrange(3) for _ in range(20)]
         cw = ternary_erasure_encode(msg, 3 * t)
         assert cw[:20] == msg  # systematic
-        assert ternary_erasure_decode(cw, 20, 3 * t) == msg
+        assert ternary_erasure_decode(cw, 20, 3 * t) == cw
 
 
 def test_ternary_erasure_random_patterns():
@@ -177,7 +177,7 @@ def test_ternary_erasure_random_patterns():
         word = list(cw)
         for pos in rng.sample(range(len(cw)), n_era):
             word[pos] = None
-        assert ternary_erasure_decode(word, msg_len, n_era) == msg
+        assert ternary_erasure_decode(word, msg_len, n_era) == cw
 
 
 def test_ternary_erasure_exhaustive_short():
@@ -188,7 +188,7 @@ def test_ternary_erasure_exhaustive_short():
         word = list(cw)
         for p in positions:
             word[p] = None
-        assert ternary_erasure_decode(word, len(msg), n_era) == msg
+        assert ternary_erasure_decode(word, len(msg), n_era) == cw
 
 
 def test_ternary_erasure_rejects_non_ternary_digits():
@@ -212,6 +212,27 @@ def test_ternary_erasure_budget_exceeded():
         word[i] = None
     with pytest.raises(EraseBudgetExceeded):
         ternary_erasure_decode(word, 9, 2)
+    with pytest.raises(EraseBudgetExceeded):
+        ternary_erasure_decode([None] + msg[1:], 9, 0)
+
+
+def test_ternary_erasure_decode_needs_zero_pad_digits():
+    # 7 digits in K = 4 symbols of e = 2: the last message symbol holds one
+    # pad digit, which a codeword keeps at zero
+    assert ternary_field_params(7, 3) == 2
+    rng = random.Random(7)
+    raised = 0
+    for _ in range(60):
+        word = [rng.randrange(3) for _ in range(13)]
+        word[6] = None
+        try:
+            got = ternary_erasure_decode(word, 7, 3)
+        except EraseBudgetExceeded:
+            raised += 1
+            continue
+        assert got == ternary_erasure_encode(got[:7], 3)
+        assert got[:6] + got[7:9] == word[:6] + word[7:9]
+    assert 0 < raised < 60
 
 
 def test_ternary_erasure_linearity():
@@ -283,7 +304,7 @@ def test_bch_t1_is_hamming_sized():
         for p in range(len(cw)):
             word = list(cw)
             word[p] ^= 1
-            assert code.decode(word) == msg
+            assert code.decode(word) == cw
 
 
 def test_bch_t2_exhaustive_double_errors():
@@ -292,12 +313,12 @@ def test_bch_t2_exhaustive_double_errors():
     for _ in range(10):
         msg = [rng.randrange(2) for _ in range(9)]
         cw = code.encode(msg)
-        assert code.decode(list(cw)) == msg
+        assert code.decode(list(cw)) == cw
         for flips in itertools.combinations(range(len(cw)), 2):
             word = list(cw)
             for p in flips:
                 word[p] ^= 1
-            assert code.decode(word) == msg
+            assert code.decode(word) == cw
 
 
 def test_bch_larger_instance_random_errors():
@@ -309,4 +330,4 @@ def test_bch_larger_instance_random_errors():
         word = list(cw)
         for p in rng.sample(range(len(word)), t):
             word[p] ^= 1
-        assert bblock_code(msg_len, t).decode(word) == msg
+        assert bblock_code(msg_len, t).decode(word) == cw

@@ -14,6 +14,7 @@ import pytest
 
 from compocode.asym import s1_params, st_encode, st_params
 from compocode.catalan import sr_params, sr_size
+from compocode.channel import ErrorModel, run_trials
 from compocode.fields import GF, BCHCode, ternary_erasure_encode, ternary_field_params
 from compocode.sym import catalan_code_encode, etn_encode_info
 
@@ -118,3 +119,57 @@ def test_memoised_sr_size_matches_the_sum(t):
     lengths = range(2 * t + 2, recorded_sr_params(t)[-1] + 1, 1 if t == 0 else 2)
     assert [sr_size(n, t) for n in lengths] == \
         [sr_size.__wrapped__(n, t) for n in lengths]
+
+
+# same-seed run_trials reports, in budget and beyond it, for every scheme;
+# recorded while ternary_erasure_decode and BCHCode.decode still returned
+# only the message and their callers re-encoded it
+TRIAL_REPORTS = [
+    ("recon", {"k": 16}, "asymmetric", 0, 20,
+     '{"failures": {}, "mean_backtracks": 0.0, "params": {"k": 16}, '
+     '"scheme": "recon", "seed": 1, "success_rate": 1.0, "successes": 20, '
+     '"trials": 20}'),
+    ("recon", {"k": 16}, "asymmetric", 1, 20,
+     '{"failures": {"ReconstructionFailure": 20}, "mean_backtracks": 0.0, '
+     '"params": {"k": 16}, "scheme": "recon", "seed": 1, "success_rate": 0.0, '
+     '"successes": 0, "trials": 20}'),
+    ("asym1", {"k": 16}, "asymmetric", 1, 30,
+     '{"failures": {}, "mean_backtracks": 0.0, "params": {"k": 16}, '
+     '"scheme": "asym1", "seed": 1, "success_rate": 1.0, "successes": 30, '
+     '"trials": 30}'),
+    ("asym1", {"k": 16}, "asymmetric", 2, 30,
+     '{"failures": {"CorruptedInput": 30}, "mean_backtracks": 0.0, '
+     '"params": {"k": 16}, "scheme": "asym1", "seed": 1, "success_rate": 0.0, '
+     '"successes": 0, "trials": 30}'),
+    ("asym-t", {"k": 16, "t": 2}, "symmetric", 2, 100,
+     '{"failures": {"ReconstructionFailure": 3}, "mean_backtracks": 0.0, '
+     '"params": {"k": 16, "t": 2}, "scheme": "asym-t", "seed": 1, '
+     '"success_rate": 0.97, "successes": 97, "trials": 100}'),
+    ("asym-t", {"k": 16, "t": 2}, "asymmetric", 3, 30,
+     '{"failures": {"ReconstructionFailure": 30}, "mean_backtracks": 0.0, '
+     '"params": {"k": 16, "t": 2}, "scheme": "asym-t", "seed": 1, '
+     '"success_rate": 0.0, "successes": 0, "trials": 30}'),
+    ("sym-poly", {"k": 4, "t": 1}, "symmetric", 1, 3,
+     '{"failures": {}, "mean_backtracks": 0.0, "params": {"k": 4, "t": 1}, '
+     '"scheme": "sym-poly", "seed": 1, "success_rate": 1.0, "successes": 3, '
+     '"trials": 3}'),
+    ("sym-poly", {"k": 4, "t": 1}, "symmetric", 2, 3,
+     '{"failures": {"SparsityExceeded": 3}, "mean_backtracks": 0.0, '
+     '"params": {"k": 4, "t": 1}, "scheme": "sym-poly", "seed": 1, '
+     '"success_rate": 0.0, "successes": 0, "trials": 3}'),
+    ("sym-catalan", {"k": 4, "t": 1}, "symmetric", 1, 10,
+     '{"failures": {}, "mean_backtracks": 0.0, "params": {"k": 4, "t": 1}, '
+     '"scheme": "sym-catalan", "seed": 1, "success_rate": 1.0, '
+     '"successes": 10, "trials": 10}'),
+    ("sym-catalan", {"k": 4, "t": 1}, "symmetric", 2, 10,
+     '{"failures": {"ReconstructionFailure": 10}, "mean_backtracks": 0.0, '
+     '"params": {"k": 4, "t": 1}, "scheme": "sym-catalan", "seed": 1, '
+     '"success_rate": 0.0, "successes": 0, "trials": 10}'),
+]
+
+
+@pytest.mark.parametrize("scheme, params, kind, errors, trials, report",
+                         TRIAL_REPORTS)
+def test_trial_reports_pinned(scheme, params, kind, errors, trials, report):
+    got = run_trials(scheme, params, ErrorModel(kind, errors), trials, seed=1)
+    assert got.to_json() == report

@@ -5,14 +5,19 @@ import importlib.util
 import itertools
 import os
 import pkgutil
+import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import compocode
+from compocode import asym, fields, sym
 from compocode.catalan import sr_decode, sr_encode, sr_size
+from compocode.channel import ErrorModel, corrupt
+from compocode.compositions import compose_all
 
 PACKAGE_DIR = Path(compocode.__file__).parent
 
@@ -144,3 +149,31 @@ def test_sr_decode_failures_are_classified_by_the_bench():
                 assert sr_encode(info, t, n) == s, (s, t)
     assert messages == {"membership violation",
                         "codeword outside the 2^k information range"}
+
+
+def test_no_decoder_calls_an_encoder(monkeypatch):
+    # the systematic decoders return the whole corrected codeword, so the
+    # t-error decoders never re-encode what they just decoded
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(asym, "ternary_erasure_encode",
+                        counting("ternary", asym.ternary_erasure_encode))
+    monkeypatch.setattr(fields.BCHCode, "encode",
+                        counting("bch", fields.BCHCode.encode))
+    rng = random.Random(28)
+    info = "".join(rng.choice("01") for _ in range(16))
+    c, _ = corrupt(compose_all(asym.st_encode(info, 2)),
+                   ErrorModel("asymmetric", 2), rng)
+    u = sr_encode(info[:8], 0)
+    obs, _ = corrupt(sym.DeltaObservation(sym.etn_encode(u, 1)),
+                     ErrorModel("symmetric", 1), rng)
+    calls.clear()
+    assert asym.st_decode(c, 16, 2) == info
+    assert sym.etn_decode(obs, 1) == u
+    assert calls == {}

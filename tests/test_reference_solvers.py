@@ -6,8 +6,9 @@ lattice-path ranker of its own, per-substring composition counting, a
 reconstruction search that recomposes every level of each candidate, and a
 sym-catalan candidate enumeration that solves sigma before reconstruct does,
 a channel that lists every element of a level to draw one, per-element
-level sums and comparisons, a text format that lists every element, and
-parameter searches that walk up from the shortest admissible length.
+level sums and comparisons, a text format that lists every element,
+parameter searches that walk up from the shortest admissible length, and
+ternary erasure and BCH decoders that return only the message.
 The current code must give the same value, or raise the same exception type,
 on every input tried here, including profiles and strings that no codeword
 produces.
@@ -17,6 +18,8 @@ import itertools
 import os
 import random
 from collections import Counter
+
+import numpy as np
 
 from compocode.asym import (
     recover_w1,
@@ -50,7 +53,16 @@ from compocode.compositions import (
     sigma_partial,
     weights_from_sigma,
 )
-from compocode.fields import ternary_field_params
+from compocode.fields import (
+    BCHCode,
+    EraseBudgetExceeded,
+    _berlekamp_massey,
+    _field,
+    _rs_interpolate_eval,
+    ternary_erasure_decode,
+    ternary_erasure_encode,
+    ternary_field_params,
+)
 from compocode.sym import (
     DeltaObservation,
     catalan_code_decode_bruteforce,
@@ -521,6 +533,93 @@ def loop_parse(text: str) -> CompositionMultiset:
     return c
 
 
+def loop_ternary_erasure_encode(msg, n_era: int) -> list[int]:
+    """Systematic erasure code over {0,1,2}: message digits verbatim, then
+    n_era extension-field check symbols spelled out as ternary digits.
+
+    Any n_era erased digit positions remain correctable, since each erased
+    digit costs at most one field symbol.
+    """
+    msg = list(msg)
+    if any(d not in (0, 1, 2) for d in msg):
+        raise ValueError("message digits must be ternary")
+    if n_era == 0:
+        return msg
+    e = ternary_field_params(len(msg), n_era)
+    F = _field(3, e)
+    K = -(-len(msg) // e)
+    padded = msg + [0] * (K * e - len(msg))
+    syms = [F.pack(padded[i * e:(i + 1) * e]) for i in range(K)]
+    xs = [F.antilog[i] for i in range(K + n_era)]  # distinct nonzero points
+    pts = list(zip(xs[:K], syms))
+    parity = _rs_interpolate_eval(F, pts, xs[K:])
+    out = msg[:]
+    for p in parity:
+        out.extend(F.digits(p))
+    return out
+
+
+def loop_ternary_erasure_decode(word, msg_len: int, n_era: int) -> list[int]:
+    """Recover the message from a codeword with erased digits marked None."""
+    word = list(word)
+    if any(d not in (0, 1, 2, None) for d in word):
+        raise ValueError("codeword digits must be ternary or None")
+    if n_era == 0:
+        if any(d is None for d in word):
+            raise EraseBudgetExceeded("erasures present but no redundancy")
+        return word[:msg_len]
+    e = ternary_field_params(msg_len, n_era)
+    F = _field(3, e)
+    K = -(-msg_len // e)
+    if len(word) != msg_len + n_era * e:
+        raise ValueError("codeword length inconsistent with parameters")
+    padded = word[:msg_len] + [0] * (K * e - msg_len) + word[msg_len:]
+    xs = [F.antilog[i] for i in range(K + n_era)]
+    known = []
+    for i in range(K + n_era):
+        chunk = padded[i * e:(i + 1) * e]
+        if all(d is not None for d in chunk):
+            known.append((xs[i], F.pack(chunk)))
+    if len(known) < K:
+        raise EraseBudgetExceeded(
+            f"only {len(known)} intact symbols, need {K}")
+    msg_syms = _rs_interpolate_eval(F, known[:K], xs[:K])
+    digits = []
+    for s in msg_syms:
+        digits.extend(F.digits(s))
+    return digits[:msg_len]
+
+
+def loop_bch_decode(code: BCHCode, received):
+    """BCHCode.decode when it returned only the message bits."""
+    received = list(received)
+    if len(received) != code.code_len:
+        raise ValueError("codeword length mismatch")
+    f, t = code.f, code.t
+    synd = code._syndromes(received)
+    if all(s == 0 for s in synd):
+        return received[:code.msg_len]
+    lam = _berlekamp_massey(synd, f)
+    L = len(lam) - 1
+    if L > t:
+        raise ValueError("more errors than the design distance allows")
+    # Chien search: Lambda(alpha^-deg) at every bit index at once, the
+    # terms c_j alpha^(-j deg) summed (xor) through the log table
+    acc = np.zeros(code.code_len, dtype=np.int64)
+    for j, c in enumerate(lam):
+        if c:
+            acc ^= code._antilog[(f.log[c] - j * code._degree) % f.order]
+    roots = np.flatnonzero(acc == 0)
+    if len(roots) != L:
+        raise ValueError("error locator failed to split over the block")
+    fixed = received[:]
+    for idx in roots.tolist():
+        fixed[idx] ^= 1
+    if any(code._syndromes(fixed)):
+        raise ValueError("correction did not cancel the syndromes")
+    return fixed[:code.msg_len]
+
+
 # -- the comparisons ----------------------------------------------------------
 
 
@@ -816,3 +915,67 @@ def test_text_format_reproduces_the_fixtures():
     assert len(multisets) == 3
     for text in multisets:
         assert serialize(parse(text)) == text
+
+
+def erased(rng, word, count):
+    """word with `count` random digits replaced by None."""
+    out = list(word)
+    for pos in rng.sample(range(len(out)), count):
+        out[pos] = None
+    return out
+
+
+def old_codeword(word, msg_len, n_era):
+    """The old decode's message re-encoded, or the old decode's exception type."""
+    got = outcome(loop_ternary_erasure_decode, word, msg_len, n_era)
+    return got if isinstance(got, type) else loop_ternary_erasure_encode(got, n_era)
+
+
+def test_ternary_encode_matches_the_loop():
+    rng = random.Random(25)
+    for msg_len in range(1, 61):
+        for n_era in range(10):
+            msg = [rng.randrange(3) for _ in range(msg_len)]
+            assert ternary_erasure_encode(msg, n_era) == \
+                loop_ternary_erasure_encode(msg, n_era), (msg_len, n_era)
+
+
+def test_ternary_decode_returns_the_codeword_the_loop_re_encodes():
+    rng = random.Random(26)
+    outcomes = Counter()
+    for msg_len in range(1, 41):
+        for n_era in range(7):
+            n_digits = msg_len + n_era * ternary_field_params(msg_len, n_era)
+            cw = ternary_erasure_encode(
+                [rng.randrange(3) for _ in range(msg_len)], n_era)
+            # a codeword within the budget decodes to itself
+            word = erased(rng, cw, rng.randint(0, n_era))
+            assert ternary_erasure_decode(word, msg_len, n_era) == cw == \
+                old_codeword(word, msg_len, n_era), (word, n_era)
+            # a random word either completes as the loop's codeword does, or
+            # has no codeword through its intact symbols
+            word = erased(rng, [rng.randrange(3) for _ in range(n_digits)],
+                          rng.randint(0, min(n_digits, n_era + 2)))
+            got = outcome(ternary_erasure_decode, word, msg_len, n_era)
+            want = old_codeword(word, msg_len, n_era)
+            assert got == want or got is EraseBudgetExceeded, (word, n_era)
+            outcomes[got == want, isinstance(got, list)] += 1
+    # every kind of outcome is reached: a completed word, a word with too
+    # many erasures, and a completion with a nonzero pad digit
+    assert set(outcomes) == {(True, True), (True, False), (False, False)}
+
+
+def test_bch_decode_returns_the_codeword_the_loop_re_encodes():
+    rng = random.Random(27)
+    for msg_len, t in ((11, 1), (57, 2), (200, 3)):
+        code = BCHCode(msg_len, t)
+        for flips in range(2 * t + 3):
+            for _ in range(20):
+                word = code.encode([rng.randrange(2) for _ in range(msg_len)])
+                for pos in rng.sample(range(code.code_len), flips):
+                    word[pos] ^= 1
+                got = outcome(code.decode, word)
+                want = outcome(loop_bch_decode, code, word)
+                if not isinstance(want, type):
+                    want = code.encode(want)
+                assert got == want, (msg_len, t, flips)
