@@ -84,14 +84,14 @@ def s1_encode(info: str, n: int | None = None) -> str:
     return s
 
 
-def recover_w1(w1_obs: int, wn_obs: int, parity: int = 0) -> int:
+def recover_w1(w1_obs: int, wn_obs: int) -> int:
     """True w_1 when at most one of levels 1, n is corrupted.
 
     A corrupted level-1 or level-n element shifts the level weight by exactly
-    one, flipping its parity, so the value with the codeword's weight parity
-    is the clean one.
+    one, flipping its parity; s1_encode's free middle bit makes wt(s) even,
+    so the even value is the clean one.
     """
-    if w1_obs == wn_obs or w1_obs % 2 == parity:
+    if w1_obs == wn_obs or w1_obs % 2 == 0:
         return w1_obs
     return wn_obs
 
@@ -102,7 +102,7 @@ def _mod3_pin(base: int, target: int) -> int:
     return base - (base - target) % 3
 
 
-def s1_recover_sigma(w_obs, n: int, parity: int = 0):
+def s1_recover_sigma(w_obs, n: int):
     """Exact sigma sequence from the weight profile w_1..w_n of a multiset
     with at most one bad element.
 
@@ -119,7 +119,7 @@ def s1_recover_sigma(w_obs, n: int, parity: int = 0):
         raise CorruptedInput("more than one corrupted level: outside the model")
     # trusted profile: levels below j agree with their mirrors (w_1 repaired)
     w = list(w_obs[:h])
-    w[0] = recover_w1(w_obs[0], w_obs[n - 1], parity)
+    w[0] = recover_w1(w_obs[0], w_obs[n - 1])
     j = mism[0] if mism else h
     if j >= 2:
         base = 2 * w[j - 2] - (w[j - 3] if j >= 3 else 0)
@@ -127,11 +127,11 @@ def s1_recover_sigma(w_obs, n: int, parity: int = 0):
     return compositions.sigma_from_weights(w, n)
 
 
-def s1_reconstruct(c: CompositionMultiset, parity: int = 0) -> str:
+def s1_reconstruct(c: CompositionMultiset) -> str:
     """The codeword string behind a multiset with at most one bad element."""
     c.validate_shape()
     w_obs = cumulative_weights(c)
-    sigma = s1_recover_sigma(w_obs, c.n, parity)
+    sigma = s1_recover_sigma(w_obs, c.n)
     s, _ = tolerant_reconstruct(c, w_obs, sigma, 1)
     return s
 

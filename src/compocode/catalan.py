@@ -20,7 +20,6 @@ composition of (1-count block, partition rank, free bits, CB rank, middle bit).
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import lru_cache
 from math import comb
 
@@ -118,19 +117,20 @@ def partition_rank(m: int, subset) -> int:
 
 def partition_unrank(m: int, i: int, within: int):
     """Inverse of the within-block part: the rank-`within` i-subset of {1..m}."""
-    if not (0 <= within < comb(m, i)):
+    v = comb(m, i)  # comb(ell, j), always > r
+    if not 0 <= within < v:
         raise ValueError("rank out of range")
     out = []
-    r = within
-    hi = m
+    r, ell = within, m
     for j in range(i, 0, -1):
-        # the smallest ell in j..hi with comb(ell, j) > r >= comb(ell-1, j);
+        # walk down to the smallest ell with comb(ell, j) > r >= comb(ell-1, j);
         # then r - comb(ell-1, j) < comb(ell-1, j-1), so the next ell < ell
-        ell = j + bisect_right(range(j, hi + 1), r, key=lambda e: comb(e, j))
-        r -= comb(ell - 1, j)
+        while (below := v * (ell - j) // ell) > r:  # comb(ell-1, j)
+            ell, v = ell - 1, below
+        r -= below
         out.append(ell)
-        hi = ell - 1
-    return sorted(out)
+        ell, v = ell - 1, v * j // ell  # comb(ell-1, j-1)
+    return out[::-1]
 
 
 # -- codebook sizes and parameters -----------------------------------------

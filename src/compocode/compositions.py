@@ -316,12 +316,19 @@ def serialize(c: CompositionMultiset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(tok: str) -> int:
+    """A number of the text format: ASCII 0|[1-9][0-9]*, its one spelling."""
+    if not (tok.isascii() and tok.isdigit()) or (tok[0] == "0" and tok != "0"):
+        raise ValueError(f"not a canonical number: {tok!r}")
+    return int(tok)
+
+
 def parse(text: str) -> CompositionMultiset:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise CorruptedInput("first line must be n=<int>")
     try:
-        n = int(lines[0][2:])
+        n = _number(lines[0][2:])
     except ValueError as e:
         raise CorruptedInput("malformed n= line") from e
     if n < 1 or len(lines) != n + 1:
@@ -330,8 +337,9 @@ def parse(text: str) -> CompositionMultiset:
     for ln in lines[1:]:
         head, _, rest = ln.partition(":")
         try:
-            l = int(head)
-            level = Counter(map(int, rest.split()))
+            l = _number(head)
+            # each distinct token once: canonical spellings are one-to-one
+            level = Counter({_number(w): c for w, c in Counter(rest.split()).items()})
         except ValueError as e:
             raise CorruptedInput(f"malformed line: {ln!r}") from e
         if l in levels:

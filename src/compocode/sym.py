@@ -26,7 +26,6 @@ trials tractable.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -102,48 +101,20 @@ def multiset_to_S(c: CompositionMultiset) -> MultisetPolynomial:
     return MultisetPolynomial(terms, c.n)
 
 
-def _eval_terms(terms, bx: int, by: int, field: PrimeField) -> int:
-    q = field.q
-    acc = 0
-    for (i, j), c in terms.items():
-        acc = (acc + c * pow(bx, i, q) * pow(by, j, q)) % q
-    return acc
-
-
-def verify_identity(P: PrefixPolynomial, S: MultisetPolynomial, n: int,
-                    field: PrimeField | None = None, points: int = 20,
-                    rng=None) -> bool:
-    """P(x,y) P(1/x,1/y) == (n+1) + S(x,y) + S(1/x,1/y).
-
-    Symbolic Laurent comparison by default; with a field, checked instead at
-    `points` random nonzero evaluation pairs.
-    """
-    if field is None:
-        left: dict = {}
-        for (i1, j1) in P.terms:
-            for (i2, j2) in P.terms:
-                key = (i1 - i2, j1 - j2)
-                left[key] = left.get(key, 0) + 1
-        right: dict = {(0, 0): n + 1}
-        for (w, z), c in S.terms.items():
-            right[(w, z)] = right.get((w, z), 0) + c
-            right[(-w, -z)] = right.get((-w, -z), 0) + c
-        left = {k: v for k, v in left.items() if v}
-        right = {k: v for k, v in right.items() if v}
-        return left == right
-    rng = rng if rng is not None else random.Random(0)
-    q = field.q
-    for _ in range(points):
-        bx = rng.randrange(1, q)
-        by = rng.randrange(1, q)
-        bxi, byi = field.inv(bx), field.inv(by)
-        lhs = _eval_terms(P.terms, bx, by, field) * \
-            _eval_terms(P.terms, bxi, byi, field) % q
-        rhs = (n + 1 + _eval_terms(S.terms, bx, by, field)
-               + _eval_terms(S.terms, bxi, byi, field)) % q
-        if lhs != rhs:
-            return False
-    return True
+def verify_identity(P: PrefixPolynomial, S: MultisetPolynomial, n: int) -> bool:
+    """P(x,y) P(1/x,1/y) == (n+1) + S(x,y) + S(1/x,1/y), as Laurent polynomials."""
+    left: dict = {}
+    for (i1, j1) in P.terms:
+        for (i2, j2) in P.terms:
+            key = (i1 - i2, j1 - j2)
+            left[key] = left.get(key, 0) + 1
+    right: dict = {(0, 0): n + 1}
+    for (w, z), c in S.terms.items():
+        right[(w, z)] = right.get((w, z), 0) + c
+        right[(-w, -z)] = right.get((-w, -z), 0) + c
+    left = {k: v for k, v in left.items() if v}
+    right = {k: v for k, v in right.items() if v}
+    return left == right
 
 
 def resolve_weight(observed: int, c_w: int, t: int, n: int) -> int:
@@ -176,17 +147,17 @@ def _interpolate_rows(rows, T: int, field: PrimeField):
         yield sparse_interpolate(row, T, field) if poly is None else poly
 
 
-def recover_error_poly(F: dict, p_grid: dict, d_x: int, d_y: int, t: int,
+def recover_error_poly(e_grid: np.ndarray, d_x: int, d_y: int, t: int,
                        field: PrimeField, n: int) -> dict:
-    """The error polynomial E from F values and P evaluations on the grid.
+    """The error polynomial E from the grid of its trace Etilde.
 
-    F and p_grid map (l1, l2) over {-4t..4t}^2 to field values; p_grid holds
-    P(alpha^l1, alpha^l2).  Two sparse-interpolation stages (x then y, both
-    with term bound 4t) rebuild Etilde = x^dx y^dy (E(x,y) + E(1/x,1/y));
-    the reciprocal pair is folded off using d_x, d_y.  Returns
+    e_grid holds Etilde(alpha^l1, alpha^l2) at [l1 + R, l2 + R], |l1|,
+    |l2| <= R = 4t, where Etilde = x^dx y^dy (E(x,y) + E(1/x,1/y)).  Two
+    sparse-interpolation stages (x then y, both with term bound 4t) rebuild
+    Etilde; the reciprocal pair is folded off using d_x, d_y.  Returns
     {(w, z): coefficient} with coefficients in [-t, t].
     """
-    q, alpha = field.q, field.alpha
+    q = field.q
     R = 4 * t
     rng_l = range(-R, R + 1)
 
@@ -200,12 +171,9 @@ def recover_error_poly(F: dict, p_grid: dict, d_x: int, d_y: int, t: int,
             out[cands[0]] = v
         return out
 
-    # stage 1: for each l2, the x-support and the values M_i(alpha^l2)
-    cols = [[(F[(l1, l2)] - pow(alpha, (l1 * d_x + l2 * d_y) % (q - 1), q)
-              * p_grid[(l1, l2)] * p_grid[(-l1, -l2)]) % q for l1 in rng_l]
-            for l2 in rng_l]
+    # stage 1: for each l2 (a column), the x-support and the values M_i(alpha^l2)
     col_vals: dict[int, dict[int, int]] = {}
-    for l2, found in zip(rng_l, _interpolate_rows(cols, R, field)):
+    for l2, found in zip(rng_l, _interpolate_rows(e_grid.T.tolist(), R, field)):
         for i, v in in_window(found, d_x - n, d_x + n).items():
             col_vals.setdefault(i, {})[l2] = v
     if len(col_vals) > R:
@@ -384,13 +352,9 @@ def poly_params_from_payload(nu: int, t: int) -> PolyCodeParams:
         raise ValueError("need t >= 1 and a nonempty payload")
     for elem_bits in range(2, 64):
         msg_len = _grid_msg_len(t, elem_bits)
-        code_len = msg_len + bch_shape(msg_len, t)[1]
-        r_hat = 4 * code_len
-        n = nu + r_hat
-        field = field_setup(n)
-        if (field.q - 1).bit_length() == elem_bits:
-            return PolyCodeParams(n, t, nu, r_hat, field, msg_len,
-                                  code_len, (2 * t).bit_length(), elem_bits)
+        n = nu + 4 * (msg_len + bch_shape(msg_len, t)[1])
+        if (field_setup(n).q - 1).bit_length() == elem_bits:
+            return poly_params_from_length(n, t)
     raise ValueError("no consistent parameter point")  # unreachable in range
 
 
@@ -438,25 +402,29 @@ def _grid_points(t: int):
     return [(l1, l2) for l1 in range(-R, R + 1) for l2 in range(-R, R + 1)]
 
 
+def _msb_first(width: int) -> np.ndarray:
+    return np.arange(width - 1, -1, -1)
+
+
 def _grid_to_bits(a: int, grid: dict, p: PolyCodeParams) -> list[int]:
-    bits = [int(b) for b in format(a, f"0{p.a_bits}b")]
-    for pt in _grid_points(p.t):
-        bits.extend(int(b) for b in format(grid[pt], f"0{p.elem_bits}b"))
-    return bits
+    """a in a_bits bits, then each grid value in elem_bits bits, MSB first."""
+    vals = np.array([grid[pt] for pt in _grid_points(p.t)], dtype=np.int64)
+    head = (a >> _msb_first(p.a_bits)) & 1
+    body = (vals[:, None] >> _msb_first(p.elem_bits)) & 1
+    return np.concatenate((head, body.ravel())).tolist()
 
 
 def _bits_to_grid(bits, p: PolyCodeParams):
-    a = int("".join(map(str, bits[:p.a_bits])), 2)
+    """Inverse of _grid_to_bits: a, and the grid at [l1 + R, l2 + R]."""
+    bits = np.asarray(bits[:p.msg_len], dtype=np.int64)
+    a = int(bits[:p.a_bits] @ (1 << _msb_first(p.a_bits)))
     if a > 2 * p.t:
         raise CorruptedInput("weight residue out of range")
-    grid = {}
-    pos = p.a_bits
-    for pt in _grid_points(p.t):
-        v = int("".join(map(str, bits[pos:pos + p.elem_bits])), 2)
-        if v >= p.field.q:
-            raise CorruptedInput("grid element out of field range")
-        grid[pt] = v
-        pos += p.elem_bits
+    size = 8 * p.t + 1
+    grid = bits[p.a_bits:].reshape(size, size, p.elem_bits) \
+        @ (1 << _msb_first(p.elem_bits))
+    if (grid >= p.field.q).any():
+        raise CorruptedInput("grid element out of field range")
     return a, grid
 
 
@@ -475,15 +443,6 @@ def etn_encode(u: str, t: int, params: PolyCodeParams | None = None) -> str:
     if len(s) != p.n:
         raise RuntimeError(f"codeword length {len(s)} != n = {p.n}")
     return s
-
-
-def _zero_run_eval(m: int, l2: int, field: PrimeField) -> int:
-    """P of 0^m at y = alpha^l2: the geometric sum over y^0..y^m."""
-    q, alpha = field.q, field.alpha
-    y = pow(alpha, l2 % (q - 1), q)
-    if y == 1:
-        return (m + 1) % q
-    return (pow(y, m + 1, q) - 1) * field.inv(y - 1) % q
 
 
 def _reconstruct_known_shell(obs, pre_len: int, suffix: str,
@@ -549,7 +508,7 @@ def etn_decode(obs, t: int) -> str:
     """
     obs.validate_shape()
     p = poly_params_from_length(obs.n, t)
-    n, q, alpha = p.n, p.field.q, p.field.alpha
+    n, field, q = p.n, p.field, p.field.q
     half = p.r_hat // 2
     w_obs = obs.weight_profile()
     received = (w_obs[1:half:2] % 2).tolist()
@@ -566,21 +525,22 @@ def etn_decode(obs, t: int) -> str:
     d_y = n - d_x
     d_xu, d_yu = wt_u, p.nu - wt_u
     R = 4 * t
-    z_grid = monomial_grid(*_prefix_arrays(zeta), R, p.field)
-    s_grid = obs.sym_eval(R, p.field).tolist()
-    p_grid = {}
-    F = {}
-    for l1, l2 in _grid_points(t):
-        pu = u_grid[(l1, l2)]
-        pz = int(z_grid[l1 + R, l2 + R])
-        ps = (_zero_run_eval(half, l2, p.field)
-              + pow(alpha, (l2 * half) % (q - 1), q) * (pu - 1)
-              + pow(alpha, (l1 * d_xu + l2 * (half + d_yu)) % (q - 1), q)
-              * (pz - 1)) % q
-        p_grid[(l1, l2)] = ps
-        scale = pow(alpha, (l1 * d_x + l2 * d_y) % (q - 1), q)
-        F[(l1, l2)] = scale * (n + 1 + s_grid[l1 + R][l2 + R]) % q
-    error = recover_error_poly(F, p_grid, d_x, d_y, t, p.field, n)
+    # the codeword's P on the grid: P(0^half) + y^half (P_u - 1)
+    # + x^dxu y^(half+dyu) (P_zeta - 1), where P(0^half) = sum_j y^j for
+    # j = 0..half depends on l2 alone
+    ls = np.arange(-R, R + 1)
+    zero_run = alpha_power_table(field)[
+        np.outer(ls, np.arange(half + 1)) % (q - 1)].sum(axis=1)
+    p_grid = (zero_run
+              + monomial_grid(np.array([0]), np.array([half]), R, field)
+              * (u_grid - 1)
+              + monomial_grid(np.array([d_xu]), np.array([half + d_yu]), R, field)
+              * (monomial_grid(*_prefix_arrays(zeta), R, field) - 1)) % q
+    # Etilde = x^dx y^dy ((n+1) + S(x,y) + S(1/x,1/y) - P(x,y) P(1/x,1/y))
+    scale = monomial_grid(np.array([d_x]), np.array([d_y]), R, field)
+    e_grid = scale * ((n + 1 + obs.sym_eval(R, field)
+                       - p_grid * p_grid[::-1, ::-1] % q) % q) % q
+    error = recover_error_poly(e_grid, d_x, d_y, t, field, n)
     fixed = obs.correct(error)
     w = fixed.weight_profile()
     if w[0] != d_x or w[n - 1] != d_x:

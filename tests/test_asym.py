@@ -96,8 +96,8 @@ def test_example_walkthrough_string_has_valid_format():
 
 def test_recover_w1():
     assert recover_w1(6, 6) == 6
-    assert recover_w1(6, 7, parity=0) == 6
-    assert recover_w1(7, 6, parity=0) == 6
+    assert recover_w1(6, 7) == 6
+    assert recover_w1(7, 6) == 6
 
 
 def test_recover_w1_exhaustive_injection():
@@ -110,7 +110,7 @@ def test_recover_w1_exhaustive_injection():
             c = compose_all(s)
             corrupt(c, level, rng)
             wt = cumulative_weights(c)
-            assert recover_w1(wt[0], wt[n - 1], 0) == w[0]
+            assert recover_w1(wt[0], wt[n - 1]) == w[0]
 
 
 def test_s1_recover_sigma_clean():

@@ -163,6 +163,22 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2 and out == "" and err == "error: --errors must be >= 0\n"
 
 
+@pytest.mark.parametrize("old, new", [
+    ("n=11", "n=1_1"), ("\n11: 7", "\n11: +7"), ("\n9: 5", "\n09: 5"),
+    ("\n1: 0 0 0 0 1", "\n1: 0 0 0 0 \u0661")])
+def test_decode_rejects_non_canonical_numbers(tmp_path, capsys, old, new):
+    # int() reads each respelling as the number it replaces; the text format
+    # spells every number one way, so the file is malformed
+    with open(os.path.join(FIXTURES, "example2_clean.txt")) as f:
+        text = f.read()
+    assert old in text
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text.replace(old, new, 1), encoding="utf-8")
+    code, out, err = run(capsys, "decode", "--scheme", "asym1", "--k", "5",
+                         "--input", str(bad))
+    assert code == 3 and out == "" and "malformed multiset file" in err
+
+
 def test_sim_determinism_and_formats(tmp_path, capsys):
     args = ["sim", "--scheme", "asym1", "--k", "6", "--model", "asym",
             "--errors", "1", "--trials", "12", "--seed", "42"]

@@ -205,6 +205,19 @@ def test_parse_rejects_bad_level_count():
         parse(text)
 
 
+@pytest.mark.parametrize("spelling", ["01", "+1", "1_0", "00", "-0", "\u0661",
+                                      "\uff11", "1\u0660"])
+def test_parse_takes_one_spelling_per_number(spelling):
+    # int() reads each of these, and serialize writes none of them
+    text = serialize(compose_all("0100"))
+    for bad in (text.replace("n=4", f"n={spelling}"),
+                text.replace("\n2:", f"\n{spelling}:"),
+                text.replace("2: 0 1 1", f"2: 0 1 {spelling}")):
+        assert bad != text
+        with pytest.raises(CorruptedInput, match="malformed"):
+            parse(bad)
+
+
 def test_parse_accepts_corrupted_but_well_formed():
     c = compose_all("0100")
     c.replace(2, 1, 2)

@@ -32,7 +32,6 @@ from compocode.sym import (
     DeltaObservation,
     PolyCodeParams,
     _eval_prefix_string,
-    _eval_terms,
     _grid_msg_len,
     _interpolate_rows,
     _parity_block,
@@ -97,13 +96,30 @@ def test_identity_symbolic_property(s):
                            len(s))
 
 
+def _eval_terms(terms, bx: int, by: int, field) -> int:
+    """sum c x^i y^j over {(i, j): c} at (bx, by), mod q, term by term."""
+    q = field.q
+    acc = 0
+    for (i, j), c in terms.items():
+        acc = (acc + c * pow(bx, i, q) * pow(by, j, q)) % q
+    return acc
+
+
 def test_identity_eval_mode():
     rng = random.Random(1)
     field = poly_params_from_payload(13, 1).field
+    q = field.q
     for _ in range(20):
         s = random_bits(rng, rng.randint(1, 64))
-        assert verify_identity(string_to_P(s), multiset_to_S(compose_all(s)),
-                               len(s), field=field, points=20, rng=rng)
+        P, S = string_to_P(s), multiset_to_S(compose_all(s))
+        for _ in range(20):
+            bx, by = rng.randrange(1, q), rng.randrange(1, q)
+            bxi, byi = field.inv(bx), field.inv(by)
+            lhs = _eval_terms(P.terms, bx, by, field) * \
+                _eval_terms(P.terms, bxi, byi, field) % q
+            rhs = (len(s) + 1 + _eval_terms(S.terms, bx, by, field)
+                   + _eval_terms(S.terms, bxi, byi, field)) % q
+            assert lhs == rhs, s
 
 
 def test_identity_detects_corruption():
@@ -428,25 +444,46 @@ def test_etn_decodes_a_dense_multiset_end_to_end():
 
 
 def test_recover_error_poly_zero_error():
-    # with F built from the true string, the recovered error is empty
+    # with the Etilde grid built from the true string, the recovered error is
+    # empty; every grid value here comes from the pointwise evaluator
     u = "1011001010110"
     t = 1
     s = etn_encode(u, t)
     p = poly_params_from_length(len(s), t)
     obs = DeltaObservation(s)
-    from compocode.sym import _eval_prefix_string, _grid_points
     q, alpha = p.field.q, p.field.alpha
     d_x = weight(s)
     d_y = p.n - d_x
     R = 4 * t
     s_grid = obs.sym_eval(R, p.field)
     assert s_grid.shape == (2 * R + 1, 2 * R + 1)
-    F, p_grid = {}, {}
-    for l1, l2 in _grid_points(t):
-        p_grid[(l1, l2)] = _eval_prefix_string(s, l1, l2, p.field)
-        scale = pow(alpha, (l1 * d_x + l2 * d_y) % (q - 1), q)
-        F[(l1, l2)] = scale * (p.n + 1 + int(s_grid[l1 + R, l2 + R])) % q
-    assert recover_error_poly(F, p_grid, d_x, d_y, t, p.field, p.n) == {}
+    e_grid = np.zeros_like(s_grid)
+    for l1 in range(-R, R + 1):
+        for l2 in range(-R, R + 1):
+            pp = _eval_prefix_string(s, l1, l2, p.field) \
+                * _eval_prefix_string(s, -l1, -l2, p.field)
+            scale = pow(alpha, (l1 * d_x + l2 * d_y) % (q - 1), q)
+            e_grid[l1 + R, l2 + R] = \
+                scale * (p.n + 1 + int(s_grid[l1 + R, l2 + R]) - pp) % q
+    assert not e_grid.any()
+    assert recover_error_poly(e_grid, d_x, d_y, t, p.field, p.n) == {}
+
+
+def test_recover_error_poly_reads_a_planted_error():
+    # Etilde of a known level-preserving error, evaluated term by term
+    t = 2
+    p = poly_params_from_payload(13, t)
+    q, alpha, R = p.field.q, p.field.alpha, 4 * t
+    error = {(3, 4): 1, (5, 2): -1, (9, 1): 1, (8, 2): -1}
+    d_x, d_y = 40, p.n - 40
+    etilde = {}
+    for (w, z), c in error.items():
+        etilde[(d_x + w, d_y + z)] = c
+        etilde[(d_x - w, d_y - z)] = c
+    e_grid = np.array([[_eval_terms(etilde, pow(alpha, l1 % (q - 1), q),
+                                    pow(alpha, l2 % (q - 1), q), p.field)
+                        for l2 in range(-R, R + 1)] for l1 in range(-R, R + 1)])
+    assert recover_error_poly(e_grid, d_x, d_y, t, p.field, p.n) == error
 
 
 # -- shared-support interpolation ---------------------------------------------
