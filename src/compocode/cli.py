@@ -43,13 +43,14 @@ def _digest(text: str) -> str:
 
 
 def _read_input(args) -> str:
-    if args.input:
-        try:
-            with open(args.input) as f:
-                return f.read()
-        except OSError as e:
-            raise CliError(EXIT_INPUT, f"cannot read {args.input}: {e}") from e
-    return sys.stdin.read()
+    try:  # bytes the text encoding cannot decode are malformed input too
+        if not args.input:
+            return sys.stdin.read()
+        with open(args.input) as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise CliError(EXIT_INPUT,
+                       f"cannot read {args.input or 'stdin'}: {e}") from e
 
 
 def _emit(args, text: str, manifest: dict) -> None:

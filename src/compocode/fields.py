@@ -11,6 +11,11 @@ polynomial recovery over GF(q), the systematic erasure code over the ternary
 alphabet (built on GF(3^e)) and the systematic binary BCH codes of minimum
 distance 2t+1 (built on GF(2^m)).  Both codes' decoders return the whole
 corrected codeword, message first, so no caller re-encodes what it decoded.
+
+On the (2R+1)^2 grid x = alpha^l1, y = alpha^l2 over GF(q), ``prefix_grid``
+evaluates a bit string's prefix polynomial one run at a time, in
+O(n + R^2 min(wt, n - wt)) instead of O(R^2 n) for one term per prefix;
+``monomial_grid`` evaluates the sparse sums: a multiset delta, a lone shift.
 """
 
 from __future__ import annotations
@@ -131,6 +136,51 @@ def monomial_grid(xe, ye, R: int, field: PrimeField, mult=None) -> np.ndarray:
                 x = x * mult[lo:lo + span] % q
             row += y @ x % q
     return out % q
+
+
+_EXACT_FLOAT = 2 ** 53  # float64 sums of nonnegative integers stay exact up to this
+
+
+def prefix_grid(s: str, R: int, field: PrimeField) -> np.ndarray:
+    """The prefix polynomial of the bit string s on monomial_grid's grid.
+
+    P sums x^(ones) y^(zeros) over the prefixes of s.  Let x stand for the
+    minority symbol (when ones are the majority the roles swap and the grid
+    is transposed) and e_v count the majority symbols before its v-th copy,
+    e_0 = 0, with e_(m+1) the majority total for m copies.  The prefixes with
+    v copies have majority counts e_v..e_(v+1), so
+        P = sum_v x^v (y^(e_(v+1) + 1) - y^(e_v)) / (y - 1),
+    and where y = 1 the run length e_(v+1) - e_v + 1 replaces the quotient:
+    float64 products over V = m + 1 <= n/2 + 1 terms, O(n + R^2 V) in all.
+    """
+    q = field.q
+    table = alpha_power_table(field)
+    n = len(s)
+    ones = np.frombuffer(s.encode("ascii"), np.uint8) == ord("1")
+    by_ones = 2 * int(ones.sum()) <= n
+    pos = np.flatnonzero(ones if by_ones else ~ones)
+    e = np.concatenate(([0], pos - np.arange(len(pos)), [n - len(pos)]))
+    ls = np.arange(-R, R + 1)
+    y = np.take(table, ls, mode="wrap")  # "wrap" reduces exponents mod q - 1
+    at_one = y == 1
+    # P (y - 1) = y * after - before: after = sum_v x^v y^(e_(v+1)) and
+    # before = sum_v x^v y^(e_v), with y^(e_v) read as e_v + v where y = 1.
+    # A block holds at most _EXACT_FLOAT // (q-1)^2 products below q^2, so
+    # every partial sum is an exact integer (a lone product is one for q < 2^26)
+    span = max(1, min(_BLOCK, _EXACT_FLOAT // (q - 1) ** 2))
+    after, before = np.zeros((2, len(ls), len(ls)))
+    for lo in range(0, len(e) - 1, span):
+        es = e[lo:lo + span + 1]
+        vs = np.arange(lo, lo + len(es))
+        ye = np.take(table, np.outer(es, ls), mode="wrap")
+        ye[:, at_one] = ((es + vs) % q)[:, None]
+        ye = ye.astype(np.float64)
+        x = np.take(table, np.outer(ls, vs[:-1]), mode="wrap").astype(np.float64)
+        after += np.fmod(x @ ye[1:], q)
+        before += np.fmod(x @ ye[:-1], q)
+    scale = np.array([1 if v == 1 else pow(int(v) - 1, -1, q) for v in y])
+    grid = (y * after.astype(np.int64) - before.astype(np.int64)) % q * scale % q
+    return grid if by_ones else grid.T
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,11 @@ Two constructions:
 etn_decode reads either form of the observation protocol: a
 CompositionMultiset, or a DeltaObservation, which answers multiset queries
 in O(n) from a base string plus a sparse error delta and so keeps large-n
-trials tractable.
+trials tractable.  A string's P goes on the (2R+1)^2 evaluation grid
+through fields.prefix_grid, one term per run of the majority symbol, in
+O(n + R^2 min(wt, n - wt)) rather than O(R^2 n); fields.monomial_grid is
+left with the sparse grids: the delta, read as a signed multiset, and the
+one-term shifts.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .fields import (
     bch_shape,
     field_setup,
     monomial_grid,
+    prefix_grid,
     sparse_interpolate,
 )
 
@@ -241,21 +246,23 @@ class DeltaObservation:
 
     The sparse form of the observation protocol CompositionMultiset
     documents.  All queries cost O(n) or less, so corruption and decoding of
-    long strings never materialize the quadratic multiset.
+    long strings never materialize the quadratic multiset; sym_eval costs
+    O(n + R^2 min(wt, n - wt)) for the base string plus O(R^2) per delta
+    term.
     """
 
     def __init__(self, s: str):
         check_bits(s)
         self.s = s
         self.n = len(s)
-        self.pref, self.zeros = _prefix_arrays(s)
+        self.pref = _prefix_arrays(s)[0]
         self.base_w = _string_weight_profile(s)
         self.delta: dict[int, dict[int, int]] = {}  # level -> weight -> count
 
     def copy(self) -> "DeltaObservation":
         out = object.__new__(DeltaObservation)
         out.s, out.n = self.s, self.n
-        out.pref, out.zeros = self.pref, self.zeros
+        out.pref = self.pref
         out.base_w = self.base_w
         out.delta = {l: dict(d) for l, d in self.delta.items()}
         return out
@@ -308,11 +315,11 @@ class DeltaObservation:
     def sym_eval(self, R: int, field: PrimeField) -> np.ndarray:
         """S(a^l1, a^l2) + S(a^-l1, a^-l2) mod q at [l1 + R, l2 + R], |l1|, |l2| <= R.
 
-        The base string's part is P(x,y) P(1/x,1/y) - (n+1), from one grid of
-        P; S is linear in the multiset, so the delta's part is the dense
-        evaluation of the delta read as a signed multiset.
+        The base string's part is P(x,y) P(1/x,1/y) - (n+1), from one
+        prefix_grid of P; S is linear in the multiset, so the delta's part is
+        the monomial_grid of the delta read as a signed multiset.
         """
-        p = monomial_grid(self.pref, self.zeros, R, field)
+        p = prefix_grid(self.s, R, field)
         delta = CompositionMultiset(self.n, self.delta).sym_eval(R, field)
         return (p * p[::-1, ::-1] - (self.n + 1) + delta) % field.q
 
@@ -435,7 +442,7 @@ def etn_encode(u: str, t: int, params: PolyCodeParams | None = None) -> str:
     if len(u) != p.nu or t != p.t:
         raise ValueError("payload length does not match the parameters")
     a = weight(u) % (2 * t + 1)
-    values = monomial_grid(*_prefix_arrays(u), 4 * t, p.field)
+    values = prefix_grid(u, 4 * t, p.field)
     grid = dict(zip(_grid_points(t), values.ravel().tolist()))
     sbar = bblock_code(p.msg_len, t).encode(_grid_to_bits(a, grid, p))
     z = _parity_block(sbar)
@@ -526,16 +533,12 @@ def etn_decode(obs, t: int) -> str:
     d_xu, d_yu = wt_u, p.nu - wt_u
     R = 4 * t
     # the codeword's P on the grid: P(0^half) + y^half (P_u - 1)
-    # + x^dxu y^(half+dyu) (P_zeta - 1), where P(0^half) = sum_j y^j for
-    # j = 0..half depends on l2 alone
-    ls = np.arange(-R, R + 1)
-    zero_run = alpha_power_table(field)[
-        np.outer(ls, np.arange(half + 1)) % (q - 1)].sum(axis=1)
-    p_grid = (zero_run
+    # + x^dxu y^(half+dyu) (P_zeta - 1), where P(0^half) is a single run
+    p_grid = (prefix_grid("0" * half, R, field)
               + monomial_grid(np.array([0]), np.array([half]), R, field)
               * (u_grid - 1)
               + monomial_grid(np.array([d_xu]), np.array([half + d_yu]), R, field)
-              * (monomial_grid(*_prefix_arrays(zeta), R, field) - 1)) % q
+              * (prefix_grid(zeta, R, field) - 1)) % q
     # Etilde = x^dx y^dy ((n+1) + S(x,y) + S(1/x,1/y) - P(x,y) P(1/x,1/y))
     scale = monomial_grid(np.array([d_x]), np.array([d_y]), R, field)
     e_grid = scale * ((n + 1 + obs.sym_eval(R, field)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -161,6 +162,26 @@ def test_exit_codes(tmp_path, capsys):
     code, out, err = run(capsys, "sim", "--scheme", "recon", "--k", "4",
                          "--model", "asym", "--errors", "-1", "--trials", "1")
     assert code == 2 and out == "" and err == "error: --errors must be >= 0\n"
+
+
+UNDECODABLE = b"n=2\n1: 0 \xff\n2: 1\n"  # 0xff starts no UTF-8 sequence
+
+
+@pytest.mark.parametrize("via", ["input", "stdin"])
+def test_undecodable_input_exits_3(tmp_path, capsys, monkeypatch, via):
+    # a byte the text encoding cannot decode makes the input malformed; a
+    # strict UTF-8 stdin stands for a UTF-8 locale's
+    argv = ["decode", "--scheme", "recon", "--k", "1"]
+    if via == "input":
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(UNDECODABLE)
+        argv += ["--input", str(bad)]
+    else:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(UNDECODABLE), encoding="utf-8", errors="strict"))
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("old, new", [

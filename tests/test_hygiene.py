@@ -177,3 +177,28 @@ def test_no_decoder_calls_an_encoder(monkeypatch):
     assert asym.st_decode(c, 16, 2) == info
     assert sym.etn_decode(obs, 1) == u
     assert calls == {}
+
+
+def test_sym_poly_decode_grids_no_string_term_by_term(monkeypatch):
+    # a string's P goes on the grid by runs (fields.prefix_grid), so
+    # monomial_grid is left with the error delta and one-term shifts: no call
+    # may get more terms than the delta holds, however long the codeword
+    sizes = []
+
+    def counting(xe, ye, R, field, mult=None):
+        sizes.append(len(xe))
+        return grid(xe, ye, R, field, mult)
+
+    grid = fields.monomial_grid
+    monkeypatch.setattr(fields, "monomial_grid", counting)
+    monkeypatch.setattr(sym, "monomial_grid", counting)
+    rng = random.Random(29)
+    info = "".join(rng.choice("01") for _ in range(12))
+    s = sym.etn_encode_info(info, 2)
+    assert len(s) == 18628
+    obs, _ = corrupt(sym.DeltaObservation(s), ErrorModel("symmetric", 2), rng)
+    terms = sum(map(len, obs.delta.values()))
+    assert terms > 0
+    sizes.clear()
+    assert sym.etn_decode_info(obs, 12, 2) == info
+    assert sizes and max(sizes) <= terms

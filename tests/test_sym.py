@@ -25,6 +25,7 @@ from compocode.fields import (
     bblock_code,
     field_setup,
     monomial_grid,
+    prefix_grid,
     sparse_interpolate,
 )
 from compocode.sym import (
@@ -608,6 +609,74 @@ def test_prefix_grid_split_sums_agree(monkeypatch):
                     monomial_grid(*_prefix_arrays(s), 3, field), whole)
                 assert np.array_equal(
                     monomial_grid(*_prefix_arrays(s), 3, field, mult), weighted)
+
+
+def _assert_runs_grid_matches(s, R, field):
+    # prefix_grid against the one-term-per-prefix grid and pointwise
+    grid = prefix_grid(s, R, field)
+    assert grid.shape == (2 * R + 1, 2 * R + 1)
+    assert np.array_equal(grid, monomial_grid(*_prefix_arrays(s), R, field))
+    for l1 in range(-R, R + 1):
+        for l2 in range(-R, R + 1):
+            assert grid[l1 + R, l2 + R] == \
+                _eval_prefix_string(s, l1, l2, field), (s, R, l1, l2)
+
+
+def test_prefix_grid_by_runs_on_edge_strings():
+    field = field_setup(300)
+    for s in ("", "0", "1", "0" * 40, "1" * 40, "01" * 20, "10" * 20):
+        for R in (0, 1, 4):
+            _assert_runs_grid_matches(s, R, field)
+    # the zero run etn_decode evaluates at k = 12, t = 2
+    p = poly_params_from_length(18628, 2)
+    _assert_runs_grid_matches("0" * (p.r_hat // 2), 8, p.field)
+
+
+def test_prefix_grid_by_runs_transposes_a_ones_majority():
+    rng = random.Random(30)
+    field = field_setup(200)
+    swap = str.maketrans("01", "10")
+    for _ in range(20):
+        n = rng.randint(1, 120)
+        s = "".join("1" if rng.random() < 0.8 else "0" for _ in range(n))
+        if 2 * s.count("1") <= n:
+            s = s.translate(swap)
+        R = rng.randint(0, 6)
+        _assert_runs_grid_matches(s, R, field)
+        # P(x, y) of s is P(y, x) of its complement
+        assert np.array_equal(prefix_grid(s, R, field),
+                              prefix_grid(s.translate(swap), R, field).T)
+
+
+def test_prefix_grid_by_runs_on_random_strings():
+    # small fields included: with q - 1 <= R several l2 put y at 1
+    rng = random.Random(31)
+    for _ in range(60):
+        s = random_bits(rng, rng.randint(1, 200))
+        field = field_setup(rng.randint(len(s), 300))
+        _assert_runs_grid_matches(s, rng.randint(0, 8), field)
+    _assert_runs_grid_matches("0110", 8, field_setup(1))
+
+
+def test_prefix_grid_by_runs_at_the_benchmark_length():
+    s = etn_encode_info("101100111000", 2)
+    assert len(s) == 18628
+    _assert_runs_grid_matches(s, 8, poly_params_from_length(len(s), 2).field)
+
+
+def test_prefix_grid_by_runs_split_sums_agree(monkeypatch):
+    # blocks of 1, 2 and 5 runs instead of one exact float64 product,
+    # bounded either by exactness or by the block size
+    rng = random.Random(32)
+    field = field_setup(300)
+    strings = [random_bits(rng, 40), "1" * 30 + "0" * 3 + "1" * 7]
+    whole = [monomial_grid(*_prefix_arrays(s), 3, field) for s in strings]
+    for name, bound in (("_EXACT_FLOAT", (field.q - 1) ** 2), ("_BLOCK", 1)):
+        for span in (1, 2, 5):
+            with monkeypatch.context() as m:
+                m.setattr(fields, name, span * bound)
+                for s, grid in zip(strings, whole):
+                    assert np.array_equal(prefix_grid(s, 3, field), grid)
 
 
 def test_known_shell_rejects_a_flipped_shell_sigma():
