@@ -12,10 +12,12 @@ alphabet (built on GF(3^e)) and the systematic binary BCH codes of minimum
 distance 2t+1 (built on GF(2^m)).  Both codes' decoders return the whole
 corrected codeword, message first, so no caller re-encodes what it decoded.
 
-On the (2R+1)^2 grid x = alpha^l1, y = alpha^l2 over GF(q), ``prefix_grid``
-evaluates a bit string's prefix polynomial one run at a time, in
-O(n + R^2 min(wt, n - wt)) instead of O(R^2 n) for one term per prefix;
-``monomial_grid`` evaluates the sparse sums: a multiset delta, a lone shift.
+On the (2R+1)^2 grid x = alpha^l1, y = alpha^l2 over GF(q),
+``monomial_grid`` evaluates a signed sum of monomials as float64 matrix
+products; it serves a multiset delta, a lone shift, and ``prefix_grid``,
+which sums a bit string's prefix polynomial one run of prefixes at a time
+(those holding v ones), in O(n + R^2 wt) instead of O(R^2 n) for one term
+per prefix.
 """
 
 from __future__ import annotations
@@ -107,80 +109,62 @@ def alpha_power_table(field: PrimeField) -> np.ndarray:
     return out
 
 
-_EXACT_SUM = 2 ** 63 - 1  # int64 partial sums stay exact below this
-_BLOCK = 1 << 16          # terms per block: memory is O(R * _BLOCK)
+_EXACT_SUM = 2 ** 53  # float64 sums of nonnegative integers stay exact up to this
+_BLOCK = 1 << 16      # terms per block: memory is O(R * _BLOCK)
 
 
 def monomial_grid(xe, ye, R: int, field: PrimeField, mult=None) -> np.ndarray:
     """sum_i mult_i x^xe_i y^ye_i at x = alpha^l1, y = alpha^l2, mod q.
 
     Returns the grid l1, l2 in -R..R at [l1 + R, l2 + R]; mult defaults to
-    all ones.  The terms go in blocks: per block, Y[l2] = alpha^(l2 * ye) is
-    built once, and each l1 row is an int64 mat-vec of Y with
-    mult * alpha^(l1 * xe) mod q.  A block holds at most _BLOCK terms, and
-    few enough that no partial sum of products below q^2 overflows.
+    all ones.  The terms go in blocks, each one float64 matrix product of
+    X[l1, i] = mult_i alpha^(l1 xe_i) and Y[i, l2] = alpha^(l2 ye_i) mod q.
+    A block holds at most _BLOCK terms, and few enough that its sums of
+    products below q^2 stay exact integers, so q - 1 may not pass 2^26.5.
     """
     q = field.q
-    table = alpha_power_table(field)
-    ls = range(-R, R + 1)
-    span = max(1, min(_BLOCK, _EXACT_SUM // (q - 1) ** 2))
-    out = np.zeros((len(ls), len(ls)), dtype=np.int64)
+    if (q - 1) ** 2 > _EXACT_SUM:
+        raise ValueError(f"GF({q}) is too large for an exact float64 grid")
+    table = alpha_power_table(field).astype(np.int32)  # q < 2^27; gathers faster
+    ls = np.arange(-R, R + 1)
+    span = min(_BLOCK, _EXACT_SUM // (q - 1) ** 2)
+    out = np.zeros((len(ls), len(ls)))
     for lo in range(0, len(xe), span):
-        xs, ys = xe[lo:lo + span], ye[lo:lo + span]
-        y = np.empty((len(ls), len(ys)), dtype=np.int64)
-        for row, l2 in zip(y, ls):
-            np.take(table, l2 * ys % (q - 1), out=row)
-        for row, l1 in zip(out, ls):
-            x = np.take(table, l1 * xs % (q - 1))
-            if mult is not None:
-                x = x * mult[lo:lo + span] % q
-            row += y @ x % q
-    return out % q
-
-
-_EXACT_FLOAT = 2 ** 53  # float64 sums of nonnegative integers stay exact up to this
+        # mode="wrap" reduces the exponents mod q - 1
+        x = np.take(table, np.outer(ls, xe[lo:lo + span]), mode="wrap")
+        if mult is not None:
+            x = x * (mult[lo:lo + span] % q) % q
+        y = np.take(table, np.outer(ls, ye[lo:lo + span]), mode="wrap")
+        out += np.fmod(x.astype(np.float64) @ y.T.astype(np.float64), q)
+    return out.astype(np.int64) % q
 
 
 def prefix_grid(s: str, R: int, field: PrimeField) -> np.ndarray:
     """The prefix polynomial of the bit string s on monomial_grid's grid.
 
-    P sums x^(ones) y^(zeros) over the prefixes of s.  Let x stand for the
-    minority symbol (when ones are the majority the roles swap and the grid
-    is transposed) and e_v count the majority symbols before its v-th copy,
-    e_0 = 0, with e_(m+1) the majority total for m copies.  The prefixes with
-    v copies have majority counts e_v..e_(v+1), so
-        P = sum_v x^v (y^(e_(v+1) + 1) - y^(e_v)) / (y - 1),
-    and where y = 1 the run length e_(v+1) - e_v + 1 replaces the quotient:
-    float64 products over V = m + 1 <= n/2 + 1 terms, O(n + R^2 V) in all.
+    P sums x^(ones) y^(zeros) over the prefixes of s.  Let e_v count the
+    zeros before the v-th one, e_0 = 0 and e_(wt+1) = n - wt.  The prefixes
+    holding v ones have e_v..e_(v+1) zeros, so with A = sum_v x^v y^(e_v)
+    over v = 0..wt,
+        P (y - 1) = sum_v x^v (y^(e_(v+1) + 1) - y^(e_v))
+                  = x^-1 y (A - 1) + x^wt y^(n - wt + 1) - A,
+    and where y = 1 the run lengths e_(v+1) - e_v + 1 weight the x^v
+    instead: two grids of wt + 1 terms, O(n + R^2 wt) in all.
     """
-    q = field.q
-    table = alpha_power_table(field)
-    n = len(s)
-    ones = np.frombuffer(s.encode("ascii"), np.uint8) == ord("1")
-    by_ones = 2 * int(ones.sum()) <= n
-    pos = np.flatnonzero(ones if by_ones else ~ones)
-    e = np.concatenate(([0], pos - np.arange(len(pos)), [n - len(pos)]))
-    ls = np.arange(-R, R + 1)
-    y = np.take(table, ls, mode="wrap")  # "wrap" reduces exponents mod q - 1
+    q, n = field.q, len(s)
+    pos = np.flatnonzero(np.frombuffer(s.encode("ascii"), np.uint8) == ord("1"))
+    wt = len(pos)
+    vs = np.arange(wt + 1)
+    e = np.concatenate(([0], pos - vs[:-1], [n - wt]))
+    a = monomial_grid(vs, e[:-1], R, field)
+    grid = (monomial_grid(np.array([-1]), np.array([1]), R, field) * (a - 1)
+            + monomial_grid(np.array([wt]), np.array([n - wt + 1]), R, field)
+            - a) % q
+    y = np.take(alpha_power_table(field), np.arange(-R, R + 1), mode="wrap")
     at_one = y == 1
-    # P (y - 1) = y * after - before: after = sum_v x^v y^(e_(v+1)) and
-    # before = sum_v x^v y^(e_v), with y^(e_v) read as e_v + v where y = 1.
-    # A block holds at most _EXACT_FLOAT // (q-1)^2 products below q^2, so
-    # every partial sum is an exact integer (a lone product is one for q < 2^26)
-    span = max(1, min(_BLOCK, _EXACT_FLOAT // (q - 1) ** 2))
-    after, before = np.zeros((2, len(ls), len(ls)))
-    for lo in range(0, len(e) - 1, span):
-        es = e[lo:lo + span + 1]
-        vs = np.arange(lo, lo + len(es))
-        ye = np.take(table, np.outer(es, ls), mode="wrap")
-        ye[:, at_one] = ((es + vs) % q)[:, None]
-        ye = ye.astype(np.float64)
-        x = np.take(table, np.outer(ls, vs[:-1]), mode="wrap").astype(np.float64)
-        after += np.fmod(x @ ye[1:], q)
-        before += np.fmod(x @ ye[:-1], q)
-    scale = np.array([1 if v == 1 else pow(int(v) - 1, -1, q) for v in y])
-    grid = (y * after.astype(np.int64) - before.astype(np.int64)) % q * scale % q
-    return grid if by_ones else grid.T
+    grid = grid * [1 if v == 1 else pow(int(v) - 1, -1, q) for v in y] % q
+    grid[:, at_one] = monomial_grid(vs, 0 * vs, R, field, np.diff(e) + 1)[:, at_one]
+    return grid
 
 
 @lru_cache(maxsize=None)

@@ -22,10 +22,9 @@ etn_decode reads either form of the observation protocol: a
 CompositionMultiset, or a DeltaObservation, which answers multiset queries
 in O(n) from a base string plus a sparse error delta and so keeps large-n
 trials tractable.  A string's P goes on the (2R+1)^2 evaluation grid
-through fields.prefix_grid, one term per run of the majority symbol, in
-O(n + R^2 min(wt, n - wt)) rather than O(R^2 n); fields.monomial_grid is
-left with the sparse grids: the delta, read as a signed multiset, and the
-one-term shifts.
+through fields.prefix_grid, one monomial per run of zeros, in
+O(n + R^2 wt) rather than O(R^2 n); fields.monomial_grid sums those
+monomials, the delta read as a signed multiset, and the one-term shifts.
 """
 
 from __future__ import annotations
@@ -247,8 +246,7 @@ class DeltaObservation:
     The sparse form of the observation protocol CompositionMultiset
     documents.  All queries cost O(n) or less, so corruption and decoding of
     long strings never materialize the quadratic multiset; sym_eval costs
-    O(n + R^2 min(wt, n - wt)) for the base string plus O(R^2) per delta
-    term.
+    O(n + R^2 wt) for the base string plus O(R^2) per delta term.
     """
 
     def __init__(self, s: str):

@@ -180,9 +180,9 @@ def test_no_decoder_calls_an_encoder(monkeypatch):
 
 
 def test_sym_poly_decode_grids_no_string_term_by_term(monkeypatch):
-    # a string's P goes on the grid by runs (fields.prefix_grid), so
-    # monomial_grid is left with the error delta and one-term shifts: no call
-    # may get more terms than the delta holds, however long the codeword
+    # a string's P goes on the grid by runs (fields.prefix_grid): one
+    # monomial per one of the codeword, not one per prefix; other calls get
+    # the error delta or one-term shifts
     sizes = []
 
     def counting(xe, ye, R, field, mult=None):
@@ -198,7 +198,8 @@ def test_sym_poly_decode_grids_no_string_term_by_term(monkeypatch):
     assert len(s) == 18628
     obs, _ = corrupt(sym.DeltaObservation(s), ErrorModel("symmetric", 2), rng)
     terms = sum(map(len, obs.delta.values()))
-    assert terms > 0
+    runs = s.count("1") + 1
+    assert 0 < terms and runs < len(s) // 8
     sizes.clear()
     assert sym.etn_decode_info(obs, 12, 2) == info
-    assert sizes and max(sizes) <= terms
+    assert sizes and max(sizes) <= max(terms, runs)

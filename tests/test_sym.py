@@ -20,6 +20,7 @@ from compocode.catalan import sr_params
 from compocode.channel import ErrorModel, corrupt
 from compocode.fields import (
     BCHCode,
+    PrimeField,
     SparsityExceeded,
     _field,
     bblock_code,
@@ -632,27 +633,13 @@ def test_prefix_grid_by_runs_on_edge_strings():
     _assert_runs_grid_matches("0" * (p.r_hat // 2), 8, p.field)
 
 
-def test_prefix_grid_by_runs_transposes_a_ones_majority():
-    rng = random.Random(30)
-    field = field_setup(200)
-    swap = str.maketrans("01", "10")
-    for _ in range(20):
-        n = rng.randint(1, 120)
-        s = "".join("1" if rng.random() < 0.8 else "0" for _ in range(n))
-        if 2 * s.count("1") <= n:
-            s = s.translate(swap)
-        R = rng.randint(0, 6)
-        _assert_runs_grid_matches(s, R, field)
-        # P(x, y) of s is P(y, x) of its complement
-        assert np.array_equal(prefix_grid(s, R, field),
-                              prefix_grid(s.translate(swap), R, field).T)
-
-
 def test_prefix_grid_by_runs_on_random_strings():
-    # small fields included: with q - 1 <= R several l2 put y at 1
+    # sparse, even and ones-majority strings (many empty runs); small fields
+    # included: with q - 1 <= R several l2 put y at 1
     rng = random.Random(31)
     for _ in range(60):
-        s = random_bits(rng, rng.randint(1, 200))
+        ones = rng.choice((0.2, 0.5, 0.8))
+        s = "".join("01"[rng.random() < ones] for _ in range(rng.randint(1, 200)))
         field = field_setup(rng.randint(len(s), 300))
         _assert_runs_grid_matches(s, rng.randint(0, 8), field)
     _assert_runs_grid_matches("0110", 8, field_setup(1))
@@ -665,18 +652,45 @@ def test_prefix_grid_by_runs_at_the_benchmark_length():
 
 
 def test_prefix_grid_by_runs_split_sums_agree(monkeypatch):
-    # blocks of 1, 2 and 5 runs instead of one exact float64 product,
+    # blocks of 1, 2 and 5 monomials instead of one exact float64 product,
     # bounded either by exactness or by the block size
     rng = random.Random(32)
     field = field_setup(300)
     strings = [random_bits(rng, 40), "1" * 30 + "0" * 3 + "1" * 7]
     whole = [monomial_grid(*_prefix_arrays(s), 3, field) for s in strings]
-    for name, bound in (("_EXACT_FLOAT", (field.q - 1) ** 2), ("_BLOCK", 1)):
+    for name, bound in (("_EXACT_SUM", (field.q - 1) ** 2), ("_BLOCK", 1)):
         for span in (1, 2, 5):
             with monkeypatch.context() as m:
                 m.setattr(fields, name, span * bound)
                 for s, grid in zip(strings, whole):
                     assert np.array_equal(prefix_grid(s, 3, field), grid)
+
+
+def test_monomial_grid_stays_exact_where_the_float64_bound_binds():
+    # q near 2^20 puts about 8,000 products in a block, so 60,000 terms take
+    # eight blocks; one block would sum past 2^53 and round
+    rng = random.Random(33)
+    field = field_setup(1 << 19)
+    q, alpha = field.q, field.alpha
+    assert fields._EXACT_SUM // (q - 1) ** 2 < 60000 < fields._BLOCK
+    xe, ye = (np.array([rng.randrange(q - 1) for _ in range(60000)]) for _ in "xy")
+    mult = np.array([rng.randrange(-q, q) for _ in range(60000)])
+    grid = monomial_grid(xe, ye, 1, field, mult)
+    for l1 in (-1, 0, 1):
+        for l2 in (-1, 0, 1):
+            want = sum(int(m) * pow(alpha, (l1 * int(a) + l2 * int(b)) % (q - 1), q)
+                       for a, b, m in zip(xe, ye, mult)) % q
+            assert grid[l1 + 1, l2 + 1] == want, (l1, l2)
+
+
+def test_monomial_grid_refuses_a_field_beyond_float64_exactness():
+    # one product (q - 1)^2 must fit in 2^53; the check comes before the
+    # q - 1 entry alpha table is built
+    q = 94906297  # the least prime with (q - 1)^2 > 2^53
+    assert (q - 1) ** 2 > fields._EXACT_SUM
+    field = PrimeField(q, next(g for g in range(2, q) if fields._generates(g, q)))
+    with pytest.raises(ValueError, match="too large"):
+        monomial_grid(np.array([0]), np.array([0]), 0, field)
 
 
 def test_known_shell_rejects_a_flipped_shell_sigma():
