@@ -137,6 +137,9 @@ def s1_reconstruct(c: CompositionMultiset) -> str:
 
 
 def s1_decode(c: CompositionMultiset, k: int) -> str:
+    n = s1_params(k)
+    if c.n != n:
+        raise ValueError(f"length {c.n} does not match parameters ({n})")
     return s1_strip(s1_reconstruct(c), k)
 
 

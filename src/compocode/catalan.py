@@ -16,6 +16,10 @@ obtained by doubling: a free middle bit is inserted into an even codeword.
 
 All ranks are 0-based.  The encoder is a bijection obtained by mixed-radix
 composition of (1-count block, partition rank, free bits, CB rank, middle bit).
+The decoder reads a string in one pass: a walk over the mirrored pairs of the
+first half collects the set I, the free bits and the CB string, and checks
+the bits, the 0^t/1^t ends, t+1 in I and CB-ness once each, so a non-member
+is the string the walk gives no rank.
 """
 
 from __future__ import annotations
@@ -102,21 +106,18 @@ def cb_unrank(m: int, rank: int) -> str:
 
 
 def partition_rank(m: int, subset) -> int:
-    """0-based rank of subset of {1..m}; blocks by cardinality ascending,
-    combinatorial number system within a block."""
+    """0-based rank of an i-subset of {1..m} among the i-subsets, in the
+    combinatorial number system: the inverse of partition_unrank(m, i, .)."""
     ell = sorted(subset)
-    i = len(ell)
     if ell and (ell[0] < 1 or ell[-1] > m):
         raise ValueError("subset out of range")
-    if len(set(ell)) != i:
+    if len(set(ell)) != len(ell):
         raise ValueError("subset has repeats")
-    block = sum(comb(m, j) for j in range(i))
-    within = sum(comb(ell[j] - 1, j + 1) for j in range(i))
-    return block + within
+    return sum(comb(e - 1, j) for j, e in enumerate(ell, 1))
 
 
 def partition_unrank(m: int, i: int, within: int):
-    """Inverse of the within-block part: the rank-`within` i-subset of {1..m}."""
+    """The rank-`within` i-subset of {1..m}: the inverse of partition_rank."""
     v = comb(m, i)  # comb(ell, j), always > r
     if not 0 <= within < v:
         raise ValueError("rank out of range")
@@ -210,27 +211,6 @@ def _encode_even(ind: int, n: int, t: int):
     return "".join(s)
 
 
-def _decode_even(s: str, t: int) -> int:
-    """Rank of an even-length codeword; sr_decode has checked is_member."""
-    n = len(s)
-    half = n // 2
-    hf = half - t - 1
-    i_half = [j for j in range(t + 1, half + 1) if s[j - 1] != s[n - j]]
-    extra = [j - (t + 1) for j in i_half if j > t + 1]
-    i = len(extra)
-    cb = "".join(s[j - 1] for j in i_half)
-    in_i = set(i_half)
-    free_pos = [j for j in range(t + 1, half + 1) if j not in in_i]
-    free_bits = "".join(s[j - 1] for j in free_pos)
-    cbt = cb_total(i + 1)
-    nfree = hf - i
-    p = partition_rank(hf, extra) - sum(comb(hf, j) for j in range(i))
-    v = int(free_bits, 2) if free_bits else 0
-    rc = cb_rank(cb)  # global rank: the radix slot spans cb_total(i+1)
-    ind = (p * 2 ** nfree + v) * cbt + rc
-    return sum(_block_sizes(hf)[:i]) + ind
-
-
 def sr_encode(info: str, t: int = 0, n: int | None = None) -> str:
     """Map a k-bit info string bijectively into the shift-t codebook."""
     k = len(info)
@@ -251,38 +231,43 @@ def sr_encode(info: str, t: int = 0, n: int | None = None) -> str:
 
 def sr_decode(codeword: str, k: int, t: int = 0) -> str:
     """Inverse of sr_encode; raises ValueError on non-codewords."""
-    if not is_member(codeword, t):
+    ind = _rank(codeword, t)
+    if ind is None:
         raise ValueError("membership violation: not a codeword")
-    n = len(codeword)
-    if n % 2 == 1:
-        half = (n - 1) // 2
-        mid = int(codeword[half])
-        inner = codeword[:half] + codeword[half + 1:]
-        ind = (_decode_even(inner, 0) << 1) | mid
-    else:
-        ind = _decode_even(codeword, t)
     if ind >= 2 ** k:
         raise ValueError("codeword outside the 2^k information range")
     return format(ind, f"0{k}b")
 
 
 def is_member(s: str, t: int = 0) -> bool:
+    return _rank(s, t) is not None
+
+
+def _rank(s: str, t: int) -> int | None:
+    """Rank of s in the shift-t codebook of its length; None for a non-member."""
     n = len(s)
-    if set(s) - {"0", "1"}:
-        return False
-    if n % 2 == 1:
-        if t != 0 or n < 3:
-            return False
-        half = (n - 1) // 2
-        return is_member(s[:half] + s[half + 1:], 0)
-    if n < 2 * t + 2:
-        return False
     half = n // 2
-    for j in range(1, t + 1):
-        if s[j - 1] != "0" or s[n - j] != "1":
-            return False
-    diff = [j for j in range(1, half + 1) if s[j - 1] != s[n - j]]
-    cb_positions = [j for j in diff if j > t]
-    if len(cb_positions) != len(diff) - t or (t + 1) not in cb_positions:
-        return False
-    return is_catalan_bertrand("".join(s[j - 1] for j in cb_positions))
+    if n % 2 == 1:  # drop the free middle bit
+        inner = None if t else _rank(s[:half] + s[half + 1:], 0)
+        if inner is None or s[half] not in ("0", "1"):
+            return None
+        return inner << 1 | int(s[half])
+    if set(s) - {"0", "1"} or not 0 <= t < half or s[:t] != "0" * t \
+            or s[n - t:] != "1" * t or s[t] == s[n - 1 - t]:
+        return None
+    # positions t+2 .. half against their mirrors n-t-1 .. half+1 (1-based)
+    extra, cb, free = [], [s[t]], []
+    for e, (x, y) in enumerate(zip(s[t + 1:half], reversed(s[half:n - t - 1])), 1):
+        if x != y:
+            extra.append(e)
+            cb.append(x)
+        else:
+            free.append(x)
+    try:
+        rc = cb_rank("".join(cb))  # global rank: the radix slot spans cb_total(i+1)
+    except ValueError:  # not a CB string
+        return None
+    hf, i = half - t - 1, len(extra)
+    v = int("".join(free), 2) if free else 0
+    ind = (partition_rank(hf, extra) * 2 ** (hf - i) + v) * cb_total(i + 1) + rc
+    return sum(_block_sizes(hf)[:i]) + ind

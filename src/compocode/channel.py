@@ -77,7 +77,7 @@ class TrialReport:
     trials: int
     successes: int
     failures: dict = field(default_factory=dict)  # cause -> count
-    mean_backtracks: float = 0.0
+    mean_backtracks: float = 0.0  # recon raises on a rollback; no decode counts one
     wall_seconds: float = 0.0
     seed: int = 0
 
@@ -111,10 +111,10 @@ class Scheme:
     """One code at fixed parameters, as sim, the CLI and the tests use it.
 
     encode maps info bits to the codeword and observe maps the codeword to
-    the observation the channel corrupts.  decode(obs) returns (info,
-    backtracks).  verify(info, obs) is True when a codeword that info
-    explains lies within the code's t errors of obs.  params names the code
-    in reports: k, and t for the schemes that take one.
+    the observation the channel corrupts.  decode(obs) returns the info
+    word.  verify(info, obs) is True when a codeword that info explains lies
+    within the code's t errors of obs.  params names the code in reports:
+    k, and t for the schemes that take one.
     """
 
     params: dict
@@ -140,8 +140,8 @@ def _recon(k: int, t: int) -> Scheme:
     encode = partial(sr_encode, t=0, n=sr_params(k, 0))
 
     def decode(c):
-        s, stats = reconstruct_unique(c)
-        return sr_decode(s, k, 0), stats.backtracks
+        s, _ = reconstruct_unique(c)
+        return sr_decode(s, k, 0)
     return Scheme({"k": k}, encode, compose_all, decode,
                   lambda info, c: _within(encode(info), c, 0))
 
@@ -157,7 +157,7 @@ def _asym1(k: int, t: int) -> Scheme:
         clean = s1_reconstruct(c)
         return s1_strip(clean, k) == info and _within(clean, c, 1)
     return Scheme({"k": k}, partial(s1_encode, n=s1_params(k)), compose_all,
-                  lambda c: (s1_decode(c, k), 0), verify)
+                  partial(s1_decode, k=k), verify)
 
 
 def _asym_t(k: int, t: int) -> Scheme:
@@ -165,7 +165,7 @@ def _asym_t(k: int, t: int) -> Scheme:
     st_params(k, t)
     encode = partial(st_encode, t=t)
     return Scheme({"k": k, "t": t}, encode, compose_all,
-                  lambda c: (st_decode(c, k, t), 0),
+                  partial(st_decode, k=k, t=t),
                   lambda info, c: _within(encode(info), c, t))
 
 
@@ -182,7 +182,7 @@ def _sym_poly(k: int, t: int) -> Scheme:
         return sum(a != b for a, b in
                    zip(clean, obs.weight_profile().tolist())) <= t
     return Scheme({"k": k, "t": t}, encode, DeltaObservation,
-                  lambda obs: (etn_decode_info(obs, k, t), 0), verify)
+                  partial(etn_decode_info, k=k, t=t), verify)
 
 
 def _sym_catalan(k: int, t: int) -> Scheme:
@@ -191,7 +191,7 @@ def _sym_catalan(k: int, t: int) -> Scheme:
     encode = partial(catalan_code_encode, t=t, n=catalan_code_params(k, t))
 
     def decode(c):
-        return catalan_code_strip(catalan_code_decode_bruteforce(c, t), k, t), 0
+        return catalan_code_strip(catalan_code_decode_bruteforce(c, t), k, t)
     return Scheme({"k": k, "t": t}, encode, compose_all, decode,
                   lambda info, c: _within(encode(info), c, t))
 
@@ -222,16 +222,13 @@ def run_trials(scheme: str, params: dict, model: ErrorModel, trials: int,
     k = params["k"]
     successes = 0
     failures: dict[str, int] = {}
-    total_backtracks = 0
     start = time.perf_counter()
     for i in range(trials):
         rng = random.Random(f"{seed}:{i}")
         info = _random_info(rng, k)
         try:
             c, _ = corrupt(code.observe(code.encode(info)), model, rng)
-            got, backtracks = code.decode(c)
-            total_backtracks += backtracks
-            if got == info:
+            if code.decode(c) == info:
                 successes += 1
             else:
                 failures["wrong-output"] = failures.get("wrong-output", 0) + 1
@@ -242,5 +239,4 @@ def run_trials(scheme: str, params: dict, model: ErrorModel, trials: int,
     return TrialReport(
         scheme=scheme, params=dict(sorted(code.params.items())), trials=trials,
         successes=successes, failures=failures,
-        mean_backtracks=total_backtracks / trials if trials else 0.0,
         wall_seconds=round(elapsed, 3), seed=seed)

@@ -145,7 +145,7 @@ def cmd_decode(args) -> int:
     text = _read_input(args)
     c = _parse_multiset(text)
     try:
-        info, _ = code.decode(c)
+        info = code.decode(c)
         if not code.verify(info, c):
             raise CliError(
                 EXIT_DECODE,

@@ -285,9 +285,13 @@ class DeltaObservation:
         for l, d in self.delta.items():
             if sum(d.values()) != 0:
                 raise CorruptedInput(f"level {l} count drifted")
-            for w in d:
+            for w, c in d.items():
                 if not 0 <= w <= l:
                     raise CorruptedInput(f"level {l} weight {w} out of range")
+                # only a removal can take a count below 0: one O(n) count
+                base = np.count_nonzero(self._base_level(l) == w) if c < 0 else 0
+                if (m := base + c) < 0:
+                    raise CorruptedInput(f"level {l} holds weight {w} {m} times")
 
     def weight_profile(self) -> np.ndarray:
         w = self.base_w.copy()
@@ -295,11 +299,14 @@ class DeltaObservation:
             w[l - 1] += sum(wt * c for wt, c in d.items())
         return w
 
-    def level_counter(self, l: int) -> Counter:
+    def _base_level(self, l: int) -> np.ndarray:
+        """The weights of the base string's substrings of length l."""
         if not 1 <= l <= self.n:
             raise KeyError(l)
-        wts = self.pref[l:self.n + 1] - self.pref[:self.n - l + 1]
-        counts = np.bincount(wts)
+        return self.pref[l:] - self.pref[:self.n - l + 1]
+
+    def level_counter(self, l: int) -> Counter:
+        counts = np.bincount(self._base_level(l))
         ws = np.flatnonzero(counts)
         out = Counter(dict(zip(ws.tolist(), counts[ws].tolist())))
         for w, c in self.delta.get(l, {}).items():

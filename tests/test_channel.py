@@ -146,7 +146,7 @@ def test_registry_round_trip(name):
         info = "".join(rng.choice("01") for _ in range(k))
         obs, log = corrupt(code.observe(code.encode(info)), model, rng)
         assert len(log) == model.t
-        assert code.decode(obs)[0] == info
+        assert code.decode(obs) == info
         assert code.verify(info, obs)
         other = ("1" if info[0] == "0" else "0") + info[1:]
         assert not code.verify(other, code.observe(code.encode(info)))

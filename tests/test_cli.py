@@ -105,6 +105,21 @@ def test_decode_over_budget_exits_4(tmp_path, capsys):
         assert code == 4 and "decode" in err
 
 
+@pytest.mark.parametrize("k", [11, 20])
+def test_asym1_decode_rejects_a_multiset_of_another_length(tmp_path, capsys, k):
+    # a k = 10 codeword has n = 17; s1_params(11) = 23 and s1_params(20) = 29
+    inp = tmp_path / "info.txt"
+    inp.write_text("1011001110")
+    cw, ms = tmp_path / "cw.txt", tmp_path / "ms.txt"
+    run(capsys, "encode", "--scheme", "asym1", "--k", "10",
+        "--input", str(inp), "--output", str(cw))
+    run(capsys, "compose", "--input", str(cw), "--output", str(ms))
+    code, out, err = run(capsys, "decode", "--scheme", "asym1", "--k", str(k),
+                         "--input", str(ms))
+    assert code == 4 and out == ""
+    assert "length 17 does not match parameters" in err
+
+
 def test_sym_catalan_cli_pipeline(tmp_path, capsys):
     info = "101"
     inp = tmp_path / "info.txt"

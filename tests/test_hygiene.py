@@ -93,7 +93,7 @@ code = build_scheme("recon", 64)
 rng = random.Random(1)
 info = "".join(rng.choice("01") for _ in range(64))
 c, _ = corrupt(code.observe(code.encode(info)), ErrorModel("asymmetric", 0), rng)
-got, _ = code.decode(c)
+got = code.decode(c)
 print(got == info, code.verify(got, c), "numpy" in sys.modules)
 """
 
@@ -149,6 +149,28 @@ def test_sr_decode_failures_are_classified_by_the_bench():
                 assert sr_encode(info, t, n) == s, (s, t)
     assert messages == {"membership violation",
                         "codeword outside the 2^k information range"}
+
+
+def test_sr_decode_walks_the_codeword_once(monkeypatch):
+    # membership and rank share one walk, and the subset is ranked within
+    # its block: about 2 binomials per CB position in cb_rank and 1 in
+    # partition_rank, with no block sums that cancel
+    from compocode import catalan
+    rng = random.Random(1)
+    info = "".join(rng.choice("01") for _ in range(1024))
+    s = sr_encode(info)
+    n = len(s)
+    cb_len = sum(s[j] != s[n - 1 - j] for j in range(n // 2))
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return comb(a, b)
+
+    comb = catalan.comb
+    monkeypatch.setattr(catalan, "comb", counting)
+    assert sr_decode(s, 1024) == info
+    assert cb_len == 244 and len(calls) <= 3 * cb_len
 
 
 def test_no_decoder_calls_an_encoder(monkeypatch):

@@ -8,6 +8,8 @@ sym-catalan candidate enumeration that solves sigma before reconstruct does,
 a channel that lists every element of a level to draw one, per-element
 level sums and comparisons, a text format that lists every element,
 parameter searches that walk up from the shortest admissible length,
+a codeword ranker that checks membership and ranks in separate passes
+through a partition rank counted across blocks,
 ternary erasure and BCH decoders that return only the message, and a
 sym-poly decoder that keeps its evaluation grids in dicts keyed by grid point.
 The current code must give the same value, or raise the same exception type,
@@ -21,6 +23,7 @@ import os
 import random
 import re
 from collections import Counter
+from math import comb
 
 import numpy as np
 
@@ -39,7 +42,20 @@ from compocode.backtrack import (
     _search,
     reconstruct,
 )
-from compocode.catalan import cb_count, sr_encode, sr_params, sr_size
+from compocode.catalan import (
+    _block_sizes,
+    cb_count,
+    cb_rank,
+    cb_total,
+    is_catalan_bertrand,
+    is_member,
+    partition_rank,
+    partition_unrank,
+    sr_decode,
+    sr_encode,
+    sr_params,
+    sr_size,
+)
 from compocode.channel import ErrorModel, corrupt
 from compocode.compositions import (
     CompositionMultiset,
@@ -275,6 +291,80 @@ def loop_st_params(k, t):
     e = ternary_field_params(m // 2, 3 * t)
     n = m + 6 * t * e
     return m, n
+
+
+def loop_partition_rank(m: int, subset) -> int:
+    """0-based rank of subset of {1..m}; blocks by cardinality ascending,
+    combinatorial number system within a block."""
+    ell = sorted(subset)
+    i = len(ell)
+    if ell and (ell[0] < 1 or ell[-1] > m):
+        raise ValueError("subset out of range")
+    if len(set(ell)) != i:
+        raise ValueError("subset has repeats")
+    block = sum(comb(m, j) for j in range(i))
+    within = sum(comb(ell[j] - 1, j + 1) for j in range(i))
+    return block + within
+
+
+def loop_decode_even(s: str, t: int) -> int:
+    """Rank of an even-length codeword; sr_decode has checked is_member."""
+    n = len(s)
+    half = n // 2
+    hf = half - t - 1
+    i_half = [j for j in range(t + 1, half + 1) if s[j - 1] != s[n - j]]
+    extra = [j - (t + 1) for j in i_half if j > t + 1]
+    i = len(extra)
+    cb = "".join(s[j - 1] for j in i_half)
+    in_i = set(i_half)
+    free_pos = [j for j in range(t + 1, half + 1) if j not in in_i]
+    free_bits = "".join(s[j - 1] for j in free_pos)
+    cbt = cb_total(i + 1)
+    nfree = hf - i
+    p = loop_partition_rank(hf, extra) - sum(comb(hf, j) for j in range(i))
+    v = int(free_bits, 2) if free_bits else 0
+    rc = cb_rank(cb)  # global rank: the radix slot spans cb_total(i+1)
+    ind = (p * 2 ** nfree + v) * cbt + rc
+    return sum(_block_sizes(hf)[:i]) + ind
+
+
+def loop_sr_decode(codeword: str, k: int, t: int = 0) -> str:
+    """Inverse of sr_encode; raises ValueError on non-codewords."""
+    if not loop_is_member(codeword, t):
+        raise ValueError("membership violation: not a codeword")
+    n = len(codeword)
+    if n % 2 == 1:
+        half = (n - 1) // 2
+        mid = int(codeword[half])
+        inner = codeword[:half] + codeword[half + 1:]
+        ind = (loop_decode_even(inner, 0) << 1) | mid
+    else:
+        ind = loop_decode_even(codeword, t)
+    if ind >= 2 ** k:
+        raise ValueError("codeword outside the 2^k information range")
+    return format(ind, f"0{k}b")
+
+
+def loop_is_member(s: str, t: int = 0) -> bool:
+    n = len(s)
+    if set(s) - {"0", "1"}:
+        return False
+    if n % 2 == 1:
+        if t != 0 or n < 3:
+            return False
+        half = (n - 1) // 2
+        return loop_is_member(s[:half] + s[half + 1:], 0)
+    if n < 2 * t + 2:
+        return False
+    half = n // 2
+    for j in range(1, t + 1):
+        if s[j - 1] != "0" or s[n - j] != "1":
+            return False
+    diff = [j for j in range(1, half + 1) if s[j - 1] != s[n - j]]
+    cb_positions = [j for j in diff if j > t]
+    if len(cb_positions) != len(diff) - t or (t + 1) not in cb_positions:
+        return False
+    return is_catalan_bertrand("".join(s[j - 1] for j in cb_positions))
 
 
 def loop_of_string(s):
@@ -876,6 +966,54 @@ def test_parameter_searches_match_the_loops():
             assert sr_params(k, t) == loop_sr_params(k, t), (k, t)
             if t:
                 assert st_params(k, t) == loop_st_params(k, t), (k, t)
+
+
+def assert_ranks_like_the_loop(s, t, ks):
+    assert is_member(s, t) == loop_is_member(s, t), (s, t)
+    for k in ks:
+        assert decode_outcome(sr_decode, s, k, t) == \
+            decode_outcome(loop_sr_decode, s, k, t), (s, k, t)
+
+
+def test_codeword_ranker_matches_the_loop_on_every_short_string():
+    # k = n fits every rank; k = n // 2 puts the higher ranks out of range
+    for n in range(15):
+        for tup in itertools.product("01", repeat=n):
+            s = "".join(tup)
+            for t in (0, 1, 2):
+                assert_ranks_like_the_loop(s, t, (max(n, 1), max(n // 2, 1)))
+    for s in ("0x1", "0 01", "00x1", "0xx1", "00211"):  # not bit strings
+        for t in (0, 1):
+            assert_ranks_like_the_loop(s, t, (4,))
+
+
+def test_codeword_ranker_matches_the_loop_on_long_strings():
+    rng = random.Random(35)
+    for _ in range(60):
+        t = rng.randint(0, 2)
+        k = rng.randint(1, 580)
+        n = sr_params(k, t)
+        member = sr_encode(random_bits(rng, k), t, n)
+        for s in (member, random_bits(rng, n)):
+            assert_ranks_like_the_loop(s, t, (k, k - 1 or 1))
+        pos = rng.randrange(n)  # a near-member: one bit flipped
+        flipped = member[:pos] + "10"[int(member[pos])] + member[pos + 1:]
+        assert_ranks_like_the_loop(flipped, t, (k,))
+
+
+def test_partition_rank_matches_the_loop():
+    rng = random.Random(36)
+    for m in (0, 1, 5, 60, 300):
+        for _ in range(30):
+            subset = rng.sample(range(1, m + 1), rng.randint(0, m))
+            block = sum(comb(m, j) for j in range(len(subset)))
+            assert partition_rank(m, subset) == \
+                loop_partition_rank(m, subset) - block
+            assert partition_unrank(m, len(subset), partition_rank(m, subset)) \
+                == sorted(subset)
+    for m, subset in ((4, [0, 2]), (4, [5]), (4, [2, 2])):
+        assert outcome(partition_rank, m, subset) is ValueError
+        assert outcome(loop_partition_rank, m, subset) is ValueError
 
 
 def search_outcome(search, c, sigma, bad_levels, collect_all):

@@ -220,6 +220,44 @@ def test_observation_correct_roundtrip():
         compose_all(s).correct({(4, 1): 1})  # no weight-4 element at level 5
 
 
+def correct_outcome(obs, error):
+    try:
+        fixed = obs.correct(error)
+    except CorruptedInput:
+        return CorruptedInput
+    return [fixed.level_counter(l) for l in range(1, obs.n + 1)]
+
+
+def test_both_observation_forms_correct_alike():
+    # a removal the multiset cannot serve fails in both forms, also where a
+    # put-back at the same level keeps the level's count
+    rng = random.Random(37)
+    outcomes = set()
+    for _ in range(300):
+        s = random_bits(rng, rng.randint(1, 14))
+        n = len(s)
+        sparse, dense = DeltaObservation(s), compose_all(s)
+        for _ in range(rng.randint(0, 2)):  # the same channel errors in both
+            l = rng.randint(1, n)
+            old = rng.choice(sorted(dense.level_counter(l)))
+            new = rng.randint(0, l)
+            sparse.replace(l, old, new)
+            dense.replace(l, old, new)
+        error = {}
+        for _ in range(rng.randint(1, 3)):
+            l = rng.randint(1, n)
+            w, w2 = rng.randint(0, l), rng.randint(0, l)  # present or absent
+            c = rng.choice((-2, -1, 1, 2))
+            error[(w, l - w)] = error.get((w, l - w), 0) + c
+            error[(w2, l - w2)] = error.get((w2, l - w2), 0) - c
+        got = correct_outcome(sparse, error)
+        assert got == correct_outcome(dense, error), (s, error)
+        outcomes.add(got is CorruptedInput)
+    with pytest.raises(CorruptedInput):
+        DeltaObservation("0001011").correct({(3, 0): 1, (0, 3): -1})
+    assert outcomes == {True, False}
+
+
 def test_level_counter_rejects_levels_outside_1_to_n():
     s = "0110100"
     c = compose_all(s)
@@ -594,8 +632,8 @@ def test_prefix_grid_at_the_benchmark_length():
 
 
 def test_prefix_grid_split_sums_agree(monkeypatch):
-    # blocks of 1, 2 and 5 terms instead of one exact int64 dot per row,
-    # bounded either by overflow or by the block size
+    # blocks of 1, 2 and 5 terms instead of one block for all 41 terms,
+    # bounded either by float64 exactness or by the block size
     rng = random.Random(15)
     s = random_bits(rng, 40)
     mult = np.array([rng.randrange(-3, 9) for _ in range(41)])
