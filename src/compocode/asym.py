@@ -60,25 +60,21 @@ def _checksum(s: str) -> int:
     return sum(w[:(n + 1) // 2]) % 3
 
 
-def s1_encode(info: str, n: int | None = None) -> str:
-    """Map info into the single-error code of length n."""
-    k = len(info)
-    if n is None:
-        n = s1_params(k)
+# ternary digit d -> a bit pair holding d ones, the smaller bit first
+_PAIRS = ("00", "01", "11")
+
+
+def s1_encode(info: str) -> str:
+    """Map info into the single-error code of length s1_params(len(info))."""
+    n = s1_params(len(info))
     h = (n + 1) // 2
-    if n % 2 == 0 or h % 3 != 0:
-        raise ValueError("length must be odd with ceil(n/2) divisible by 3")
-    ev = sr_encode(info, 0, n - 3)
-    inner_mid = (n - 3) // 2  # insertion point of the free middle bit
-    for pair in ("00", "01", "11"):
-        inner = ev[:inner_mid] + "0" + ev[inner_mid:]
-        s = inner[0] + pair[0] + inner[1:-1] + pair[1] + inner[-1]
-        if _checksum(s) == 0:
-            break
-    else:
-        raise RuntimeError("no admissible (s_2, s_{n-1}) pair")  # unreachable
+    inner = sr_encode(info + "0", 0, n - 2)  # the free middle bit starts at 0
+    # each 1 in (s_2, s_{n-1}) moves the checksum by -1 mod 3
+    zeros = inner[0] + "0" + inner[1:-1] + "0" + inner[-1]
+    pair = _PAIRS[_checksum(zeros)]
+    s = inner[0] + pair[0] + inner[1:-1] + pair[1] + inner[-1]
     if s.count("1") % 2 == 1:
-        s = s[:h - 1] + ("1" if s[h - 1] == "0" else "0") + s[h:]
+        s = s[:h - 1] + "1" + s[h:]
     if _checksum(s) != 0 or s.count("1") % 2 != 0:
         raise RuntimeError("middle flip broke the checksum or the parity")
     return s
@@ -145,11 +141,8 @@ def s1_decode(c: CompositionMultiset, k: int) -> str:
 
 def s1_strip(s: str, k: int) -> str:
     """The k info bits of a single-error codeword."""
-    n = len(s)
-    inner = s[0] + s[2:n - 2] + s[n - 1]  # drop positions 2 and n-1
-    mid = (n - 2 + 1) // 2  # middle of the inner string, 1-based
-    ev = inner[:mid - 1] + inner[mid:]
-    return sr_decode(ev, k, 0)
+    inner = s[0] + s[2:-2] + s[-1]  # drop positions 2 and n-1
+    return sr_decode(inner, k + 1, 0)[:-1]  # less the free middle bit
 
 
 # -- t asymmetric composition errors ---------------------------------------
@@ -165,10 +158,6 @@ def st_params(k: int, t: int):
     return m, n
 
 
-def _digit_pair(d: int) -> str:
-    return {0: "00", 1: "01", 2: "11"}[d]
-
-
 def st_encode(info: str, t: int) -> str:
     k = len(info)
     m, n = st_params(k, t)
@@ -181,7 +170,7 @@ def st_encode(info: str, t: int) -> str:
         raise RuntimeError(f"length {m} + 2*{D} check digits != n = {n}")
     b = [""] * (2 * D)
     for idx, d in enumerate(parity):  # pair idx+1 at positions idx, 2D-1-idx
-        pair = _digit_pair(d)
+        pair = _PAIRS[d]
         b[idx] = pair[0]
         b[2 * D - 1 - idx] = pair[1]
     return inner[:m // 2] + "".join(b) + inner[m // 2:]

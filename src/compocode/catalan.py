@@ -24,7 +24,9 @@ is the string the walk gives no rank.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 
@@ -77,17 +79,19 @@ def cb_rank(s: str) -> int:
             ind -= cb_count(p - 1, l - 1)
         else:
             l -= 1
-    return sum(cb_count(m, j) for j in range(i)) + (ind - 1)
+    # the blocks below telescope: sum_{j<i} cb_count(m, j) = C(m-1, i-1)
+    return (comb(m - 1, i - 1) if i else 0) + (ind - 1)
 
 
 def cb_unrank(m: int, rank: int) -> str:
     if not (0 <= rank < cb_total(m)):
         raise ValueError(f"rank {rank} out of range for length {m}")
-    i = 0
-    while rank >= cb_count(m, i):
-        rank -= cb_count(m, i)
-        i += 1
-    target = rank + 1  # 1-based index within the block
+    if m == 0:
+        return ""
+    i = below = 0  # block i spans ranks C(m-1, i-1) .. C(m-1, i) - 1
+    while rank >= (end := comb(m - 1, i)):
+        i, below = i + 1, end
+    target = rank - below + 1  # 1-based index within the block
     ind = cb_count(m, i)
     l = i
     bits = []
@@ -150,17 +154,18 @@ def sr_size(n: int, t: int = 0) -> int:
         return 2 * sr_size(n - 1, 0)
     if n < 2 * t + 2:
         raise ValueError("length too short for the requested shift")
-    return sum(_block_sizes(n // 2 - t - 1))
+    return _block_offsets(n // 2 - t - 1)[-1]
 
 
 # bounded: a table holds about n/2 big ints, and a process needs only those
 # of the few lengths its parameter searches try
 @lru_cache(maxsize=8)
-def _block_sizes(hf: int) -> tuple[int, ...]:
-    """Codewords per 1-count block: hf free first-half positions (t+2 .. n/2),
-    i of them joining position t+1 in the CB set I, the rest free bits."""
-    return tuple(comb(hf, i) * 2 ** (hf - i) * cb_total(i + 1)
-                 for i in range(hf + 1))
+def _block_offsets(hf: int) -> tuple[int, ...]:
+    """First rank of each 1-count block, then the codebook size: hf free
+    first-half positions (t+2 .. n/2), i of them joining position t+1 in the
+    CB set I, the rest free bits."""
+    return tuple(accumulate((comb(hf, i) * 2 ** (hf - i) * cb_total(i + 1)
+                             for i in range(hf + 1)), initial=0))
 
 
 @lru_cache(maxsize=None)
@@ -182,12 +187,11 @@ def sr_params(k: int, t: int = 0):
 def _encode_even(ind: int, n: int, t: int):
     half = n // 2
     hf = half - t - 1
-    for i, block in enumerate(_block_sizes(hf)):
-        if ind < block:
-            break
-        ind -= block
-    else:
+    offsets = _block_offsets(hf)
+    i = bisect_right(offsets, ind) - 1
+    if i > hf:
         raise ValueError("info rank exceeds codebook size")
+    ind -= offsets[i]
     cbt = cb_total(i + 1)
     nfree = hf - i
     p, rem = divmod(ind, (2 ** nfree) * cbt)
@@ -270,4 +274,4 @@ def _rank(s: str, t: int) -> int | None:
     hf, i = half - t - 1, len(extra)
     v = int("".join(free), 2) if free else 0
     ind = (partition_rank(hf, extra) * 2 ** (hf - i) + v) * cb_total(i + 1) + rc
-    return sum(_block_sizes(hf)[:i]) + ind
+    return _block_offsets(hf)[i] + ind

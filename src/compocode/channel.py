@@ -23,7 +23,6 @@ from .compositions import compose_all, multiset_symmetric_difference
 class ErrorModel:
     kind: str  # "asymmetric" | "symmetric"
     t: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in ("asymmetric", "symmetric"):
@@ -32,14 +31,13 @@ class ErrorModel:
             raise ValueError("t must be >= 0")
 
 
-def corrupt(c, model: ErrorModel, rng=None, adversarial=False):
-    """Apply exactly model.t replacements to an observation.
+def corrupt(c, model: ErrorModel, rng: random.Random, adversarial=False):
+    """Apply exactly model.t replacements to an observation, drawing from rng.
 
     Returns (corrupted copy, log); the log lists (level, removed weight,
     added weight) per error.  In adversarial mode the replacement maximizes
     the weight change instead of being uniform.
     """
-    rng = rng if rng is not None else random.Random(model.seed)
     n = c.n
     out = c.copy()
     chosen: list[int] = []
@@ -136,28 +134,27 @@ def _recon(k: int, t: int) -> Scheme:
     if t:
         raise ValueError("t must be 0")
     from .backtrack import reconstruct_unique
-    from .catalan import sr_decode, sr_encode, sr_params
-    encode = partial(sr_encode, t=0, n=sr_params(k, 0))
+    from .catalan import sr_decode, sr_encode
 
     def decode(c):
         s, _ = reconstruct_unique(c)
         return sr_decode(s, k, 0)
-    return Scheme({"k": k}, encode, compose_all, decode,
-                  lambda info, c: _within(encode(info), c, 0))
+    return Scheme({"k": k}, sr_encode, compose_all, decode,
+                  lambda info, c: _within(sr_encode(info), c, 0))
 
 
 def _asym1(k: int, t: int) -> Scheme:
     if t:
         raise ValueError("t must be 0")
-    from .asym import s1_decode, s1_encode, s1_params, s1_reconstruct, s1_strip
+    from .asym import s1_decode, s1_encode, s1_reconstruct, s1_strip
 
     def verify(info, c):
         # the decoder's own string, rebuilt from the observation: the code
         # carries checksum bits beyond the info
         clean = s1_reconstruct(c)
         return s1_strip(clean, k) == info and _within(clean, c, 1)
-    return Scheme({"k": k}, partial(s1_encode, n=s1_params(k)), compose_all,
-                  partial(s1_decode, k=k), verify)
+    return Scheme({"k": k}, s1_encode, compose_all, partial(s1_decode, k=k),
+                  verify)
 
 
 def _asym_t(k: int, t: int) -> Scheme:
@@ -188,7 +185,8 @@ def _sym_poly(k: int, t: int) -> Scheme:
 def _sym_catalan(k: int, t: int) -> Scheme:
     from .sym import catalan_code_decode_bruteforce, catalan_code_encode, \
         catalan_code_params, catalan_code_strip
-    encode = partial(catalan_code_encode, t=t, n=catalan_code_params(k, t))
+    catalan_code_params(k, t)  # rejects t < 0 before any trial
+    encode = partial(catalan_code_encode, t=t)
 
     def decode(c):
         return catalan_code_strip(catalan_code_decode_bruteforce(c, t), k, t)
@@ -203,8 +201,8 @@ REGISTRY = {"recon": _recon, "asym1": _asym1, "asym-t": _asym_t,
 def build_scheme(name: str, k: int, t: int = 0) -> Scheme:
     """The registered scheme `name` at (k, t); recon and asym1 take t = 0.
 
-    The code's parameters are derived here, so a bad (k, t) raises
-    ValueError before anything is encoded.
+    A bad (k, t) raises ValueError here, before anything is encoded; the
+    encoders derive their lengths from the info word.
     """
     if name not in REGISTRY:
         raise ValueError(f"unknown scheme {name!r}")

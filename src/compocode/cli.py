@@ -127,10 +127,9 @@ def cmd_corrupt(args) -> int:
     text = _read_input(args)
     c = _parse_multiset(text)
     kind = {"asym": "asymmetric", "sym": "symmetric"}[args.model]
-    rng = random.Random(args.seed)
     try:
-        model = ErrorModel(kind, args.errors, seed=args.seed)
-        out, log = corrupt(c, model, rng=rng, adversarial=args.adversarial)
+        out, log = corrupt(c, ErrorModel(kind, args.errors),
+                           random.Random(args.seed), args.adversarial)
     except ValueError as e:
         raise CliError(EXIT_PARAMS, str(e)) from e
     manifest = _manifest(args, {

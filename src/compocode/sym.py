@@ -122,12 +122,12 @@ def verify_identity(P: PrefixPolynomial, S: MultisetPolynomial, n: int) -> bool:
 
 
 def resolve_weight(observed: int, c_w: int, t: int, n: int) -> int:
-    """Exact wt(s) from a level-1 weight off by at most t, given wt mod 2t+1."""
-    cands = [v for v in range(observed - t, observed + t + 1)
-             if 0 <= v <= n and v % (2 * t + 1) == c_w]
-    if len(cands) != 1:
+    """Exact wt(s) from a level-1 weight off by at most t, given wt mod 2t+1:
+    the window observed-t..observed+t holds each residue exactly once."""
+    v = observed + t - (observed + t - c_w) % (2 * t + 1)
+    if not (0 <= c_w <= 2 * t and 0 <= v <= n):
         raise CorruptedInput("weight residue fails to pin wt(s)")
-    return cands[0]
+    return v
 
 
 def _signed(v: int, q: int) -> int:
@@ -609,20 +609,10 @@ def catalan_code_params(k: int, t: int) -> int:
     return 2 * h + 2 * (4 * t + 1)
 
 
-def catalan_code_encode(info: str, t: int, n: int | None = None) -> str:
-    if info:
-        check_bits(info)
-    k = len(info)
-    if n is None:
-        n = catalan_code_params(k, t)
+def catalan_code_encode(info: str, t: int) -> str:
     pad = 4 * t + 1
-    mid = n - 2 * pad
-    if n % 2 or mid < 2:
-        raise ValueError("length must be even with a nonempty middle")
-    rank = int(info, 2) if info else 0
-    if rank >= catalan_number(mid // 2):
-        raise ValueError("info too long for the codebook")
-    return "0" * pad + catalan_unrank(rank, mid // 2) + "1" * pad
+    h = catalan_code_params(len(info), t) // 2 - pad
+    return "0" * pad + catalan_unrank(int(check_bits(info), 2), h) + "1" * pad
 
 
 def catalan_code_strip(s: str, k: int, t: int) -> str:

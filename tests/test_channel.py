@@ -17,7 +17,7 @@ from compocode.compositions import compose_all, multiset_symmetric_difference
 
 def test_corrupt_zero_errors_is_identity():
     c = compose_all("100101")
-    out, log = corrupt(c, ErrorModel("symmetric", 0, seed=1))
+    out, log = corrupt(c, ErrorModel("symmetric", 0), random.Random(1))
     assert out == c and log == []
 
 
@@ -57,7 +57,8 @@ def test_corrupt_can_produce_worked_example():
     out.replace(4, 0, 4)
     found = False
     for seed in range(400):
-        cand, log = corrupt(c, ErrorModel("symmetric", 1, seed=seed))
+        cand, log = corrupt(c, ErrorModel("symmetric", 1),
+                            random.Random(seed))
         if cand == out:
             found = True
             break

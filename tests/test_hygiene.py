@@ -151,16 +151,9 @@ def test_sr_decode_failures_are_classified_by_the_bench():
                         "codeword outside the 2^k information range"}
 
 
-def test_sr_decode_walks_the_codeword_once(monkeypatch):
-    # membership and rank share one walk, and the subset is ranked within
-    # its block: about 2 binomials per CB position in cb_rank and 1 in
-    # partition_rank, with no block sums that cancel
+def count_catalan_combs(monkeypatch):
+    """The (n, k) pairs of every catalan.comb call from here on."""
     from compocode import catalan
-    rng = random.Random(1)
-    info = "".join(rng.choice("01") for _ in range(1024))
-    s = sr_encode(info)
-    n = len(s)
-    cb_len = sum(s[j] != s[n - 1 - j] for j in range(n // 2))
     calls = []
 
     def counting(a, b):
@@ -169,8 +162,39 @@ def test_sr_decode_walks_the_codeword_once(monkeypatch):
 
     comb = catalan.comb
     monkeypatch.setattr(catalan, "comb", counting)
+    return calls
+
+
+def codeword_1024():
+    """A k = 1,024 codeword and the length of its CB string."""
+    rng = random.Random(1)
+    info = "".join(rng.choice("01") for _ in range(1024))
+    s = sr_encode(info)
+    n = len(s)
+    cb_len = sum(s[j] != s[n - 1 - j] for j in range(n // 2))
+    assert cb_len == 244
+    return info, s, cb_len
+
+
+def test_sr_decode_walks_the_codeword_once(monkeypatch):
+    # membership and rank share one walk, the subset is ranked within its
+    # block, and the block offsets are read, not summed: about 2 binomials
+    # per CB position across cb_rank and partition_rank (summing the
+    # blocks took 3)
+    info, s, cb_len = codeword_1024()
+    calls = count_catalan_combs(monkeypatch)
     assert sr_decode(s, 1024) == info
-    assert cb_len == 244 and len(calls) <= 3 * cb_len
+    assert len(calls) <= 2.25 * cb_len
+
+
+def test_sr_encode_reads_its_block_offsets(monkeypatch):
+    # the 1-count block is a lookup in the cumulative table, and cb_unrank
+    # finds its block from the telescoped offsets C(m-1, i): about 2.5
+    # binomials per CB position (searching and summing the blocks took 3.8)
+    info, s, cb_len = codeword_1024()
+    calls = count_catalan_combs(monkeypatch)
+    assert sr_encode(info) == s
+    assert len(calls) <= 2.75 * cb_len
 
 
 def test_no_decoder_calls_an_encoder(monkeypatch):

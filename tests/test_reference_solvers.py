@@ -9,7 +9,9 @@ a channel that lists every element of a level to draw one, per-element
 level sums and comparisons, a text format that lists every element,
 parameter searches that walk up from the shortest admissible length,
 a codeword ranker that checks membership and ranks in separate passes
-through a partition rank counted across blocks,
+through a partition rank counted across blocks, a CB ranker that sums and
+searches its blocks, a single-error encoder that slices in its middle bit
+and tries every check pair, a weight pin that lists its candidates,
 ternary erasure and BCH decoders that return only the message, and a
 sym-poly decoder that keeps its evaluation grids in dicts keyed by grid point.
 The current code must give the same value, or raise the same exception type,
@@ -28,10 +30,12 @@ from math import comb
 import numpy as np
 
 from compocode.asym import (
+    _checksum,
     recover_w1,
     s1_encode,
     s1_params,
     s1_recover_sigma,
+    s1_strip,
     st_encode,
     st_params,
 )
@@ -43,10 +47,10 @@ from compocode.backtrack import (
     reconstruct,
 )
 from compocode.catalan import (
-    _block_sizes,
     cb_count,
     cb_rank,
     cb_total,
+    cb_unrank,
     is_catalan_bertrand,
     is_member,
     partition_rank,
@@ -293,6 +297,86 @@ def loop_st_params(k, t):
     return m, n
 
 
+def loop_cb_rank(s: str) -> int:
+    """0-based rank of a CB string; blocks ordered by 1-count ascending."""
+    if not is_catalan_bertrand(s):
+        raise ValueError("not a Catalan-Bertrand string")
+    m = len(s)
+    i = s.count("1")
+    ind = cb_count(m, i)
+    l = i
+    for p in range(m, 0, -1):
+        if s[p - 1] == "0":
+            ind -= cb_count(p - 1, l - 1)
+        else:
+            l -= 1
+    return sum(cb_count(m, j) for j in range(i)) + (ind - 1)
+
+
+def loop_cb_unrank(m: int, rank: int) -> str:
+    if not (0 <= rank < cb_total(m)):
+        raise ValueError(f"rank {rank} out of range for length {m}")
+    i = 0
+    while rank >= cb_count(m, i):
+        rank -= cb_count(m, i)
+        i += 1
+    target = rank + 1  # 1-based index within the block
+    ind = cb_count(m, i)
+    l = i
+    bits = []
+    for p in range(m, 0, -1):
+        c = cb_count(p - 1, l - 1) if l > 0 else 0
+        if l > 0 and target > ind - c:
+            bits.append("1")
+            l -= 1
+        else:
+            bits.append("0")
+            ind -= c
+    return "".join(reversed(bits))
+
+
+def loop_s1_encode(info: str, n: int | None = None) -> str:
+    """Map info into the single-error code of length n."""
+    k = len(info)
+    if n is None:
+        n = s1_params(k)
+    h = (n + 1) // 2
+    if n % 2 == 0 or h % 3 != 0:
+        raise ValueError("length must be odd with ceil(n/2) divisible by 3")
+    ev = sr_encode(info, 0, n - 3)
+    inner_mid = (n - 3) // 2  # insertion point of the free middle bit
+    for pair in ("00", "01", "11"):
+        inner = ev[:inner_mid] + "0" + ev[inner_mid:]
+        s = inner[0] + pair[0] + inner[1:-1] + pair[1] + inner[-1]
+        if _checksum(s) == 0:
+            break
+    else:
+        raise RuntimeError("no admissible (s_2, s_{n-1}) pair")  # unreachable
+    if s.count("1") % 2 == 1:
+        s = s[:h - 1] + ("1" if s[h - 1] == "0" else "0") + s[h:]
+    if _checksum(s) != 0 or s.count("1") % 2 != 0:
+        raise RuntimeError("middle flip broke the checksum or the parity")
+    return s
+
+
+def loop_s1_strip(s: str, k: int) -> str:
+    """The k info bits of a single-error codeword."""
+    n = len(s)
+    inner = s[0] + s[2:n - 2] + s[n - 1]  # drop positions 2 and n-1
+    mid = (n - 2 + 1) // 2  # middle of the inner string, 1-based
+    ev = inner[:mid - 1] + inner[mid:]
+    return sr_decode(ev, k, 0)
+
+
+def loop_resolve_weight(observed: int, c_w: int, t: int, n: int) -> int:
+    """Exact wt(s) from a level-1 weight off by at most t, given wt mod 2t+1."""
+    cands = [v for v in range(observed - t, observed + t + 1)
+             if 0 <= v <= n and v % (2 * t + 1) == c_w]
+    if len(cands) != 1:
+        raise CorruptedInput("weight residue fails to pin wt(s)")
+    return cands[0]
+
+
 def loop_partition_rank(m: int, subset) -> int:
     """0-based rank of subset of {1..m}; blocks by cardinality ascending,
     combinatorial number system within a block."""
@@ -325,7 +409,8 @@ def loop_decode_even(s: str, t: int) -> int:
     v = int(free_bits, 2) if free_bits else 0
     rc = cb_rank(cb)  # global rank: the radix slot spans cb_total(i+1)
     ind = (p * 2 ** nfree + v) * cbt + rc
-    return sum(_block_sizes(hf)[:i]) + ind
+    return sum(comb(hf, j) * 2 ** (hf - j) * cb_total(j + 1)
+               for j in range(i)) + ind
 
 
 def loop_sr_decode(codeword: str, k: int, t: int = 0) -> str:
@@ -553,14 +638,13 @@ def loop_catalan_code_decode_bruteforce(c: CompositionMultiset, t: int) -> str:
     return found.pop()
 
 
-def loop_corrupt(c, model: ErrorModel, rng=None, adversarial=False):
+def loop_corrupt(c, model: ErrorModel, rng, adversarial=False):
     """Apply exactly model.t replacements to an observation.
 
     Returns (corrupted copy, log); the log lists (level, removed weight,
     added weight) per error.  In adversarial mode the replacement maximizes
     the weight change instead of being uniform.
     """
-    rng = rng if rng is not None else random.Random(model.seed)
     n = c.n
     out = c.copy()
     chosen: list[int] = []
@@ -957,6 +1041,49 @@ def test_catalan_ranker_matches_the_loop():
     for _ in range(2000):
         s = random_bits(rng, rng.randint(10, 41))
         assert outcome(catalan_rank, s) == outcome(loop_catalan_rank, s), s
+
+
+def test_cb_ranker_matches_the_loop():
+    # every string up to length 12, members or not, and every rank
+    for m in range(13):
+        for r in range(-1, cb_total(m) + 1):
+            assert outcome(cb_unrank, m, r) == outcome(loop_cb_unrank, m, r)
+        for tup in itertools.product("01", repeat=m):
+            s = "".join(tup)
+            assert outcome(cb_rank, s) == outcome(loop_cb_rank, s), s
+    rng = random.Random(36)
+    for _ in range(300):
+        m = rng.randint(13, 300)
+        s = loop_cb_unrank(m, rng.randrange(cb_total(m)))
+        assert cb_unrank(m, loop_cb_rank(s)) == s and cb_rank(s) == loop_cb_rank(s)
+
+
+def test_s1_encoder_matches_the_loop():
+    rng = random.Random(37)
+    for k in list(range(1, 41)) + [64, 130, 257]:
+        for _ in range(8):
+            info = random_bits(rng, k)
+            s = s1_encode(info)
+            assert s == loop_s1_encode(info), info
+            assert s1_strip(s, k) == info
+    # the strip on every string of the code's lengths 5 and 11 (odd, with
+    # ceil(n/2) divisible by 3): the info word or the same failure
+    for n in (5, 11):
+        for tup in itertools.product("01", repeat=n):
+            s = "".join(tup)
+            for k in (1, n // 2 - 1, n):
+                assert decode_outcome(s1_strip, s, k) == \
+                    decode_outcome(loop_s1_strip, s, k), (s, k)
+
+
+def test_resolve_weight_matches_the_loop():
+    for t in range(5):
+        for n in range(30):
+            for observed in range(-10, 45):
+                for c_w in range(-3, 2 * t + 4):
+                    args = (observed, c_w, t, n)
+                    assert decode_outcome(resolve_weight, *args) == \
+                        decode_outcome(loop_resolve_weight, *args), args
 
 
 def test_parameter_searches_match_the_loops():

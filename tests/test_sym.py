@@ -862,9 +862,13 @@ def test_catalan_decode_flags_unexplainable_input():
     assert flagged >= 1
 
 
-def test_catalan_encode_rejects_overfull_info():
-    with pytest.raises(ValueError):
-        catalan_code_encode("1111", 1, 18)  # rank 15 > C_4 = 14
+def test_catalan_encode_fits_the_top_info_word():
+    # the derived length holds every rank below 2^k, so 1^k encodes
+    for k in range(1, 17):
+        for t in range(3):
+            s = catalan_code_encode("1" * k, t)
+            assert len(s) == catalan_code_params(k, t)
+            assert catalan_code_strip(s, k, t) == "1" * k
 
 
 def test_blockcode_failure_is_distinct():
