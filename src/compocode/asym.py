@@ -64,8 +64,10 @@ def _checksum(s: str) -> int:
 _PAIRS = ("00", "01", "11")
 
 
-def s1_encode(info: str) -> str:
-    """Map info into the single-error code of length s1_params(len(info))."""
+def s1_codewords(info: str) -> tuple[str, str]:
+    """The two codewords of info in the single-error code of length
+    s1_params(len(info)): s1_encode(info), whose free middle bit makes wt(s)
+    even, then its odd-weight twin, which differs in that bit alone."""
     n = s1_params(len(info))
     h = (n + 1) // 2
     inner = sr_encode(info + "0", 0, n - 2)  # the free middle bit starts at 0
@@ -73,11 +75,17 @@ def s1_encode(info: str) -> str:
     zeros = inner[0] + "0" + inner[1:-1] + "0" + inner[-1]
     pair = _PAIRS[_checksum(zeros)]
     s = inner[0] + pair[0] + inner[1:-1] + pair[1] + inner[-1]
+    twin = s[:h - 1] + "1" + s[h:]
     if s.count("1") % 2 == 1:
-        s = s[:h - 1] + "1" + s[h:]
-    if _checksum(s) != 0 or s.count("1") % 2 != 0:
-        raise RuntimeError("middle flip broke the checksum or the parity")
-    return s
+        s, twin = twin, s
+    if _checksum(s) != 0:
+        raise RuntimeError("middle flip broke the checksum")
+    return s, twin
+
+
+def s1_encode(info: str) -> str:
+    """Map info into the single-error code of length s1_params(len(info))."""
+    return s1_codewords(info)[0]
 
 
 def recover_w1(w1_obs: int, wn_obs: int) -> int:

@@ -110,8 +110,9 @@ class Scheme:
 
     encode maps info bits to the codeword and observe maps the codeword to
     the observation the channel corrupts.  decode(obs) returns the info
-    word.  verify(info, obs) is True when a codeword that info explains lies
-    within the code's t errors of obs.  params names the code in reports:
+    word.  verify(info, obs) re-encodes info and is True when one of its
+    codewords lies within the code's t errors of obs; it runs no decoder,
+    and obs of another length is False.  params names the code in reports:
     k, and t for the schemes that take one.
     """
 
@@ -123,6 +124,8 @@ class Scheme:
 
 
 def _within(clean: str, obs, t: int) -> bool:
+    if obs.n != len(clean):
+        return False
     d, _ = multiset_symmetric_difference(compose_all(clean), obs)
     return d <= 2 * t
 
@@ -146,15 +149,10 @@ def _recon(k: int, t: int) -> Scheme:
 def _asym1(k: int, t: int) -> Scheme:
     if t:
         raise ValueError("t must be 0")
-    from .asym import s1_decode, s1_encode, s1_reconstruct, s1_strip
-
-    def verify(info, c):
-        # the decoder's own string, rebuilt from the observation: the code
-        # carries checksum bits beyond the info
-        clean = s1_reconstruct(c)
-        return s1_strip(clean, k) == info and _within(clean, c, 1)
+    from .asym import s1_codewords, s1_decode, s1_encode
     return Scheme({"k": k}, s1_encode, compose_all, partial(s1_decode, k=k),
-                  verify)
+                  lambda info, c: any(_within(s, c, 1)
+                                      for s in s1_codewords(info)))
 
 
 def _asym_t(k: int, t: int) -> Scheme:
@@ -176,8 +174,9 @@ def _sym_poly(k: int, t: int) -> Scheme:
     def verify(info, obs):
         # each composition error moves exactly one cumulative level weight
         clean = DeltaObservation(encode(info)).weight_profile().tolist()
-        return sum(a != b for a, b in
-                   zip(clean, obs.weight_profile().tolist())) <= t
+        w = obs.weight_profile().tolist()
+        return len(w) == len(clean) and \
+            sum(a != b for a, b in zip(clean, w)) <= t
     return Scheme({"k": k, "t": t}, encode, DeltaObservation,
                   partial(etn_decode_info, k=k, t=t), verify)
 

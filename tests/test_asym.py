@@ -1,3 +1,5 @@
+import itertools
+import os
 import random
 import sys
 from collections import Counter
@@ -9,11 +11,13 @@ from hypothesis import strategies as st
 from compocode.asym import (
     _mod3_pin,
     recover_w1,
+    s1_codewords,
     s1_decode,
     s1_encode,
     s1_params,
     s1_reconstruct,
     s1_recover_sigma,
+    s1_strip,
     st_decode,
     st_encode,
     st_params,
@@ -83,6 +87,25 @@ def test_middle_flip_preserves_checksum():
         h = (len(s) + 1) // 2
         flipped = s[:h - 1] + ("1" if s[h - 1] == "0" else "0") + s[h:]
         assert checksum(flipped) == checksum(s)
+
+
+def test_s1_codewords_are_the_two_middle_bit_choices():
+    for k in range(1, 11):
+        for bits in itertools.product("01", repeat=k):
+            info = "".join(bits)
+            pair = s1_codewords(info)
+            assert pair[0] == s1_encode(info)
+            h = (len(pair[0]) + 1) // 2
+            assert [i for i, (a, b) in enumerate(zip(*pair)) if a != b] == \
+                [h - 1]
+            assert [asym._checksum(s) for s in pair] == [0, 0]
+            assert [s.count("1") % 2 for s in pair] == [0, 1]
+            assert [s1_strip(s, k) for s in pair] == [info, info]
+    # Example 2's codeword is the odd twin
+    fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures",
+                           "example2_codeword.txt")
+    with open(fixture) as f:
+        assert s1_codewords("10110")[1] == f.read().strip()
 
 
 def test_example_walkthrough_string_has_valid_format():

@@ -152,3 +152,16 @@ def test_registry_round_trip(name):
         other = ("1" if info[0] == "0" else "0") + info[1:]
         assert not code.verify(other, code.observe(code.encode(info)))
         assert not code.verify(other, obs)
+        # beyond the budget verify still answers, for either info word
+        for extra in (1, 2):
+            model_over = ErrorModel(model.kind, model.t + extra)
+            bad, _ = corrupt(code.observe(code.encode(info)), model_over, rng)
+            for word in (info, other):
+                assert type(code.verify(word, bad)) is bool
+    # a codeword of another length is no codeword of this code; k + 4, as
+    # asym1 at k + 2 = 10 keeps n = 17
+    wider = build_scheme(name, k + 4, t)
+    info = "".join(rng.choice("01") for _ in range(k + 4))
+    obs = wider.observe(wider.encode(info))
+    assert obs.n != code.observe(code.encode(info[:k])).n
+    assert code.verify(info[:k], obs) is False

@@ -105,19 +105,28 @@ def test_decode_over_budget_exits_4(tmp_path, capsys):
         assert code == 4 and "decode" in err
 
 
-@pytest.mark.parametrize("k", [11, 20])
-def test_asym1_decode_rejects_a_multiset_of_another_length(tmp_path, capsys, k):
-    # a k = 10 codeword has n = 17; s1_params(11) = 23 and s1_params(20) = 29
+@pytest.mark.parametrize("scheme, t, k, message", [
+    ("asym1", 0, 11, "length 17 does not match parameters"),
+    ("asym1", 0, 20, "length 17 does not match parameters"),
+    ("recon", 0, 4, "re-encode verification failed"),
+    ("sym-catalan", 1, 4, "re-encode verification failed"),
+], ids=["asym1-11", "asym1-20", "recon-4", "sym-catalan-4"])
+def test_decode_rejects_a_multiset_of_another_length(tmp_path, capsys, scheme,
+                                                      t, k, message):
+    # an asym1 k = 10 codeword has n = 17; s1_params(11) = 23 and
+    # s1_params(20) = 29.  The recon and sym-catalan decoders read this
+    # low-rank codeword as 0011, whose codeword is shorter than the multiset
     inp = tmp_path / "info.txt"
-    inp.write_text("1011001110")
+    inp.write_text("0000000011")
     cw, ms = tmp_path / "cw.txt", tmp_path / "ms.txt"
-    run(capsys, "encode", "--scheme", "asym1", "--k", "10",
-        "--input", str(inp), "--output", str(cw))
+    params = ("--scheme", scheme, "--t", str(t))
+    run(capsys, "encode", *params, "--k", "10", "--input", str(inp),
+        "--output", str(cw))
     run(capsys, "compose", "--input", str(cw), "--output", str(ms))
-    code, out, err = run(capsys, "decode", "--scheme", "asym1", "--k", str(k),
+    code, out, err = run(capsys, "decode", *params, "--k", str(k),
                          "--input", str(ms))
     assert code == 4 and out == ""
-    assert "length 17 does not match parameters" in err
+    assert message in err
 
 
 def test_sym_catalan_cli_pipeline(tmp_path, capsys):

@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 import compocode
-from compocode import asym, fields, sym
+from compocode import asym, backtrack, fields, sym
 from compocode.catalan import sr_decode, sr_encode, sr_size
-from compocode.channel import ErrorModel, corrupt
+from compocode.channel import ErrorModel, build_scheme, corrupt
 from compocode.compositions import compose_all
 
 PACKAGE_DIR = Path(compocode.__file__).parent
@@ -223,6 +223,33 @@ def test_no_decoder_calls_an_encoder(monkeypatch):
     assert asym.st_decode(c, 16, 2) == info
     assert sym.etn_decode(obs, 1) == u
     assert calls == {}
+
+
+def test_no_verify_calls_a_decoder(monkeypatch):
+    # verify re-encodes info and measures how far obs lies from its
+    # codewords, so the check never reruns the decoder it checks
+    def refuse(name):
+        def raising(*args, **kwargs):
+            raise AssertionError(f"verify ran {name}")
+        return raising
+
+    for module, name in ((backtrack, "reconstruct_unique"),
+                         (backtrack, "tolerant_reconstruct"),
+                         (asym, "s1_reconstruct"), (sym, "etn_decode"),
+                         (sym, "catalan_code_decode_bruteforce")):
+        monkeypatch.setattr(module, name, refuse(name))
+    rng = random.Random(29)
+    # scheme -> (k, t, the channel it corrects)
+    for name, (k, t, model) in {
+            "recon": (8, 0, ErrorModel("asymmetric", 0)),
+            "asym1": (8, 0, ErrorModel("asymmetric", 1)),
+            "asym-t": (8, 2, ErrorModel("asymmetric", 2)),
+            "sym-poly": (6, 1, ErrorModel("symmetric", 1)),
+            "sym-catalan": (3, 1, ErrorModel("symmetric", 1))}.items():
+        code = build_scheme(name, k, t)
+        info = "".join(rng.choice("01") for _ in range(k))
+        obs, _ = corrupt(code.observe(code.encode(info)), model, rng)
+        assert code.verify(info, obs), name
 
 
 def test_sym_poly_decode_grids_no_string_term_by_term(monkeypatch):
