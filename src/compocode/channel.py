@@ -123,6 +123,11 @@ class Scheme:
     verify: Callable
 
 
+def _check_length(c, n: int) -> None:
+    if c.n != n:
+        raise ValueError(f"length {c.n} does not match parameters ({n})")
+
+
 def _within(clean: str, obs, t: int) -> bool:
     if obs.n != len(clean):
         return False
@@ -137,9 +142,11 @@ def _recon(k: int, t: int) -> Scheme:
     if t:
         raise ValueError("t must be 0")
     from .backtrack import reconstruct_unique
-    from .catalan import sr_decode, sr_encode
+    from .catalan import sr_decode, sr_encode, sr_params
+    n = sr_params(k, 0)
 
     def decode(c):
+        _check_length(c, n)
         s, _ = reconstruct_unique(c)
         return sr_decode(s, k, 0)
     return Scheme({"k": k}, sr_encode, compose_all, decode,
@@ -168,8 +175,12 @@ def _sym_poly(k: int, t: int) -> Scheme:
     from .catalan import sr_params
     from .sym import DeltaObservation, etn_decode_info, etn_encode_info, \
         poly_params_from_payload
-    poly_params_from_payload(sr_params(k, 0), t)
+    n = poly_params_from_payload(sr_params(k, 0), t).n
     encode = partial(etn_encode_info, t=t)
+
+    def decode(obs):
+        _check_length(obs, n)
+        return etn_decode_info(obs, k, t)
 
     def verify(info, obs):
         # each composition error moves exactly one cumulative level weight
@@ -177,17 +188,17 @@ def _sym_poly(k: int, t: int) -> Scheme:
         w = obs.weight_profile().tolist()
         return len(w) == len(clean) and \
             sum(a != b for a, b in zip(clean, w)) <= t
-    return Scheme({"k": k, "t": t}, encode, DeltaObservation,
-                  partial(etn_decode_info, k=k, t=t), verify)
+    return Scheme({"k": k, "t": t}, encode, DeltaObservation, decode, verify)
 
 
 def _sym_catalan(k: int, t: int) -> Scheme:
     from .sym import catalan_code_decode_bruteforce, catalan_code_encode, \
         catalan_code_params, catalan_code_strip
-    catalan_code_params(k, t)  # rejects t < 0 before any trial
+    n = catalan_code_params(k, t)  # rejects t < 0 before any trial
     encode = partial(catalan_code_encode, t=t)
 
     def decode(c):
+        _check_length(c, n)
         return catalan_code_strip(catalan_code_decode_bruteforce(c, t), k, t)
     return Scheme({"k": k, "t": t}, encode, compose_all, decode,
                   lambda info, c: _within(encode(info), c, t))

@@ -18,6 +18,11 @@ products; it serves a multiset delta, a lone shift, and ``prefix_grid``,
 which sums a bit string's prefix polynomial one run of prefixes at a time
 (those holding v ones), in O(n + R^2 wt) instead of O(R^2 n) for one term
 per prefix.
+
+Only sym-poly's machinery uses numpy, and it imports numpy on first call:
+``alpha_power_table``, ``monomial_grid``, ``prefix_grid``, ``_scan_table``,
+``sparse_interpolate`` and ``BCHCode``.  The ternary erasure code of asym1
+and asym-t loads none.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-
-import numpy as np
 
 
 class SparsityExceeded(ValueError):
@@ -100,6 +103,7 @@ class PrimeField:
 @lru_cache(maxsize=None)
 def alpha_power_table(field: PrimeField) -> np.ndarray:
     """alpha^i mod q for i = 0..q-2, as an int64 array for bulk evaluation."""
+    import numpy as np
     q, alpha = field.q, field.alpha
     out = np.empty(q - 1, dtype=np.int64)
     v = 1
@@ -122,6 +126,7 @@ def monomial_grid(xe, ye, R: int, field: PrimeField, mult=None) -> np.ndarray:
     A block holds at most _BLOCK terms, and few enough that its sums of
     products below q^2 stay exact integers, so q - 1 may not pass 2^26.5.
     """
+    import numpy as np
     q = field.q
     if (q - 1) ** 2 > _EXACT_SUM:
         raise ValueError(f"GF({q}) is too large for an exact float64 grid")
@@ -151,6 +156,7 @@ def prefix_grid(s: str, R: int, field: PrimeField) -> np.ndarray:
     and where y = 1 the run lengths e_(v+1) - e_v + 1 weight the x^v
     instead: two grids of wt + 1 terms, O(n + R^2 wt) in all.
     """
+    import numpy as np
     q, n = field.q, len(s)
     pos = np.flatnonzero(np.frombuffer(s.encode("ascii"), np.uint8) == ord("1"))
     wt = len(pos)
@@ -363,6 +369,7 @@ class SupportFit:
 @lru_cache(maxsize=64)
 def _scan_table(field: PrimeField, j: int) -> np.ndarray:
     """alpha^(-e*j) for e = 0..q-2, the j-th column of the full root scan."""
+    import numpy as np
     es = np.arange(field.q - 1, dtype=np.int64)
     return alpha_power_table(field)[(-es * j) % (field.q - 1)]
 
@@ -374,6 +381,7 @@ def sparse_interpolate(evals, T: int, field: PrimeField) -> dict[int, int]:
     Returns {exponent: coefficient} over exponents 0..q-2.  Raises
     SparsityExceeded when no such polynomial reproduces the evaluations.
     """
+    import numpy as np
     q = field.q
     if len(evals) != 2 * T + 1:
         raise ValueError("need exactly 2T+1 evaluations")
@@ -412,33 +420,44 @@ def ternary_field_params(msg_digits: int, n_era: int) -> int:
     return e
 
 
-def _rs_interpolate_eval(F: GF, pts, targets):
-    """From (x, y) pairs with distinct x, evaluate the interpolant at targets.
+def _rs_interpolate_eval(F: GF, pts, N: int) -> list[int]:
+    """The interpolant through the points (alpha^a, y), from (a, y) pairs with
+    distinct a < N <= F.order, at alpha^0..alpha^(N-1).
 
-    Barycentric form (Berrut & Trefethen, SIAM Review 2004): with node
-    weights v_i = 1 / prod_{j != i} (x_i - x_j), computed once, the value at
-    x is l(x) * sum_i v_i y_i / (x - x_i), l(x) = prod_i (x - x_i).  A target
-    that is itself a node takes that node's y.
+    Barycentric form (Berrut & Trefethen, SIAM Review 2004): l(x) times
+    sum_i v_i y_i / (x - x_i), with l(x) = prod_i (x - x_i) and weights
+    v_i = 1 / prod_{j != i} (x_i - x_j); a node takes its own y.  With
+    alpha^h = -1, log(alpha^a - alpha^b) = a + zech[(b - a + h) % order], so
+    the sum over every b != a below N is (N - 1) a + P(N - 1 - a) + M(a),
+    P and M the prefix sums of zech[(h + c) % order] and zech[(h - c) % order]
+    over c >= 1.  Taking out the missing points' terms gives each v_i and
+    each missing point's l(x): O(N m) for m missing points, and K F.add
+    calls for each.
     """
-    vy = []
-    for i, (xi, yi) in enumerate(pts):
-        den = 1
-        for j, (xj, _) in enumerate(pts):
-            if i != j:
-                den = F.mul(den, F.sub(xi, xj))
-        vy.append(F.mul(yi, F.inv(den)))
-    at_node = {x: y for x, y in pts}
+    order, zech, antilog = F.order, F.zech, F.antilog
+    h = F.log[F.p - 1]  # p - 1 is -1
+    P, M = [0], [0]
+    for c in range(1, N):
+        P.append(P[-1] + zech[(h + c) % order])
+        M.append(M[-1] + zech[(h - c) % order])
+    at_node = dict(pts)
+    missing = [a for a in range(N) if a not in at_node]
+
+    def log_prod(a):  # log prod (alpha^a - alpha^b) over the nodes b != a
+        others = [b for b in missing if b != a]
+        return ((N - 1 - len(others)) * a + P[N - 1 - a] + M[a]
+                - sum(zech[(b - a + h) % order] for b in others))
+
+    log_vy = [(a, F.log[y] - log_prod(a)) for a, y in pts if y]
     out = []
-    for xt in targets:
-        if xt in at_node:
-            out.append(at_node[xt])
+    for t in range(N):
+        if t in at_node:
+            out.append(at_node[t])
             continue
-        ell, acc = 1, 0
-        for (xi, _), c in zip(pts, vy):
-            d = F.sub(xt, xi)
-            ell = F.mul(ell, d)
-            acc = F.add(acc, F.mul(c, F.inv(d)))
-        out.append(F.mul(ell, acc))
+        acc = 0
+        for a, lv in log_vy:  # v_i y_i / (x_t - x_i)
+            acc = F.add(acc, antilog[(lv - t - zech[(a - t + h) % order]) % order])
+        out.append(antilog[(F.log[acc] + log_prod(t)) % order] if acc else 0)
     return out
 
 
@@ -457,13 +476,12 @@ def _ternary_complete(word, msg_len: int, n_era: int) -> list[int]:
     if len(word) != msg_len + n_era * e:
         raise ValueError("codeword length inconsistent with parameters")
     padded = word[:msg_len] + [0] * (K * e - msg_len) + word[msg_len:]
-    xs = F.antilog[:K + n_era]  # distinct nonzero points
     chunks = [padded[i * e:(i + 1) * e] for i in range(K + n_era)]
-    known = [(x, F.pack(c)) for x, c in zip(xs, chunks) if None not in c]
+    known = [(a, F.pack(c)) for a, c in enumerate(chunks) if None not in c]
     if len(known) < K:
         raise EraseBudgetExceeded(
             f"only {len(known)} intact symbols, need {K}")
-    digits = [d for y in _rs_interpolate_eval(F, known[:K], xs)
+    digits = [d for y in _rs_interpolate_eval(F, known[:K], K + n_era)
               for d in F.digits(y)]
     if any(digits[msg_len:K * e]):
         raise EraseBudgetExceeded("no codeword fits the intact symbols")
@@ -537,6 +555,7 @@ class BCHCode:
     """
 
     def __init__(self, msg_len: int, t: int):
+        import numpy as np
         m, self.n_parity = bch_shape(msg_len, t)
         self.msg_len = msg_len
         self.t = t
@@ -566,6 +585,7 @@ class BCHCode:
 
     def _syndromes(self, word):
         """word(alpha^i) for i = 1..2t; all zero exactly on codewords."""
+        import numpy as np
         degs = self._degree[np.flatnonzero(np.asarray(word, dtype=np.int64))]
         return [int(np.bitwise_xor.reduce(
                     self._antilog[degs * i % self.f.order], initial=0))
@@ -589,6 +609,7 @@ class BCHCode:
 
     def decode(self, received):
         """The corrected codeword, message bits first."""
+        import numpy as np
         received = list(received)
         if len(received) != self.code_len:
             raise ValueError("codeword length mismatch")

@@ -165,3 +165,15 @@ def test_registry_round_trip(name):
     obs = wider.observe(wider.encode(info))
     assert obs.n != code.observe(code.encode(info[:k])).n
     assert code.verify(info[:k], obs) is False
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_decode_rejects_a_codeword_of_another_length(name):
+    # the low-rank k = 10 codeword ranks as 0011 in recon, sym-poly and
+    # sym-catalan, whose decoders would read it at k = 4 without the check
+    t = 1 if name in ("asym-t", "sym-poly", "sym-catalan") else 0
+    wider = build_scheme(name, 10, t)
+    obs = wider.observe(wider.encode("0000000011"))
+    with pytest.raises(ValueError,
+                       match=f"length {obs.n} does not match parameters"):
+        build_scheme(name, 4, t).decode(obs)

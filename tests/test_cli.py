@@ -108,14 +108,14 @@ def test_decode_over_budget_exits_4(tmp_path, capsys):
 @pytest.mark.parametrize("scheme, t, k, message", [
     ("asym1", 0, 11, "length 17 does not match parameters"),
     ("asym1", 0, 20, "length 17 does not match parameters"),
-    ("recon", 0, 4, "re-encode verification failed"),
-    ("sym-catalan", 1, 4, "re-encode verification failed"),
+    ("recon", 0, 4, "length 14 does not match parameters (7)"),
+    ("sym-catalan", 1, 4, "length 26 does not match parameters (20)"),
 ], ids=["asym1-11", "asym1-20", "recon-4", "sym-catalan-4"])
 def test_decode_rejects_a_multiset_of_another_length(tmp_path, capsys, scheme,
                                                       t, k, message):
     # an asym1 k = 10 codeword has n = 17; s1_params(11) = 23 and
-    # s1_params(20) = 29.  The recon and sym-catalan decoders read this
-    # low-rank codeword as 0011, whose codeword is shorter than the multiset
+    # s1_params(20) = 29.  The recon and sym-catalan rankers would read this
+    # low-rank codeword as 0011; their decoders check the length first
     inp = tmp_path / "info.txt"
     inp.write_text("0000000011")
     cw, ms = tmp_path / "cw.txt", tmp_path / "ms.txt"

@@ -147,11 +147,12 @@ def test_barycentric_interpolation_matches_lagrange():
     for e in (1, 2, 3, 4):
         F = GF(3, e)
         for _ in range(10):
-            xs = rng.sample(range(1, 3 ** e), rng.randint(1, min(8, 3 ** e - 1)))
-            pts = [(x, rng.randrange(3 ** e)) for x in xs]
-            targets = list(range(1, 3 ** e))  # every node and every non-node
-            assert _rs_interpolate_eval(F, pts, targets) == \
-                lagrange_eval(F, pts, targets)
+            # nodes among the first N powers of alpha, up to every one of them
+            N = rng.randint(1, F.order)
+            nodes = rng.sample(range(N), rng.randint(1, min(8, N)))
+            pts = [(a, rng.randrange(3 ** e)) for a in nodes]
+            assert _rs_interpolate_eval(F, pts, N) == lagrange_eval(
+                F, [(F.antilog[a], y) for a, y in pts], F.antilog[:N])
 
 
 def test_ternary_erasure_zero_message():

@@ -86,25 +86,70 @@ def test_cli_builds_its_parser_once_on_first_use():
     assert out.strip() == "[0, 6, 6]"
 
 
-RECON_TRIAL = """
+TRIAL = """
 import random, sys
 from compocode.channel import ErrorModel, build_scheme, corrupt
-code = build_scheme("recon", 64)
+name, k, t, kind, errors = sys.argv[1:]
+code = build_scheme(name, int(k), int(t))
 rng = random.Random(1)
-info = "".join(rng.choice("01") for _ in range(64))
-c, _ = corrupt(code.observe(code.encode(info)), ErrorModel("asymmetric", 0), rng)
+info = "".join(rng.choice("01") for _ in range(int(k)))
+c, _ = corrupt(code.observe(code.encode(info)), ErrorModel(kind, int(errors)),
+               rng)
 got = code.decode(c)
 print(got == info, code.verify(got, c), "numpy" in sys.modules)
 """
 
 
+def run_trial(*argv):
+    """One trial of a scheme in a fresh interpreter: whether it decoded,
+    whether verify agreed, and whether numpy was loaded."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", TRIAL, *map(str, argv)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    return out.split()
+
+
 def test_recon_trial_loads_no_numpy():
     # a lazy import inside compose or the search would pass the import-only
     # check above, yet cost recon its memory and start-up time on first use
+    assert run_trial("recon", 64, 0, "asymmetric", 0) == ["True", "True", "False"]
+
+
+@pytest.mark.parametrize("argv, numpy_loaded", [
+    (("asym1", 64, 0, "asymmetric", 1), "False"),
+    (("asym-t", 64, 3, "asymmetric", 3), "False"),
+    # the GF(q) grids, sparse interpolation and BCH code of sym-poly are
+    # numpy's only users
+    (("sym-poly", 8, 1, "symmetric", 1), "True"),
+], ids=["asym1", "asym-t", "sym-poly"])
+def test_only_sym_poly_trials_load_numpy(argv, numpy_loaded):
+    assert run_trial(*argv) == ["True", "True", numpy_loaded]
+
+
+ASYM1_CLI = """
+import sys
+from compocode import cli
+info, cw, ms, bad = sys.argv[1:]
+params = ["--scheme", "asym1", "--k", "5"]
+for argv in (["encode", *params, "--input", info, "--output", cw],
+             ["compose", "--input", cw, "--output", ms],
+             ["corrupt", "--model", "asym", "--errors", "1", "--seed", "1",
+              "--input", ms, "--output", bad],
+             ["decode", *params, "--input", bad]):
+    print(cli.main(argv))
+print("numpy" in sys.modules)
+"""
+
+
+def test_asym1_cli_decode_loads_no_numpy(tmp_path):
+    files = [tmp_path / f for f in ("info.txt", "cw.txt", "ms.txt", "bad.txt")]
+    files[0].write_text("10110")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    out = subprocess.run([sys.executable, "-c", RECON_TRIAL], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["True", "True", "False"]
+    out = subprocess.run([sys.executable, "-c", ASYM1_CLI, *map(str, files)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert out.split() == ["0", "0", "0", "10110", "0", "False"]
 
 
 def load_bench_module(name):
@@ -197,21 +242,22 @@ def test_sr_encode_reads_its_block_offsets(monkeypatch):
     assert len(calls) <= 2.75 * cb_len
 
 
+def counting(calls, name, fn):
+    """fn, counting each call in calls[name]."""
+    def wrapped(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
 def test_no_decoder_calls_an_encoder(monkeypatch):
     # the systematic decoders return the whole corrected codeword, so the
     # t-error decoders never re-encode what they just decoded
     calls = Counter()
-
-    def counting(name, fn):
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
     monkeypatch.setattr(asym, "ternary_erasure_encode",
-                        counting("ternary", asym.ternary_erasure_encode))
+                        counting(calls, "ternary", asym.ternary_erasure_encode))
     monkeypatch.setattr(fields.BCHCode, "encode",
-                        counting("bch", fields.BCHCode.encode))
+                        counting(calls, "bch", fields.BCHCode.encode))
     rng = random.Random(28)
     info = "".join(rng.choice("01") for _ in range(16))
     c, _ = corrupt(compose_all(asym.st_encode(info, 2)),
@@ -223,6 +269,25 @@ def test_no_decoder_calls_an_encoder(monkeypatch):
     assert asym.st_decode(c, 16, 2) == info
     assert sym.etn_decode(obs, 1) == u
     assert calls == {}
+
+
+def test_ternary_erasure_encode_stays_within_its_field_call_bound(monkeypatch):
+    # the barycentric weights and l(x) come from prefix sums of Zech logs, so
+    # only the sum over the K nodes adds in the field, once per node and
+    # check symbol; pairwise weights made more than 300,000 calls here
+    calls = Counter()
+    for name in ("add", "sub", "mul", "inv"):
+        monkeypatch.setattr(fields.GF, name,
+                            counting(calls, name, getattr(fields.GF, name)))
+    # 2,055 sigma digits and 9 check symbols: asym-t at k = 4,096, t = 3
+    msg_len, n_era = 2055, 9
+    e = fields.ternary_field_params(msg_len, n_era)
+    N = -(-msg_len // e) + n_era
+    assert N == 343 + n_era
+    rng = random.Random(32)
+    fields.ternary_erasure_encode([rng.randrange(3) for _ in range(msg_len)],
+                                  n_era)
+    assert 0 < sum(calls.values()) <= 8 * N * n_era
 
 
 def test_no_verify_calls_a_decoder(monkeypatch):

@@ -12,7 +12,8 @@ a codeword ranker that checks membership and ranks in separate passes
 through a partition rank counted across blocks, a CB ranker that sums and
 searches its blocks, a single-error encoder that slices in its middle bit
 and tries every check pair, a weight pin that lists its candidates,
-ternary erasure and BCH decoders that return only the message, and a
+ternary erasure and BCH decoders that return only the message, a ternary
+erasure interpolation that multiplies out every pair of nodes, and a
 sym-poly decoder that keeps its evaluation grids in dicts keyed by grid point.
 The current code must give the same value, or raise the same exception type,
 on every input tried here, including profiles and strings that no codeword
@@ -83,7 +84,6 @@ from compocode.fields import (
     SparsityExceeded,
     _berlekamp_massey,
     _field,
-    _rs_interpolate_eval,
     bblock_code,
     monomial_grid,
     ternary_erasure_decode,
@@ -730,6 +730,64 @@ def loop_parse(text: str) -> CompositionMultiset:
     return c
 
 
+def loop_rs_interpolate_eval(F, pts, targets):
+    """From (x, y) pairs with distinct x, evaluate the interpolant at targets.
+
+    Barycentric form (Berrut & Trefethen, SIAM Review 2004): with node
+    weights v_i = 1 / prod_{j != i} (x_i - x_j), computed once, the value at
+    x is l(x) * sum_i v_i y_i / (x - x_i), l(x) = prod_i (x - x_i).  A target
+    that is itself a node takes that node's y.
+    """
+    vy = []
+    for i, (xi, yi) in enumerate(pts):
+        den = 1
+        for j, (xj, _) in enumerate(pts):
+            if i != j:
+                den = F.mul(den, F.sub(xi, xj))
+        vy.append(F.mul(yi, F.inv(den)))
+    at_node = {x: y for x, y in pts}
+    out = []
+    for xt in targets:
+        if xt in at_node:
+            out.append(at_node[xt])
+            continue
+        ell, acc = 1, 0
+        for (xi, _), c in zip(pts, vy):
+            d = F.sub(xt, xi)
+            ell = F.mul(ell, d)
+            acc = F.add(acc, F.mul(c, F.inv(d)))
+        out.append(F.mul(ell, acc))
+    return out
+
+
+def loop_ternary_complete(word, msg_len: int, n_era: int) -> list[int]:
+    """The codeword that the first K intact field symbols of word fix, with
+    erased digits marked None: message digits first, then the check digits.
+
+    The message, zero-padded to K symbols of e digits, and the n_era check
+    symbols sit at the points alpha^0, alpha^1, ...; the interpolant through
+    the first K intact symbols is evaluated at every point.  A codeword's pad
+    digits are zero, so a nonzero one means that no codeword fits.
+    """
+    e = ternary_field_params(msg_len, n_era)
+    F = _field(3, e)
+    K = -(-msg_len // e)
+    if len(word) != msg_len + n_era * e:
+        raise ValueError("codeword length inconsistent with parameters")
+    padded = word[:msg_len] + [0] * (K * e - msg_len) + word[msg_len:]
+    xs = F.antilog[:K + n_era]  # distinct nonzero points
+    chunks = [padded[i * e:(i + 1) * e] for i in range(K + n_era)]
+    known = [(x, F.pack(c)) for x, c in zip(xs, chunks) if None not in c]
+    if len(known) < K:
+        raise EraseBudgetExceeded(
+            f"only {len(known)} intact symbols, need {K}")
+    digits = [d for y in loop_rs_interpolate_eval(F, known[:K], xs)
+              for d in F.digits(y)]
+    if any(digits[msg_len:K * e]):
+        raise EraseBudgetExceeded("no codeword fits the intact symbols")
+    return digits[:msg_len] + digits[K * e:]
+
+
 def loop_ternary_erasure_encode(msg, n_era: int) -> list[int]:
     """Systematic erasure code over {0,1,2}: message digits verbatim, then
     n_era extension-field check symbols spelled out as ternary digits.
@@ -749,7 +807,7 @@ def loop_ternary_erasure_encode(msg, n_era: int) -> list[int]:
     syms = [F.pack(padded[i * e:(i + 1) * e]) for i in range(K)]
     xs = [F.antilog[i] for i in range(K + n_era)]  # distinct nonzero points
     pts = list(zip(xs[:K], syms))
-    parity = _rs_interpolate_eval(F, pts, xs[K:])
+    parity = loop_rs_interpolate_eval(F, pts, xs[K:])
     out = msg[:]
     for p in parity:
         out.extend(F.digits(p))
@@ -780,7 +838,7 @@ def loop_ternary_erasure_decode(word, msg_len: int, n_era: int) -> list[int]:
     if len(known) < K:
         raise EraseBudgetExceeded(
             f"only {len(known)} intact symbols, need {K}")
-    msg_syms = _rs_interpolate_eval(F, known[:K], xs[:K])
+    msg_syms = loop_rs_interpolate_eval(F, known[:K], xs[:K])
     digits = []
     for s in msg_syms:
         digits.extend(F.digits(s))
@@ -1434,6 +1492,75 @@ def test_ternary_decode_returns_the_codeword_the_loop_re_encodes():
     # every kind of outcome is reached: a completed word, a word with too
     # many erasures, and a completion with a nonzero pad digit
     assert set(outcomes) == {(True, True), (True, False), (False, False)}
+
+
+def erase_symbols(word, msg_len, e, symbols):
+    """word with every digit of the given field symbols replaced by None.
+    The message's zero pad has no digits in word; every symbol has one."""
+    pad = -msg_len % e
+    out = list(word)
+    for i in symbols:
+        for pos in range(i * e, (i + 1) * e):
+            if pos < msg_len:
+                out[pos] = None
+            elif pos >= msg_len + pad:
+                out[pos - pad] = None
+    return out
+
+
+def completes_like_the_loop(word, msg_len, n_era):
+    """The completion of word, or its exception type, checked against the
+    loop's."""
+    got = outcome(ternary_erasure_decode, word, msg_len, n_era)
+    assert got == outcome(loop_ternary_complete, list(word), msg_len, n_era), \
+        (word, msg_len, n_era)
+    return got
+
+
+def test_ternary_code_matches_the_loop_on_every_erasure_pattern():
+    rng = random.Random(30)
+    outcomes = set()
+    for msg_len in range(1, 13):
+        for n_era in range(5):
+            e = ternary_field_params(msg_len, n_era)
+            N = -(-msg_len // e) + n_era
+            msg = [rng.randrange(3) for _ in range(msg_len)]
+            cw = ternary_erasure_encode(msg, n_era)
+            assert cw == loop_ternary_complete(
+                msg + [None] * (n_era * e), msg_len, n_era)
+            noise = [rng.randrange(3) for _ in cw]
+            for size in range(n_era + 2):
+                for symbols in itertools.combinations(range(N), size):
+                    for word in (cw, noise):
+                        got = completes_like_the_loop(
+                            erase_symbols(word, msg_len, e, symbols),
+                            msg_len, n_era)
+                        outcomes.add(got if isinstance(got, type) else list)
+    assert outcomes == {list, EraseBudgetExceeded}
+
+
+def test_ternary_code_matches_the_loop_at_large_k():
+    rng = random.Random(31)
+    # msg_len 2,055 is the sigma prefix of asym-t at k = 4,096, t = 3
+    for msg_len, n_era in ((2055, 9), (1801, 6)):
+        e = ternary_field_params(msg_len, n_era)
+        N = -(-msg_len // e) + n_era
+        assert N - n_era >= 300
+        msg = [rng.randrange(3) for _ in range(msg_len)]
+        cw = ternary_erasure_encode(msg, n_era)
+        assert cw == loop_ternary_complete(
+            msg + [None] * (n_era * e), msg_len, n_era)
+        noise = [rng.randrange(3) for _ in cw]
+        K = N - n_era
+        for word, symbols, want in (
+                (cw, rng.sample(range(N), n_era), cw),
+                (cw, rng.sample(range(N), n_era + 1), EraseBudgetExceeded),
+                # the last message symbol is interpolated, and noise leaves
+                # its pad digits nonzero
+                (noise, [K - 1, *rng.sample(range(K - 1), n_era - 1)],
+                 EraseBudgetExceeded)):
+            assert completes_like_the_loop(
+                erase_symbols(word, msg_len, e, symbols), msg_len, n_era) == want
 
 
 def test_bch_decode_returns_the_codeword_the_loop_re_encodes():
