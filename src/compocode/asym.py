@@ -31,6 +31,7 @@ from .catalan import sr_decode, sr_encode, sr_params, sr_size
 from .compositions import (
     CompositionMultiset,
     CorruptedInput,
+    check_length,
     cumulative_weights,
     mirror_mismatches,
     sigma_of_string,
@@ -141,9 +142,7 @@ def s1_reconstruct(c: CompositionMultiset) -> str:
 
 
 def s1_decode(c: CompositionMultiset, k: int) -> str:
-    n = s1_params(k)
-    if c.n != n:
-        raise ValueError(f"length {c.n} does not match parameters ({n})")
+    check_length(c.n, s1_params(k))
     return s1_strip(s1_reconstruct(c), k)
 
 
@@ -188,8 +187,7 @@ def st_decode(c: CompositionMultiset, k: int, t: int) -> str:
     c.validate_shape()
     n = c.n
     m, n_expected = st_params(k, t)
-    if n != n_expected:
-        raise ValueError(f"length {n} does not match parameters ({n_expected})")
+    check_length(n, n_expected)
     w_obs = cumulative_weights(c)
     sigma_vals, known = sigma_partial(w_obs, n)
     word = [v if ok else None for v, ok in zip(sigma_vals, known)]

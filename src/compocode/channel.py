@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .compositions import compose_all, multiset_symmetric_difference
+from .compositions import check_length, compose_all, multiset_symmetric_difference
 
 
 @dataclass(frozen=True)
@@ -108,29 +108,34 @@ def _random_info(rng, k):
 class Scheme:
     """One code at fixed parameters, as sim, the CLI and the tests use it.
 
-    encode maps info bits to the codeword and observe maps the codeword to
-    the observation the channel corrupts.  decode(obs) returns the info
-    word.  verify(info, obs) re-encodes info and is True when one of its
-    codewords lies within the code's t errors of obs; it runs no decoder,
-    and obs of another length is False.  params names the code in reports:
-    k, and t for the schemes that take one.
+    encode maps k info bits to the codeword of length n, and observe maps
+    the codeword to the observation the channel corrupts.  decode(obs) and
+    verify(info, obs) check obs.n against n, the one length check of every
+    scheme, before they call the builder's decoder and verifier.  decode
+    returns the info word and raises ValueError on another length.  verify
+    re-encodes info and is True when one of its codewords lies within the
+    code's t errors of obs; it runs no decoder, and an info word of another
+    length than k or obs of another length than n is False.  params names
+    the code in reports: k, and t for the schemes that take one.
     """
 
     params: dict
+    n: int
     encode: Callable[[str], str]
     observe: Callable
-    decode: Callable
-    verify: Callable
+    decoder: Callable
+    verifier: Callable
 
+    def decode(self, obs) -> str:
+        check_length(obs.n, self.n)
+        return self.decoder(obs)
 
-def _check_length(c, n: int) -> None:
-    if c.n != n:
-        raise ValueError(f"length {c.n} does not match parameters ({n})")
+    def verify(self, info: str, obs) -> bool:
+        return (obs.n == self.n and len(info) == self.params["k"]
+                and self.verifier(info, obs))
 
 
 def _within(clean: str, obs, t: int) -> bool:
-    if obs.n != len(clean):
-        return False
     d, _ = multiset_symmetric_difference(compose_all(clean), obs)
     return d <= 2 * t
 
@@ -143,30 +148,25 @@ def _recon(k: int, t: int) -> Scheme:
         raise ValueError("t must be 0")
     from .backtrack import reconstruct_unique
     from .catalan import sr_decode, sr_encode, sr_params
-    n = sr_params(k, 0)
-
-    def decode(c):
-        _check_length(c, n)
-        s, _ = reconstruct_unique(c)
-        return sr_decode(s, k, 0)
-    return Scheme({"k": k}, sr_encode, compose_all, decode,
+    return Scheme({"k": k}, sr_params(k, 0), sr_encode, compose_all,
+                  lambda c: sr_decode(reconstruct_unique(c)[0], k, 0),
                   lambda info, c: _within(sr_encode(info), c, 0))
 
 
 def _asym1(k: int, t: int) -> Scheme:
     if t:
         raise ValueError("t must be 0")
-    from .asym import s1_codewords, s1_decode, s1_encode
-    return Scheme({"k": k}, s1_encode, compose_all, partial(s1_decode, k=k),
+    from .asym import s1_codewords, s1_decode, s1_encode, s1_params
+    return Scheme({"k": k}, s1_params(k), s1_encode, compose_all,
+                  partial(s1_decode, k=k),
                   lambda info, c: any(_within(s, c, 1)
                                       for s in s1_codewords(info)))
 
 
 def _asym_t(k: int, t: int) -> Scheme:
     from .asym import st_decode, st_encode, st_params
-    st_params(k, t)
     encode = partial(st_encode, t=t)
-    return Scheme({"k": k, "t": t}, encode, compose_all,
+    return Scheme({"k": k, "t": t}, st_params(k, t)[1], encode, compose_all,
                   partial(st_decode, k=k, t=t),
                   lambda info, c: _within(encode(info), c, t))
 
@@ -178,17 +178,13 @@ def _sym_poly(k: int, t: int) -> Scheme:
     n = poly_params_from_payload(sr_params(k, 0), t).n
     encode = partial(etn_encode_info, t=t)
 
-    def decode(obs):
-        _check_length(obs, n)
-        return etn_decode_info(obs, k, t)
-
     def verify(info, obs):
         # each composition error moves exactly one cumulative level weight
         clean = DeltaObservation(encode(info)).weight_profile().tolist()
         w = obs.weight_profile().tolist()
-        return len(w) == len(clean) and \
-            sum(a != b for a, b in zip(clean, w)) <= t
-    return Scheme({"k": k, "t": t}, encode, DeltaObservation, decode, verify)
+        return sum(a != b for a, b in zip(clean, w)) <= t
+    return Scheme({"k": k, "t": t}, n, encode, DeltaObservation,
+                  partial(etn_decode_info, k=k, t=t), verify)
 
 
 def _sym_catalan(k: int, t: int) -> Scheme:
@@ -196,11 +192,9 @@ def _sym_catalan(k: int, t: int) -> Scheme:
         catalan_code_params, catalan_code_strip
     n = catalan_code_params(k, t)  # rejects t < 0 before any trial
     encode = partial(catalan_code_encode, t=t)
-
-    def decode(c):
-        _check_length(c, n)
-        return catalan_code_strip(catalan_code_decode_bruteforce(c, t), k, t)
-    return Scheme({"k": k, "t": t}, encode, compose_all, decode,
+    return Scheme({"k": k, "t": t}, n, encode, compose_all,
+                  lambda c: catalan_code_strip(
+                      catalan_code_decode_bruteforce(c, t), k, t),
                   lambda info, c: _within(encode(info), c, t))
 
 

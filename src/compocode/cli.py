@@ -66,7 +66,7 @@ def _emit(args, text: str, manifest: dict) -> None:
 
 
 def _manifest(args, extra: dict | None = None) -> dict:
-    m = {"command": " ".join(sys.argv[1:]), "version": __version__}
+    m = {"command": " ".join(args.argv), "version": __version__}
     for key in ("scheme", "k", "t", "seed", "model", "errors", "trials"):
         if hasattr(args, key) and getattr(args, key) is not None:
             m[key] = getattr(args, key)
@@ -228,6 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else argv  # the manifests' command
     if getattr(args, "k", 1) is not None and getattr(args, "k", 1) < 1:
         print("error: --k must be >= 1", file=sys.stderr)
         return EXIT_PARAMS

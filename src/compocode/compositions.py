@@ -43,6 +43,12 @@ def check_bits(s: str) -> str:
     return s
 
 
+def check_length(n: int, expected: int) -> None:
+    """Reject an observation of length n for a code of length expected."""
+    if n != expected:
+        raise ValueError(f"length {n} does not match parameters ({expected})")
+
+
 def weight(s: str) -> int:
     return s.count("1")
 
@@ -62,18 +68,57 @@ def sigma_of_string(s: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-class CompositionMultiset:
-    """Per-length multisets of substring compositions.
+class Observation:
+    """The decoder input: a (possibly corrupted) composition multiset of a
+    string of known length n.
 
-    levels[l] is a Counter weight -> multiplicity for l in 1..n.  A valid
-    (possibly corrupted) channel output has exactly n-l+1 elements at level l.
-    A copy shares its source's Counters until replace or correct writes one,
-    so nothing else may write them.
+    Each form answers n, level_counter(l), weight_profile(), sym_eval(R,
+    field), copy() and validate_shape(), and writes through _bump(l, w, by),
+    which adds `by` elements of weight w to level l.  replace and correct are
+    written here once, over _bump, and validate_shape reports the first flaw
+    in (level, weight) order, so both forms fail alike.
+    """
 
-    This is the dense form of the observation protocol: n, level_counter,
-    weight_profile, sym_eval, correct, replace, copy and validate_shape.
-    sym.DeltaObservation is the sparse form; the channel, the sym-poly
-    decoder and the scheme registry's checks read either.
+    __slots__ = ()
+
+    def replace(self, l: int, old_w: int, new_w: int) -> None:
+        """Swap one level-l element of weight old_w for one of weight new_w."""
+        if self.level_counter(l)[old_w] <= 0:
+            raise CorruptedInput(f"no composition of weight {old_w} at level {l}")
+        if not (0 <= new_w <= l):
+            raise ValueError(f"weight {new_w} invalid at level {l}")
+        self._bump(l, old_w, -1)
+        self._bump(l, new_w, 1)
+
+    def correct(self, error: dict):
+        """A copy with c elements of weight w taken out of level w+z per error term.
+
+        error maps (w, z) to c; a negative c puts -c elements back.
+        """
+        out = self.copy()
+        for (w, z), c in error.items():
+            out._bump(w + z, w, -c)
+        out.validate_shape()
+        return out
+
+    def _check_level(self, l: int, flaws, size: int) -> None:
+        """Raise CorruptedInput at the smallest weight in flaws, level l's
+        (weight, multiplicity) pairs, or at a size other than n - l + 1."""
+        if flaws:
+            w, m = min(flaws)
+            raise CorruptedInput(f"level {l} holds weight {w} {m} times" if m < 1
+                                 else f"level {l} contains weight {w} out of range")
+        if size != self.n - l + 1:
+            raise CorruptedInput(
+                f"level {l} has {size} elements, expected {self.n - l + 1}")
+
+
+class CompositionMultiset(Observation):
+    """The dense form of the observation: every level as a Counter.
+
+    levels[l] is a Counter weight -> multiplicity for l in 1..n; built by
+    compose_all and parse.  A copy shares its source's Counters until _bump
+    writes one, so nothing else may write them.
     """
 
     __slots__ = ("n", "levels", "_owned")
@@ -81,15 +126,7 @@ class CompositionMultiset:
     def __init__(self, n: int, levels: dict[int, Counter]):
         self.n = n
         self.levels = levels
-        self._owned = None  # levels replace/correct may write; None: all
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def of_string(cls, s: str) -> "CompositionMultiset":
-        check_bits(s)
-        P = prefix_weights(s)
-        return cls(len(s), {l: level_of_prefix(P, l) for l in range(1, len(s) + 1)})
+        self._owned = None  # levels _bump may write in place; None: all
 
     def copy(self) -> "CompositionMultiset":
         """A copy sharing every level until either side writes one."""
@@ -97,14 +134,14 @@ class CompositionMultiset:
         self._owned, out._owned = set(), set()
         return out
 
-    def _writable(self, l: int) -> Counter:
-        """Level l, first copied if it may be shared with another multiset."""
+    def _bump(self, l: int, w: int, by: int) -> None:
         if self._owned is not None and l not in self._owned:
-            self.levels[l] = Counter(self.levels[l])
+            self.levels[l] = Counter(self.levels[l])  # copy a shared level
             self._owned.add(l)
-        return self.levels[l]
-
-    # -- basic queries ----------------------------------------------------
+        level = self.levels[l]
+        level[w] += by
+        if level[w] == 0:
+            del level[w]
 
     def level_size(self, l: int) -> int:
         return sum(self.levels[l].values())
@@ -132,36 +169,12 @@ class CompositionMultiset:
         g = monomial_grid(ws, ls - ws, R, field, counts)
         return (g + g[::-1, ::-1]) % field.q
 
-    def correct(self, error: dict) -> "CompositionMultiset":
-        """A copy with c elements of weight w taken out of level w+z per error term.
-
-        error maps (w, z) to c; a negative c puts -c elements back.
-        """
-        out = self.copy()
-        for (w, z), c in error.items():
-            level = out._writable(w + z)
-            if level[w] < c:
-                raise CorruptedInput(
-                    f"cannot remove {c} copies of weight {w} at level {w + z}")
-            level[w] -= c
-            if level[w] == 0:
-                del level[w]
-        out.validate_shape()
-        return out
-
     def validate_shape(self) -> None:
         for l in range(1, self.n + 1):
-            if l not in self.levels:
+            if (lv := self.levels.get(l)) is None:
                 raise CorruptedInput(f"level {l} missing")
-            for w, m in self.levels[l].items():
-                if m < 1:
-                    raise CorruptedInput(f"level {l} holds weight {w} {m} times")
-                if not 0 <= w <= l:
-                    raise CorruptedInput(f"level {l} contains weight {w} out of range")
-            got = self.level_size(l)
-            if got != self.n - l + 1:
-                raise CorruptedInput(
-                    f"level {l} has {got} elements, expected {self.n - l + 1}")
+            self._check_level(l, [(w, m) for w, m in lv.items()
+                                  if m < 1 or not 0 <= w <= l], sum(lv.values()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompositionMultiset):
@@ -169,21 +182,13 @@ class CompositionMultiset:
         return self.n == other.n and all(
             self.levels[l] == other.levels[l] for l in range(1, self.n + 1))
 
-    def replace(self, l: int, old_w: int, new_w: int) -> None:
-        """Swap one level-l element of weight old_w for one of weight new_w."""
-        if self.levels[l][old_w] <= 0:
-            raise CorruptedInput(f"no composition of weight {old_w} at level {l}")
-        if not (0 <= new_w <= l):
-            raise ValueError(f"weight {new_w} invalid at level {l}")
-        level = self._writable(l)
-        level[old_w] -= 1
-        if level[old_w] == 0:
-            del level[old_w]
-        level[new_w] += 1
-
 
 def compose_all(s: str) -> CompositionMultiset:
-    return CompositionMultiset.of_string(s)
+    """The composition multiset of the bit string s."""
+    check_bits(s)
+    P = prefix_weights(s)
+    return CompositionMultiset(len(s), {l: level_of_prefix(P, l)
+                                        for l in range(1, len(s) + 1)})
 
 
 def prefix_weights(s: str) -> list[int]:

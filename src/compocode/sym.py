@@ -18,17 +18,18 @@ Two constructions:
   1^(4t+1).  Distinct codewords have multiset symmetric difference >= 4t+1;
   decoding is brute force over reverted corrections.
 
-etn_decode reads either form of the observation protocol: a
-CompositionMultiset, or a DeltaObservation, which answers multiset queries
-in O(n) from a base string plus a sparse error delta and so keeps large-n
-trials tractable.  A string's P goes on the (2R+1)^2 evaluation grid
-through fields.prefix_grid, one monomial per run of zeros, in
-O(n + R^2 wt) rather than O(R^2 n); fields.monomial_grid sums those
+etn_decode reads any compositions.Observation: the dense
+CompositionMultiset of a parsed file, or a DeltaObservation, which answers
+multiset queries in O(n) from a base string plus a sparse error delta and
+so keeps large-n trials tractable.  A string's P goes on the (2R+1)^2
+evaluation grid through fields.prefix_grid, one monomial per run of zeros,
+in O(n + R^2 wt) rather than O(R^2 n); fields.monomial_grid sums those
 monomials, the delta read as a signed multiset, and the one-term shifts.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -40,6 +41,7 @@ from .catalan import cb_count, cb_rank, cb_total, cb_unrank, sr_decode, sr_encod
 from .compositions import (
     CompositionMultiset,
     CorruptedInput,
+    Observation,
     check_bits,
     cumulative_weights,
     mirror_mismatches,
@@ -240,12 +242,11 @@ def _string_weight_profile(s: str) -> np.ndarray:
     return cs[n + 1] - cs[ls] - cs[n + 1 - ls]
 
 
-class DeltaObservation:
-    """A composition multiset as a base string plus a sparse error delta.
+class DeltaObservation(Observation):
+    """The sparse form of the observation: a base string plus an error delta.
 
-    The sparse form of the observation protocol CompositionMultiset
-    documents.  All queries cost O(n) or less, so corruption and decoding of
-    long strings never materialize the quadratic multiset; sym_eval costs
+    All queries cost O(n) or less, so corruption and decoding of long
+    strings never materialize the quadratic multiset; sym_eval costs
     O(n + R^2 wt) for the base string plus O(R^2) per delta term.
     """
 
@@ -258,10 +259,8 @@ class DeltaObservation:
         self.delta: dict[int, dict[int, int]] = {}  # level -> weight -> count
 
     def copy(self) -> "DeltaObservation":
-        out = object.__new__(DeltaObservation)
-        out.s, out.n = self.s, self.n
-        out.pref = self.pref
-        out.base_w = self.base_w
+        """A copy sharing the base string's arrays, with its own delta."""
+        out = copy.copy(self)
         out.delta = {l: dict(d) for l, d in self.delta.items()}
         return out
 
@@ -273,25 +272,15 @@ class DeltaObservation:
         if not d:
             del self.delta[l]
 
-    def replace(self, l: int, old_w: int, new_w: int) -> None:
-        if self.level_counter(l)[old_w] <= 0:
-            raise CorruptedInput(f"no composition of weight {old_w} at level {l}")
-        if not (0 <= new_w <= l):
-            raise ValueError(f"weight {new_w} invalid at level {l}")
-        self._bump(l, old_w, -1)
-        self._bump(l, new_w, 1)
-
     def validate_shape(self) -> None:
-        for l, d in self.delta.items():
-            if sum(d.values()) != 0:
-                raise CorruptedInput(f"level {l} count drifted")
+        for l, d in sorted(self.delta.items()):
+            flaws = []
             for w, c in d.items():
-                if not 0 <= w <= l:
-                    raise CorruptedInput(f"level {l} weight {w} out of range")
                 # only a removal can take a count below 0: one O(n) count
-                base = np.count_nonzero(self._base_level(l) == w) if c < 0 else 0
-                if (m := base + c) < 0:
-                    raise CorruptedInput(f"level {l} holds weight {w} {m} times")
+                m = c + np.count_nonzero(self._base_level(l) == w) if c < 0 else c
+                if m < 0 or not 0 <= w <= l:
+                    flaws.append((w, m))
+            self._check_level(l, flaws, self.n - l + 1 + sum(d.values()))
 
     def weight_profile(self) -> np.ndarray:
         w = self.base_w.copy()
@@ -327,13 +316,6 @@ class DeltaObservation:
         p = prefix_grid(self.s, R, field)
         delta = CompositionMultiset(self.n, self.delta).sym_eval(R, field)
         return (p * p[::-1, ::-1] - (self.n + 1) + delta) % field.q
-
-    def correct(self, error: dict) -> "DeltaObservation":
-        out = self.copy()
-        for (w, z), c in error.items():
-            out._bump(w + z, w, -c)
-        out.validate_shape()
-        return out
 
 
 # -- the systematic evaluation-constrained encoder --------------------------

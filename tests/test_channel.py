@@ -105,7 +105,7 @@ def failing_recon(exc, recon=REGISTRY["recon"]):
     def build(k, t):
         def decode(c):
             raise exc
-        return dataclasses.replace(recon(k, t), decode=decode)
+        return dataclasses.replace(recon(k, t), decoder=decode)
     return build
 
 
@@ -145,6 +145,7 @@ def test_registry_round_trip(name):
     rng = random.Random(name)
     for _ in range(3):
         info = "".join(rng.choice("01") for _ in range(k))
+        assert code.n == len(code.encode(info))
         obs, log = corrupt(code.observe(code.encode(info)), model, rng)
         assert len(log) == model.t
         assert code.decode(obs) == info
@@ -165,6 +166,9 @@ def test_registry_round_trip(name):
     obs = wider.observe(wider.encode(info))
     assert obs.n != code.observe(code.encode(info[:k])).n
     assert code.verify(info[:k], obs) is False
+    # nor is an info word of another length, which encodes to another n
+    obs = code.observe(code.encode(info[:k]))
+    assert code.verify(info[:k + 1], obs) is False
 
 
 @pytest.mark.parametrize("name", list(REGISTRY))

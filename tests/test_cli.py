@@ -38,6 +38,18 @@ def test_encode_decode_roundtrip_recon(tmp_path, capsys, monkeypatch):
     assert code == 0 and out.strip() == info
 
 
+def test_manifest_records_the_argv_main_parsed(tmp_path, capsys, monkeypatch):
+    # an in-process caller's argv, not the host process's
+    monkeypatch.setattr(sys, "argv", ["host", "--whatever"])
+    inp = tmp_path / "info.txt"
+    inp.write_text("1010\n")
+    argv = ["encode", "--scheme", "recon", "--k", "4", "--input", str(inp),
+            "--output", str(tmp_path / "cw.txt")]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "cw.txt.manifest.json").read_text())
+    assert manifest["command"] == " ".join(argv)
+
+
 def test_compose_format_roundtrips(tmp_path, capsys):
     for s in ("010110", "00001111111", "01" * 15 + "1"):
         inp = tmp_path / "cw.txt"

@@ -223,14 +223,14 @@ def test_observation_correct_roundtrip():
 def correct_outcome(obs, error):
     try:
         fixed = obs.correct(error)
-    except CorruptedInput:
-        return CorruptedInput
+    except CorruptedInput as e:
+        return str(e)
     return [fixed.level_counter(l) for l in range(1, obs.n + 1)]
 
 
 def test_both_observation_forms_correct_alike():
-    # a removal the multiset cannot serve fails in both forms, also where a
-    # put-back at the same level keeps the level's count
+    # a removal the multiset cannot serve fails in both forms with the same
+    # message, also where a put-back at the same level keeps the level's count
     rng = random.Random(37)
     outcomes = set()
     for _ in range(300):
@@ -252,10 +252,20 @@ def test_both_observation_forms_correct_alike():
             error[(w2, l - w2)] = error.get((w2, l - w2), 0) - c
         got = correct_outcome(sparse, error)
         assert got == correct_outcome(dense, error), (s, error)
-        outcomes.add(got is CorruptedInput)
+        outcomes.add(isinstance(got, str))
     with pytest.raises(CorruptedInput):
         DeltaObservation("0001011").correct({(3, 0): 1, (0, 3): -1})
     assert outcomes == {True, False}
+    # both report the first flaw in (level, weight) order, whatever order
+    # the error or the string lists the weights in
+    for s, error, message in (
+            ("1100", {(2, 0): 2, (0, 2): 2, (1, 1): -4},
+             "level 2 holds weight 0 -1 times"),
+            ("0100110101", {(2, 0): 2, (0, 2): -2, (1, 0): 6, (0, 1): -6},
+             "level 1 holds weight 1 -1 times")):
+        for obs in (DeltaObservation(s), compose_all(s)):
+            with pytest.raises(CorruptedInput, match=f"^{message}$"):
+                obs.correct(error)
 
 
 def test_level_counter_rejects_levels_outside_1_to_n():
