@@ -143,9 +143,6 @@ class CompositionMultiset(Observation):
         if level[w] == 0:
             del level[w]
 
-    def level_size(self, l: int) -> int:
-        return sum(self.levels[l].values())
-
     def level_counter(self, l: int) -> Counter:
         """Level l as weight -> multiplicity; KeyError outside 1..n.  Read-only."""
         return self.levels[l]

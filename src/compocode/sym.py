@@ -439,57 +439,52 @@ def etn_encode(u: str, t: int, params: PolyCodeParams | None = None) -> str:
     return s
 
 
-def _reconstruct_known_shell(obs, pre_len: int, suffix: str,
-                             sigma, total_wt: int) -> str:
-    """Rebuild the string when prefix zeros and the suffix are already known.
+def _reconstruct_known_shell(obs, zeta: str, sigma) -> str:
+    """Rebuild 0^r ... zeta, r = len(zeta), from its corrected multiset.
 
-    The only free region is the payload window; its mirrored pairs follow the
-    sigma sequence, and each ambiguous pair (sigma = 1) is settled by matching
-    the fully determined level n-i of the corrected multiset.  Payload
-    prefix/suffix weights always differ there, so exactly one branch fits.
+    Pair k (0-based) holds a_k = s_k and b_k = s_(n-1-k).  The first r pairs
+    are the known shell (0, rev(zeta)_k), which sigma must match; a payload
+    pair with sigma 0 or 2 is forced.  A pair with sigma 1 reads level n-k-1:
+    all but a length-j prefix and a length-(k+1-j) suffix, weighing
+    W - pw_j - sw_(k+1-j) with W = sum(sigma) = wt(s).  Its k inner windows
+    are known, and the branch kept is the one whose two end windows are
+    exactly what the level has left, the test backtrack._search makes.  The
+    counting is numpy: these levels hold thousands of distinct weights.
     """
-    n = obs.n
-    h = n // 2
-    s = np.full(n, -1, dtype=np.int64)
-    s[:pre_len] = 0
-    s[n - len(suffix):] = np.frombuffer(suffix.encode("ascii"), np.uint8) - ord("0")
+    n, h, r = obs.n, obs.n // 2, len(zeta)
+    W = sum(sigma)
     sig = np.asarray(sigma[:h], dtype=np.int64)
-    # pair i holds s_i and s_(n+1-i): a views s, b is written back at the end
-    a, b = s[:h], s[::-1][:h].copy()
-    known = (a >= 0) & (b >= 0)
-    bad = np.flatnonzero(known & (a + b != sig))
+    a, b = sig // 2, sig // 2
+    a[:r] = 0
+    b[:r] = np.frombuffer(zeta[::-1].encode("ascii"), np.uint8) - ord("0")
+    bad = np.flatnonzero(b[:r] != sig[:r])
     if bad.size:
         raise ReconstructionFailure(
             f"sigma disagrees with the known shell at pair {bad[0] + 1}")
-    free = ~known
-    a[free] = b[free] = sig[free] // 2  # sigma 0 or 2; sigma 1 is settled next
-    for k in np.flatnonzero(free & (sig != 0) & (sig != 2)).tolist():
-        # level n-i, i = k+1, holds i+1 elements: all but a length-j prefix
-        # and a length-(i-j) suffix, weighing total_wt - pw_j - sw_(i-j)
+    for k in (r + np.flatnonzero(sig[r:] == 1)).tolist():
         level = n - k - 1
         observed = obs.level_counter(level)
         counts = np.zeros(level + 1, dtype=np.int64)
         counts[list(observed)] = list(observed.values())
-        picked = []
-        for ca in (0, 1):
-            a[k], b[k] = ca, 1 - ca
-            pw = np.concatenate(([0], np.cumsum(a[:k + 1])))
-            sw = np.concatenate(([0], np.cumsum(b[:k + 1])))
-            wts = total_wt - pw - sw[::-1]
-            if wts.min() >= 0 and np.array_equal(
-                    np.bincount(wts, minlength=level + 1), counts):
-                picked.append(ca)
+        pw = np.concatenate(([0], np.cumsum(a[:k])))
+        sw = np.concatenate(([0], np.cumsum(b[:k])))
+        inner = W - pw[1:] - sw[:0:-1]
+        left = []  # the level's weights besides the inner windows, sorted
+        if ((inner >= 0) & (inner <= level)).all():
+            rest = counts - np.bincount(inner, minlength=level + 1)
+            if rest.min() >= 0:
+                left = np.repeat(np.arange(level + 1), rest).tolist()
+        x, y = W - int(sw[k]), W - int(pw[k])
+        picked = [ca for ca, ends in ((0, (x - 1, y)), (1, (x, y - 1)))
+                  if sorted(ends) == left]
         if len(picked) != 1:
             raise ReconstructionFailure(
                 f"pair {k + 1} is not settled by level {level}")
         a[k], b[k] = picked[0], 1 - picked[0]
-    s[n - h:] = b[::-1]
-    if n % 2:
-        mid = sigma[(n + 1) // 2 - 1]
-        if mid not in (0, 1):
-            raise ReconstructionFailure("middle entry out of range")
-        s[h] = mid
-    return _bits_str(s)
+    mid = sigma[h:]  # the middle bit of odd n
+    if any(v not in (0, 1) for v in mid):
+        raise ReconstructionFailure("middle entry out of range")
+    return _bits_str(np.concatenate((a, np.asarray(mid, dtype=np.int64), b[::-1])))
 
 
 def etn_decode(obs, t: int) -> str:
@@ -536,7 +531,7 @@ def etn_decode(obs, t: int) -> str:
     if w[0] != d_x or w[n - 1] != d_x:
         raise ReconstructionFailure("corrected weights disagree with wt(s)")
     sigma = sigma_from_weights(w.tolist(), n)
-    s = _reconstruct_known_shell(fixed, half, zeta, sigma, d_x)
+    s = _reconstruct_known_shell(fixed, zeta, sigma)
     if not np.array_equal(_string_weight_profile(s), w):
         raise ReconstructionFailure("reassembled string misses the multiset")
     return s[half:half + p.nu]

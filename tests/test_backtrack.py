@@ -155,7 +155,7 @@ def test_build_T_size_matches_index_scan():
         h = (n + 1) // 2
         for L in range(n // 2 + 1):
             T = build_T(s[:L], s[n - L:], sigma_of_string(s), n)
-            count = sum(T.level_size(l) for l in range(1, n + 1))
+            count = sum(sum(T.level_counter(l).values()) for l in range(1, n + 1))
             direct = sum(
                 1 for i in range(1, n + 1) for j in range(i, n + 1)
                 if (j <= L) or (i >= n + 1 - L)

@@ -72,7 +72,7 @@ def test_compose_all_matches_brute_force(s):
 def test_level_sizes(s):
     c = compose_all(s)
     for l in range(1, c.n + 1):
-        assert c.level_size(l) == c.n - l + 1
+        assert sum(c.level_counter(l).values()) == c.n - l + 1
 
 
 @given(bitstrings)

@@ -17,7 +17,7 @@ import compocode
 from compocode import asym, backtrack, fields, sym
 from compocode.catalan import sr_decode, sr_encode, sr_size
 from compocode.channel import ErrorModel, build_scheme, corrupt
-from compocode.compositions import compose_all
+from compocode.compositions import compose_all, sigma_of_string
 
 PACKAGE_DIR = Path(compocode.__file__).parent
 
@@ -341,3 +341,29 @@ def test_sym_poly_decode_grids_no_string_term_by_term(monkeypatch):
     sizes.clear()
     assert sym.etn_decode_info(obs, 12, 2) == info
     assert sizes and max(sizes) <= max(terms, runs)
+
+
+@pytest.mark.parametrize("k, t", [(12, 2), (40, 1), (256, 2)])
+def test_sym_poly_decode_reads_one_level_per_ambiguous_payload_pair(
+        monkeypatch, k, t):
+    # the known shell and the payload pairs with sigma 0 or 2 are set
+    # without a level; a payload pair k (0-based) with sigma 1 reads level
+    # n - k - 1 once
+    levels = []
+    read = sym.DeltaObservation.level_counter
+
+    def recording(self, l):
+        levels.append(l)
+        return read(self, l)
+
+    monkeypatch.setattr(sym.DeltaObservation, "level_counter", recording)
+    rng = random.Random(35)
+    for _ in range(10):
+        info = "".join(rng.choice("01") for _ in range(k))
+        s = sym.etn_encode_info(info, t)
+        n, half = len(s), sym.poly_params_from_length(len(s), t).r_hat // 2
+        sigma = sigma_of_string(s)
+        obs, _ = corrupt(sym.DeltaObservation(s), ErrorModel("symmetric", t), rng)
+        levels.clear()
+        assert sym.etn_decode(obs, t) == s[half:n - half]
+        assert levels == [n - k - 1 for k in range(half, n // 2) if sigma[k] == 1]

@@ -13,8 +13,10 @@ through a partition rank counted across blocks, a CB ranker that sums and
 searches its blocks, a single-error encoder that slices in its middle bit
 and tries every check pair, a weight pin that lists its candidates,
 ternary erasure and BCH decoders that return only the message, a ternary
-erasure interpolation that multiplies out every pair of nodes, and a
-sym-poly decoder that keeps its evaluation grids in dicts keyed by grid point.
+erasure interpolation that multiplies out every pair of nodes, a
+sym-poly decoder that keeps its evaluation grids in dicts keyed by grid point,
+and a known-shell reconstruction that recounts every window for both
+branches of each ambiguous pair.
 The current code must give the same value, or raise the same exception type,
 on every input tried here, including profiles and strings that no codeword
 produces.  The one intended difference: parse rejects a number the loop read
@@ -94,6 +96,7 @@ from compocode.sym import (
     BlockCodeFailure,
     DeltaObservation,
     PolyCodeParams,
+    _bits_str,
     _bits_to_grid,
     _grid_points,
     _grid_to_bits,
@@ -979,6 +982,59 @@ def loop_zero_run_eval(m: int, l2: int, field: PrimeField) -> int:
     return (pow(y, m + 1, q) - 1) * field.inv(y - 1) % q
 
 
+def loop_known_shell(obs, pre_len: int, suffix: str,
+                     sigma, total_wt: int) -> str:
+    """Rebuild the string when prefix zeros and the suffix are already known.
+
+    The only free region is the payload window; its mirrored pairs follow the
+    sigma sequence, and each ambiguous pair (sigma = 1) is settled by matching
+    the fully determined level n-i of the corrected multiset.  Payload
+    prefix/suffix weights always differ there, so exactly one branch fits.
+    """
+    n = obs.n
+    h = n // 2
+    s = np.full(n, -1, dtype=np.int64)
+    s[:pre_len] = 0
+    s[n - len(suffix):] = np.frombuffer(suffix.encode("ascii"), np.uint8) - ord("0")
+    sig = np.asarray(sigma[:h], dtype=np.int64)
+    # pair i holds s_i and s_(n+1-i): a views s, b is written back at the end
+    a, b = s[:h], s[::-1][:h].copy()
+    known = (a >= 0) & (b >= 0)
+    bad = np.flatnonzero(known & (a + b != sig))
+    if bad.size:
+        raise ReconstructionFailure(
+            f"sigma disagrees with the known shell at pair {bad[0] + 1}")
+    free = ~known
+    a[free] = b[free] = sig[free] // 2  # sigma 0 or 2; sigma 1 is settled next
+    for k in np.flatnonzero(free & (sig != 0) & (sig != 2)).tolist():
+        # level n-i, i = k+1, holds i+1 elements: all but a length-j prefix
+        # and a length-(i-j) suffix, weighing total_wt - pw_j - sw_(i-j)
+        level = n - k - 1
+        observed = obs.level_counter(level)
+        counts = np.zeros(level + 1, dtype=np.int64)
+        counts[list(observed)] = list(observed.values())
+        picked = []
+        for ca in (0, 1):
+            a[k], b[k] = ca, 1 - ca
+            pw = np.concatenate(([0], np.cumsum(a[:k + 1])))
+            sw = np.concatenate(([0], np.cumsum(b[:k + 1])))
+            wts = total_wt - pw - sw[::-1]
+            if wts.min() >= 0 and np.array_equal(
+                    np.bincount(wts, minlength=level + 1), counts):
+                picked.append(ca)
+        if len(picked) != 1:
+            raise ReconstructionFailure(
+                f"pair {k + 1} is not settled by level {level}")
+        a[k], b[k] = picked[0], 1 - picked[0]
+    s[n - h:] = b[::-1]
+    if n % 2:
+        mid = sigma[(n + 1) // 2 - 1]
+        if mid not in (0, 1):
+            raise ReconstructionFailure("middle entry out of range")
+        s[h] = mid
+    return _bits_str(s)
+
+
 def loop_etn_decode(obs, t: int) -> str:
     """Recover the payload from an observation with at most t symmetric errors.
 
@@ -1026,7 +1082,7 @@ def loop_etn_decode(obs, t: int) -> str:
     if w[0] != d_x or w[n - 1] != d_x:
         raise ReconstructionFailure("corrected weights disagree with wt(s)")
     sigma = sigma_from_weights(w.tolist(), n)
-    s = _reconstruct_known_shell(fixed, half, zeta, sigma, d_x)
+    s = loop_known_shell(fixed, half, zeta, sigma, d_x)
     if not np.array_equal(_string_weight_profile(s), w):
         raise ReconstructionFailure("reassembled string misses the multiset")
     return s[half:half + p.nu]
@@ -1604,6 +1660,54 @@ def test_sym_poly_decode_matches_the_loop():
     # the 30 decodes within the budget succeed; failures beyond it are
     # compared too, message and all
     assert outcomes[True] == 30 and len(outcomes) >= 2, outcomes
+
+
+def shell_variants(s: str, half: int, rng):
+    """(observation, sigma) pairs around codeword s: the clean one, 10 flipped
+    shell sigmas, every payload sigma moved to another value in {0, 1, 2},
+    and a level of an ambiguous payload pair changed without correction."""
+    obs = DeltaObservation(s)
+    sigma = sigma_of_string(s)
+    h = len(s) // 2
+    yield obs, sigma
+    for j in rng.sample(range(half), 10):
+        yield obs, sigma[:j] + (1 - sigma[j],) + sigma[j + 1:]
+    for j in range(half, h):
+        for v in ((0, 2) if sigma[j] == 1 else (1,)):
+            yield obs, sigma[:j] + (v,) + sigma[j + 1:]
+    k = rng.choice([j for j in range(half, h) if sigma[j] == 1])
+    level = len(s) - k - 1
+    old = rng.choice(sorted(obs.level_counter(level)))
+    bad = obs.copy()
+    bad.replace(level, old, rng.choice([w for w in range(level + 1) if w != old]))
+    yield bad, sigma
+
+
+def test_known_shell_matches_the_loop():
+    rng = random.Random(34)
+    outcomes = Counter()
+    for k in (4, 12, 40):
+        for t in (1, 2):
+            s = etn_encode(sr_encode(random_bits(rng, k), 0), t)
+            half = poly_params_from_length(len(s), t).r_hat // 2
+            zeta = s[len(s) - half:]
+            for obs, sigma in shell_variants(s, half, rng):
+                # etn_decode passed the loop d_x, which is sum(sigma)
+                got = decode_outcome(_reconstruct_known_shell, obs, zeta, sigma)
+                assert got == decode_outcome(loop_known_shell, obs, half, zeta,
+                                             sigma, sum(sigma)), (k, t, sigma)
+                assert isinstance(got, str) or got[0] is ReconstructionFailure
+                outcomes["same" if got == s else type(got)] += 1
+    # a moved payload sigma may still read back a string, which only the
+    # decoder's final profile check rejects
+    assert outcomes["same"] >= 6 and outcomes[tuple] > 100, outcomes
+    # the prefix and suffix weights tie at the ambiguous pair 7, so both of
+    # its branches fit level 7
+    s = "00001110000110"
+    obs, sigma = DeltaObservation(s), sigma_of_string(s)
+    assert decode_outcome(_reconstruct_known_shell, obs, "0110", sigma) == \
+        decode_outcome(loop_known_shell, obs, 4, "0110", sigma, sum(sigma)) == \
+        (ReconstructionFailure, "pair 7 is not settled by level 7")
 
 
 def test_dense_sym_poly_decode_matches_the_loop():

@@ -746,16 +746,16 @@ def test_known_shell_rejects_a_flipped_shell_sigma():
     p = poly_params_from_payload(13, t)
     half = p.r_hat // 2
     s = etn_encode("1011001110001", t, p)
-    suffix = s[half + p.nu:]
+    zeta = s[half + p.nu:]
     sigma = sigma_of_string(s)
     obs = DeltaObservation(s)
-    assert _reconstruct_known_shell(obs, half, suffix, sigma, weight(s)) == s
+    assert _reconstruct_known_shell(obs, zeta, sigma) == s
     rng = random.Random(16)
     for j in rng.sample(range(half), 10):
         flipped = list(sigma)
         flipped[j] = 1 - flipped[j]  # every shell pair sums to 0 or 1
         with pytest.raises(ReconstructionFailure):
-            _reconstruct_known_shell(obs, half, suffix, flipped, weight(s))
+            _reconstruct_known_shell(obs, zeta, flipped)
 
 
 # -- the Catalan-path code ---------------------------------------------------
