@@ -1,8 +1,8 @@
-"""Catalan-Bertrand strings, ranking/unranking, and the reconstruction codebooks.
+"""Catalan-Bertrand strings and the reconstruction codebooks, ranked by one walk.
 
 A Catalan-Bertrand (CB) string has strictly more 0s than 1s in every prefix
 (so its first bit is 0).  cb_count(m, i) counts CB strings of length m with i
-ones; the closed form is C(m-1, i) - C(m-1, i-1) and the total over i is
+ones: by the ballot theorem it is C(m, i)(m - 2i)/m, and the total over i is
 C(m-1, floor((m-1)/2)).
 
 The reconstruction codebook of shift t >= 0 and even length n consists of the
@@ -15,11 +15,17 @@ is exactly the codebook with s_1 = 0, s_n = 1; odd lengths (t = 0 only) are
 obtained by doubling: a free middle bit is inserted into an even codeword.
 
 All ranks are 0-based.  The encoder is a bijection obtained by mixed-radix
-composition of (1-count block, partition rank, free bits, CB rank, middle bit).
-The decoder reads a string in one pass: a walk over the mirrored pairs of the
-first half collects the set I, the free bits and the CB string, and checks
-the bits, the 0^t/1^t ends, t+1 in I and CB-ness once each, so a non-member
-is the string the walk gives no rank.
+composition of (1-count block, I mask, free bits, CB string, middle bit).
+One colex lattice-path walk ranks and unranks both paths of a codeword, the
+I mask over positions t+2 .. n/2 and the CB string: reading a string from
+its top position down, it adds at each 1 the admissible completions that put
+a 0 there, all of them for the mask and the ballot number for the CB string,
+with the binomial carried from position to position by ratio.  The block
+sizes are stepped by ratio in the same way, so no binomial is computed from
+scratch inside a loop.  The decoder reads a string in one pass: the XOR of
+the first half with the reversed second half is the I mask, and the bits,
+the 0^t/1^t ends, t+1 in I and CB-ness are checked once each, so a
+non-member is the string that gets no rank.
 """
 
 from __future__ import annotations
@@ -31,14 +37,13 @@ from math import comb
 
 
 def cb_count(m: int, i: int) -> int:
-    """Number of CB strings of length m containing i ones (f_m(i))."""
-    if i < 0 or m < 0:
-        return 0
+    """Number of CB strings of length m containing i ones (f_m(i)): the
+    ballot number C(m, i)(m - 2i)/m."""
     if m == 0:
-        return 1 if i == 0 else 0
-    if 2 * i >= m:
+        return int(i == 0)
+    if not 0 <= 2 * i < m:
         return 0
-    return comb(m - 1, i) - (comb(m - 1, i - 1) if i >= 1 else 0)
+    return comb(m, i) * (m - 2 * i) // m
 
 
 @lru_cache(maxsize=None)
@@ -61,81 +66,52 @@ def is_catalan_bertrand(s: str) -> bool:
     return True
 
 
-def cb_rank(s: str) -> int:
-    """0-based rank of a CB string; blocks ordered by 1-count ascending.
+def _walk(m: int, i: int, ballot: bool, bits: str | None = None,
+          target: int = 0) -> tuple[int, str]:
+    """The colex walk over the length-m bit strings with i ones.
 
-    Scanning s_m down to s_1 with l ones still unplaced, a 0 at position p is
-    preceded (within the block, from the top) by the cb_count(p-1, l-1)
-    strings that place a 1 there instead.
+    Going down from position m, at a 1 in position p with j ones in
+    positions 1..p, the rank gains the admissible completions that put a 0
+    there instead.  For a subset (ballot=False) that is all C(P, j) of them,
+    P = p - 1; for a CB string it is the ballot number C(P, j)(P - 2j)/P,
+    and the rank counts within the string's 1-count block.  C(P, j) is
+    carried from position to position by ratio.  Reading `bits`, the walk
+    returns (rank, bits); with bits=None it writes the string of rank
+    `target` and returns (target, string).
     """
+    out = ["0"] * m
+    rank, j = 0, i
+    c = comb(m - 1, i) if m else 0  # C(P, j)
+    for P in range(m - 1, 0, -1):
+        z = c * (P - 2 * j) // P if ballot else c  # completions with a 0 at p
+        if (bits[P] == "1") if bits is not None else (rank + z <= target):
+            out[P] = "1"
+            rank += z
+            c, j = c * j // P, j - 1
+        else:
+            c = c * (P - j) // P
+    if j:  # a 1 left over sits at position 1, where no completion puts a 0
+        out[0] = "1"
+    return rank, "".join(out)
+
+
+def cb_rank(s: str) -> int:
+    """0-based rank of a CB string; blocks ordered by 1-count ascending,
+    colex order within a block."""
     if not is_catalan_bertrand(s):
         raise ValueError("not a Catalan-Bertrand string")
-    m = len(s)
-    i = s.count("1")
-    ind = cb_count(m, i)
-    l = i
-    for p in range(m, 0, -1):
-        if s[p - 1] == "0":
-            ind -= cb_count(p - 1, l - 1)
-        else:
-            l -= 1
+    m, i = len(s), s.count("1")
     # the blocks below telescope: sum_{j<i} cb_count(m, j) = C(m-1, i-1)
-    return (comb(m - 1, i - 1) if i else 0) + (ind - 1)
+    return (comb(m - 1, i - 1) if i else 0) + _walk(m, i, True, s)[0]
 
 
 def cb_unrank(m: int, rank: int) -> str:
     if not (0 <= rank < cb_total(m)):
         raise ValueError(f"rank {rank} out of range for length {m}")
-    if m == 0:
-        return ""
-    i = below = 0  # block i spans ranks C(m-1, i-1) .. C(m-1, i) - 1
-    while rank >= (end := comb(m - 1, i)):
-        i, below = i + 1, end
-    target = rank - below + 1  # 1-based index within the block
-    ind = cb_count(m, i)
-    l = i
-    bits = []
-    for p in range(m, 0, -1):
-        c = cb_count(p - 1, l - 1) if l > 0 else 0
-        if l > 0 and target > ind - c:
-            bits.append("1")
-            l -= 1
-        else:
-            bits.append("0")
-            ind -= c
-    return "".join(reversed(bits))
-
-
-# -- partitions (subsets of [m]) in combinatorial-number-system order -------
-
-
-def partition_rank(m: int, subset) -> int:
-    """0-based rank of an i-subset of {1..m} among the i-subsets, in the
-    combinatorial number system: the inverse of partition_unrank(m, i, .)."""
-    ell = sorted(subset)
-    if ell and (ell[0] < 1 or ell[-1] > m):
-        raise ValueError("subset out of range")
-    if len(set(ell)) != len(ell):
-        raise ValueError("subset has repeats")
-    return sum(comb(e - 1, j) for j, e in enumerate(ell, 1))
-
-
-def partition_unrank(m: int, i: int, within: int):
-    """The rank-`within` i-subset of {1..m}: the inverse of partition_rank."""
-    v = comb(m, i)  # comb(ell, j), always > r
-    if not 0 <= within < v:
-        raise ValueError("rank out of range")
-    out = []
-    r, ell = within, m
-    for j in range(i, 0, -1):
-        # walk down to the smallest ell with comb(ell, j) > r >= comb(ell-1, j);
-        # then r - comb(ell-1, j) < comb(ell-1, j-1), so the next ell < ell
-        while (below := v * (ell - j) // ell) > r:  # comb(ell-1, j)
-            ell, v = ell - 1, below
-        r -= below
-        out.append(ell)
-        ell, v = ell - 1, v * j // ell  # comb(ell-1, j-1)
-    return out[::-1]
+    i, below, end = 0, 0, 1  # block i spans ranks C(m-1, i-1) .. C(m-1, i) - 1
+    while rank >= end:
+        i, below, end = i + 1, end, end * (m - 1 - i) // (i + 1)
+    return _walk(m, i, True, target=rank - below)[1]
 
 
 # -- codebook sizes and parameters -----------------------------------------
@@ -154,18 +130,28 @@ def sr_size(n: int, t: int = 0) -> int:
         return 2 * sr_size(n - 1, 0)
     if n < 2 * t + 2:
         raise ValueError("length too short for the requested shift")
-    return _block_offsets(n // 2 - t - 1)[-1]
+    return sum(_block_sizes(n // 2 - t - 1))
 
 
-# bounded: a table holds about n/2 big ints, and a process needs only those
-# of the few lengths its parameter searches try
+def _block_sizes(hf: int):
+    """The size of each 1-count block: hf free first-half positions
+    (t+2 .. n/2), i of them joining position t+1 in the CB set I, the rest
+    free bits.  Block i holds C(hf, i) masks, 2^(hf-i) free words and
+    cb_total(i+1) = C(i, i//2) CB strings; from block i to i+1 the masks
+    grow by (hf-i)/(i+1), the free words halve and the central binomial
+    doubles (i odd) or grows by (i+1)/(i//2+1) (i even)."""
+    size = 1 << hf
+    for i in range(hf + 1):
+        yield size
+        size = size * (hf - i) // (i + 1 if i % 2 else i + 2)
+
+
+# bounded: a table holds about n/2 big ints, and a process encodes at only
+# a few lengths
 @lru_cache(maxsize=8)
 def _block_offsets(hf: int) -> tuple[int, ...]:
-    """First rank of each 1-count block, then the codebook size: hf free
-    first-half positions (t+2 .. n/2), i of them joining position t+1 in the
-    CB set I, the rest free bits."""
-    return tuple(accumulate((comb(hf, i) * 2 ** (hf - i) * cb_total(i + 1)
-                             for i in range(hf + 1)), initial=0))
+    """First rank of each 1-count block, then the codebook size."""
+    return tuple(accumulate(_block_sizes(hf), initial=0))
 
 
 @lru_cache(maxsize=None)
@@ -191,28 +177,18 @@ def _encode_even(ind: int, n: int, t: int):
     i = bisect_right(offsets, ind) - 1
     if i > hf:
         raise ValueError("info rank exceeds codebook size")
-    ind -= offsets[i]
     cbt = cb_total(i + 1)
     nfree = hf - i
-    p, rem = divmod(ind, (2 ** nfree) * cbt)
+    p, rem = divmod(ind - offsets[i], cbt << nfree)
     v, rc = divmod(rem, cbt)
-    extra = partition_unrank(hf, i, p)  # subset of {1..hf} -> positions t+2..half
-    i_half = [t + 1] + [t + 1 + e for e in extra]
-    cb = cb_unrank(i + 1, rc)
-    in_i = set(i_half)
-    free_pos = [j for j in range(t + 1, half + 1) if j not in in_i]
-    free_bits = format(v, f"0{nfree}b") if nfree else ""
-    s = ["?"] * n
-    for j in range(1, t + 1):
-        s[j - 1] = "0"
-        s[n - j] = "1"
-    for pos, bit in zip(i_half, cb):
-        s[pos - 1] = bit
-        s[n - pos] = "1" if bit == "0" else "0"
-    for pos, bit in zip(free_pos, free_bits):
-        s[pos - 1] = bit
-        s[n - pos] = bit
-    return "".join(s)
+    # the I mask over positions t+1 .. half: t+1, then i of the hf others
+    mask = "1" + _walk(hf, i, False, target=p)[1]
+    cb = iter(cb_unrank(i + 1, rc))
+    free = iter(format(v, f"0{nfree}b") if nfree else "")
+    head = "".join(next(cb) if b == "1" else next(free) for b in mask)
+    # a mirror bit differs from its first-half bit exactly on I
+    tail = format(int(head, 2) ^ int(mask, 2), f"0{half - t}b")
+    return "0" * t + head + tail[::-1] + "1" * t
 
 
 def sr_encode(info: str, t: int = 0, n: int | None = None) -> str:
@@ -257,21 +233,20 @@ def _rank(s: str, t: int) -> int | None:
             return None
         return inner << 1 | int(s[half])
     if set(s) - {"0", "1"} or not 0 <= t < half or s[:t] != "0" * t \
-            or s[n - t:] != "1" * t or s[t] == s[n - 1 - t]:
+            or s[n - t:] != "1" * t:
         return None
-    # positions t+2 .. half against their mirrors n-t-1 .. half+1 (1-based)
-    extra, cb, free = [], [s[t]], []
-    for e, (x, y) in enumerate(zip(s[t + 1:half], reversed(s[half:n - t - 1])), 1):
-        if x != y:
-            extra.append(e)
-            cb.append(x)
-        else:
-            free.append(x)
+    # positions t+1 .. half against their mirrors: the mask is 1 on I
+    head = s[t:half]
+    mask = format(int(head, 2) ^ int(s[half:n - t][::-1], 2), f"0{half - t}b")
+    if mask[0] == "0":  # t+1 not in I
+        return None
+    cb = "".join(x for x, b in zip(head, mask) if b == "1")
+    free = "".join(x for x, b in zip(head, mask) if b == "0")
     try:
-        rc = cb_rank("".join(cb))  # global rank: the radix slot spans cb_total(i+1)
+        rc = cb_rank(cb)  # global rank: the radix slot spans cb_total(i+1)
     except ValueError:  # not a CB string
         return None
-    hf, i = half - t - 1, len(extra)
-    v = int("".join(free), 2) if free else 0
-    ind = (partition_rank(hf, extra) * 2 ** (hf - i) + v) * cb_total(i + 1) + rc
-    return _block_offsets(hf)[i] + ind
+    hf, i = half - t - 1, len(cb) - 1
+    p = _walk(hf, i, False, mask[1:])[0]
+    v = int(free, 2) if free else 0
+    return _block_offsets(hf)[i] + ((p << hf - i) + v) * cb_total(i + 1) + rc

@@ -228,8 +228,9 @@ def run_trials(scheme: str, params: dict, model: ErrorModel, trials: int,
     for i in range(trials):
         rng = random.Random(f"{seed}:{i}")
         info = _random_info(rng, k)
+        # a parameter or channel error propagates: only decode can fail a trial
+        c, _ = corrupt(code.observe(code.encode(info)), model, rng)
         try:
-            c, _ = corrupt(code.observe(code.encode(info)), model, rng)
             if code.decode(c) == info:
                 successes += 1
             else:

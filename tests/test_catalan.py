@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from math import comb
 
@@ -6,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compocode.asym import st_params, st_redundancy
 from compocode.catalan import (
+    _walk,
     cb_count,
     cb_rank,
     cb_total,
     cb_unrank,
     is_catalan_bertrand,
     is_member,
-    partition_rank,
-    partition_unrank,
     sr_decode,
     sr_encode,
     sr_params,
@@ -85,13 +86,28 @@ def test_cb_rank_rejects_non_cb():
         cb_unrank(4, 3)
 
 
+def subset_bits(m, subset):
+    """The length-m bit string with a 1 at each (1-based) position in subset."""
+    return "".join("1" if e in subset else "0" for e in range(1, m + 1))
+
+
+def partition_rank(m, subset):
+    """The I mask's rank among the masks with as many ones: the walk's."""
+    return _walk(m, len(subset), False, subset_bits(m, subset))[0]
+
+
+def partition_unrank(m, i, rank):
+    return [e for e, b in enumerate(_walk(m, i, False, target=rank)[1], 1)
+            if b == "1"]
+
+
 def test_partition_rank_round_trip():
     for m in range(0, 9):
         for r in range(2 ** m):
             subset = [j + 1 for j in range(m) if (r >> j) & 1]
             rank = partition_rank(m, subset)
             assert partition_unrank(m, len(subset), rank) == sorted(subset)
-    # codeword-sized ranges, where the unranking bisects over long spans
+    # codeword-sized ranges, where the walk carries big binomials
     rng = random.Random(5)
     for m in (60, 129, 300):
         for _ in range(20):
@@ -101,11 +117,12 @@ def test_partition_rank_round_trip():
 
 
 def test_partition_blocks_contiguous():
-    # the i-subsets rank exactly 0 .. C(m, i) - 1
+    # the i-subsets rank exactly 0 .. C(m, i) - 1, in colex order
     for m in range(9):
         for i in range(m + 1):
-            ranks = sorted(partition_rank(m, list(c)) for c in
-                           itertools.combinations(range(1, m + 1), i))
+            subsets = sorted(itertools.combinations(range(1, m + 1), i),
+                             key=lambda c: c[::-1])
+            ranks = [partition_rank(m, c) for c in subsets]
             assert ranks == list(range(comb(m, i)))
     assert partition_rank(6, []) == 0
 
@@ -134,6 +151,24 @@ def test_redundancy_bound():
     for k in range(8, 65):
         n = sr_params(k)
         assert n - k <= math.ceil(0.5 * math.log2(k)) + 5, (k, n)
+
+
+@pytest.mark.parametrize("k, sr_red, st_red", [
+    (64, 5, 66), (256, 6, 84), (1024, 7, 104), (4096, 8, 122), (16384, 9, 142)])
+def test_redundancy_bounds_hold_up_to_k_16384(k, sr_red, st_red):
+    # criterion 02's bound for the reconstruction code and criterion 05's
+    # for the t = 3 asymmetric code, far beyond the k they are checked at
+    assert sr_params(k) - k == sr_red <= math.ceil(0.5 * math.log2(k)) + 5
+    _, n = st_params(k, 3)
+    assert st_redundancy(k, 3) == st_red <= 9.5 * math.log2(n) + 12
+
+
+def test_round_trip_at_k_16384():
+    rng = random.Random(16384)
+    info = "".join(rng.choice("01") for _ in range(16384))
+    s = sr_encode(info)
+    assert len(s) == 16393 and is_member(s)
+    assert sr_decode(s, 16384) == info
 
 
 @settings(max_examples=40)

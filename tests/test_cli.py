@@ -200,6 +200,22 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2 and out == "" and err == "error: --errors must be >= 0\n"
 
 
+def test_sim_exits_2_when_the_channel_cannot_place_the_errors(tmp_path,
+                                                             capsys):
+    # corrupt's refusal is a parameter error, as in the corrupt command,
+    # not a decode failure counted in the report
+    msg = "error: not enough levels for the requested error count\n"
+    ms = tmp_path / "ms.txt"
+    ms.write_text(serialize(compose_all("011")))
+    code, out, err = run(capsys, "corrupt", "--model", "asym", "--errors",
+                         "50", "--input", str(ms))
+    assert (code, out, err) == (2, "", msg)
+    code, out, err = run(capsys, "sim", "--scheme", "recon", "--k", "1",
+                         "--model", "asym", "--errors", "50", "--trials", "3",
+                         "--format", "json")
+    assert (code, out, err) == (2, "", msg)
+
+
 UNDECODABLE = b"n=2\n1: 0 \xff\n2: 1\n"  # 0xff starts no UTF-8 sequence
 
 

@@ -15,8 +15,9 @@ and tries every check pair, a weight pin that lists its candidates,
 ternary erasure and BCH decoders that return only the message, a ternary
 erasure interpolation that multiplies out every pair of nodes, a
 sym-poly decoder that keeps its evaluation grids in dicts keyed by grid point,
-and a known-shell reconstruction that recounts every window for both
-branches of each ambiguous pair.
+a known-shell reconstruction that recounts every window for both
+branches of each ambiguous pair, and a CB ranker, a subset ranker and block
+offsets that compute every binomial from scratch.
 The current code must give the same value, or raise the same exception type,
 on every input tried here, including profiles and strings that no codeword
 produces.  The one intended difference: parse rejects a number the loop read
@@ -28,6 +29,7 @@ import os
 import random
 import re
 from collections import Counter
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -50,14 +52,14 @@ from compocode.backtrack import (
     reconstruct,
 )
 from compocode.catalan import (
+    _block_offsets,
+    _walk,
     cb_count,
     cb_rank,
     cb_total,
     cb_unrank,
     is_catalan_bertrand,
     is_member,
-    partition_rank,
-    partition_unrank,
     sr_decode,
     sr_encode,
     sr_params,
@@ -392,6 +394,88 @@ def loop_partition_rank(m: int, subset) -> int:
     block = sum(comb(m, j) for j in range(i))
     within = sum(comb(ell[j] - 1, j + 1) for j in range(i))
     return block + within
+
+
+def loop_comb_cb_rank(s: str) -> int:
+    """0-based rank of a CB string; blocks ordered by 1-count ascending.
+
+    Scanning s_m down to s_1 with l ones still unplaced, a 0 at position p is
+    preceded (within the block, from the top) by the cb_count(p-1, l-1)
+    strings that place a 1 there instead.
+    """
+    if not is_catalan_bertrand(s):
+        raise ValueError("not a Catalan-Bertrand string")
+    m = len(s)
+    i = s.count("1")
+    ind = cb_count(m, i)
+    l = i
+    for p in range(m, 0, -1):
+        if s[p - 1] == "0":
+            ind -= cb_count(p - 1, l - 1)
+        else:
+            l -= 1
+    # the blocks below telescope: sum_{j<i} cb_count(m, j) = C(m-1, i-1)
+    return (comb(m - 1, i - 1) if i else 0) + (ind - 1)
+
+
+def loop_comb_cb_unrank(m: int, rank: int) -> str:
+    if not (0 <= rank < cb_total(m)):
+        raise ValueError(f"rank {rank} out of range for length {m}")
+    if m == 0:
+        return ""
+    i = below = 0  # block i spans ranks C(m-1, i-1) .. C(m-1, i) - 1
+    while rank >= (end := comb(m - 1, i)):
+        i, below = i + 1, end
+    target = rank - below + 1  # 1-based index within the block
+    ind = cb_count(m, i)
+    l = i
+    bits = []
+    for p in range(m, 0, -1):
+        c = cb_count(p - 1, l - 1) if l > 0 else 0
+        if l > 0 and target > ind - c:
+            bits.append("1")
+            l -= 1
+        else:
+            bits.append("0")
+            ind -= c
+    return "".join(reversed(bits))
+
+
+def loop_cns_partition_rank(m: int, subset) -> int:
+    """0-based rank of an i-subset of {1..m} among the i-subsets, in the
+    combinatorial number system: the inverse of partition_unrank(m, i, .)."""
+    ell = sorted(subset)
+    if ell and (ell[0] < 1 or ell[-1] > m):
+        raise ValueError("subset out of range")
+    if len(set(ell)) != len(ell):
+        raise ValueError("subset has repeats")
+    return sum(comb(e - 1, j) for j, e in enumerate(ell, 1))
+
+
+def loop_cns_partition_unrank(m: int, i: int, within: int):
+    """The rank-`within` i-subset of {1..m}: the inverse of partition_rank."""
+    v = comb(m, i)  # comb(ell, j), always > r
+    if not 0 <= within < v:
+        raise ValueError("rank out of range")
+    out = []
+    r, ell = within, m
+    for j in range(i, 0, -1):
+        # walk down to the smallest ell with comb(ell, j) > r >= comb(ell-1, j);
+        # then r - comb(ell-1, j) < comb(ell-1, j-1), so the next ell < ell
+        while (below := v * (ell - j) // ell) > r:  # comb(ell-1, j)
+            ell, v = ell - 1, below
+        r -= below
+        out.append(ell)
+        ell, v = ell - 1, v * j // ell  # comb(ell-1, j-1)
+    return out[::-1]
+
+
+def loop_comb_block_offsets(hf: int) -> tuple[int, ...]:
+    """First rank of each 1-count block, then the codebook size: hf free
+    first-half positions (t+2 .. n/2), i of them joining position t+1 in the
+    CB set I, the rest free bits."""
+    return tuple(accumulate((comb(hf, i) * 2 ** (hf - i) * cb_total(i + 1)
+                             for i in range(hf + 1)), initial=0))
 
 
 def loop_decode_even(s: str, t: int) -> int:
@@ -1242,19 +1326,73 @@ def test_codeword_ranker_matches_the_loop_on_long_strings():
         assert_ranks_like_the_loop(flipped, t, (k,))
 
 
+def walk_subset(m, bits):
+    """The 1-based positions of the ones of a bit string."""
+    return [e for e, b in enumerate(bits, 1) if b == "1"]
+
+
+def assert_walk_ranks_like_the_loops(bits):
+    m, i = len(bits), bits.count("1")
+    rank, same = _walk(m, i, False, bits)
+    subset = walk_subset(m, bits)
+    assert same == bits and rank == loop_cns_partition_rank(m, subset), bits
+    assert walk_subset(m, _walk(m, i, False, target=rank)[1]) == \
+        loop_cns_partition_unrank(m, i, rank) == subset, bits
+
+
 def test_partition_rank_matches_the_loop():
+    # the walk's subset ranks, offset by the smaller blocks, are the rank
+    # across blocks of the loop that counted them
     rng = random.Random(36)
     for m in (0, 1, 5, 60, 300):
         for _ in range(30):
             subset = rng.sample(range(1, m + 1), rng.randint(0, m))
+            bits = "".join("1" if e in subset else "0" for e in range(1, m + 1))
             block = sum(comb(m, j) for j in range(len(subset)))
-            assert partition_rank(m, subset) == \
+            assert _walk(m, len(subset), False, bits)[0] == \
                 loop_partition_rank(m, subset) - block
-            assert partition_unrank(m, len(subset), partition_rank(m, subset)) \
-                == sorted(subset)
-    for m, subset in ((4, [0, 2]), (4, [5]), (4, [2, 2])):
-        assert outcome(partition_rank, m, subset) is ValueError
-        assert outcome(loop_partition_rank, m, subset) is ValueError
+
+
+def test_walk_matches_the_comb_rankers_on_every_short_string():
+    # every string up to length 14, as a subset and as a CB string (members
+    # or not), and every CB rank
+    for m in range(15):
+        for r in range(-1, cb_total(m) + 1):
+            assert outcome(cb_unrank, m, r) == outcome(loop_comb_cb_unrank, m, r)
+        for tup in itertools.product("01", repeat=m):
+            bits = "".join(tup)
+            assert_walk_ranks_like_the_loops(bits)
+            assert outcome(cb_rank, bits) == outcome(loop_comb_cb_rank, bits)
+
+
+def test_walk_matches_the_comb_rankers_on_long_strings():
+    rng = random.Random(38)
+    for _ in range(300):
+        m = rng.randint(15, 700)
+        r = rng.randrange(cb_total(m))
+        s = loop_comb_cb_unrank(m, r)
+        assert cb_unrank(m, r) == s and cb_rank(s) == r == loop_comb_cb_rank(s)
+        assert_walk_ranks_like_the_loops(random_bits(rng, m))
+        # a sparse subset, as the I masks of long codewords are
+        sparse = rng.sample(range(1, m + 1), rng.randint(0, m // 8))
+        assert_walk_ranks_like_the_loops(
+            "".join("1" if e in sparse else "0" for e in range(1, m + 1)))
+
+
+def test_block_offsets_match_the_loop():
+    for hf in (0, 1, 2, 5, 30, 101, 2050, 4100):
+        assert _block_offsets(hf) == loop_comb_block_offsets(hf), hf
+
+
+def test_ballot_cb_count_matches_the_difference_of_binomials():
+    for m in range(1, 301):
+        for i in range(-1, m + 2):
+            want = 0
+            if 0 <= 2 * i < m:
+                want = comb(m - 1, i) - (comb(m - 1, i - 1) if i else 0)
+            assert cb_count(m, i) == want, (m, i)
+    assert [cb_count(0, i) for i in (-1, 0, 1)] == [0, 1, 0]
+    assert cb_count(-1, 0) == 0
 
 
 def search_outcome(search, c, sigma, bad_levels, collect_all):
