@@ -130,7 +130,8 @@ def sr_size(n: int, t: int = 0) -> int:
         return 2 * sr_size(n - 1, 0)
     if n < 2 * t + 2:
         raise ValueError("length too short for the requested shift")
-    return sum(_block_sizes(n // 2 - t - 1))
+    # hf = n/2 - t - 1: shift t at length n has the blocks of shift 0 at n - 2t
+    return sr_size(n - 2 * t, 0) if t else sum(_block_sizes(n // 2 - 1))
 
 
 def _block_sizes(hf: int):

@@ -14,9 +14,11 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 from typing import Callable
 
-from .compositions import check_length, compose_all, multiset_symmetric_difference
+from .compositions import CorruptedInput, check_length, compose_all, \
+    multiset_symmetric_difference
 
 
 @dataclass(frozen=True)
@@ -179,10 +181,15 @@ def _sym_poly(k: int, t: int) -> Scheme:
     encode = partial(etn_encode_info, t=t)
 
     def verify(info, obs):
-        # each composition error moves exactly one cumulative level weight
-        clean = DeltaObservation(encode(info)).weight_profile().tolist()
-        w = obs.weight_profile().tolist()
-        return sum(a != b for a, b in zip(clean, w)) <= t
+        clean = DeltaObservation(encode(info))
+        # each error moves one level weight and two elements of the multiset
+        gaps = accumulate(abs(clean.level_counts(l) - obs.level_counts(l)).sum()
+                          for l in range(1, n + 1))  # all() stops past 2t
+        try:
+            return (int((clean.weight_profile() != obs.weight_profile()).sum()) <= t
+                    and all(d <= 2 * t for d in gaps))
+        except CorruptedInput:  # a negative count: obs is no multiset
+            return False
     return Scheme({"k": k, "t": t}, n, encode, DeltaObservation,
                   partial(etn_decode_info, k=k, t=t), verify)
 

@@ -72,18 +72,18 @@ class Observation:
     """The decoder input: a (possibly corrupted) composition multiset of a
     string of known length n.
 
-    Each form answers n, level_counter(l), weight_profile(), sym_eval(R,
-    field), copy() and validate_shape(), and writes through _bump(l, w, by),
-    which adds `by` elements of weight w to level l.  replace and correct are
-    written here once, over _bump, and validate_shape reports the first flaw
-    in (level, weight) order, so both forms fail alike.
+    Each form answers n, level_counter(l), level_counts(l) (int64, by weight 0..l),
+    _multiplicity(l, w), weight_profile(), sym_eval(R, field), copy() and
+    validate_shape(), and writes through _bump(l, w, by), which adds `by` elements
+    of weight w to level l.  replace and correct are written here once over those,
+    and validate_shape reports the first flaw in (level, weight) order in both forms.
     """
 
     __slots__ = ()
 
     def replace(self, l: int, old_w: int, new_w: int) -> None:
         """Swap one level-l element of weight old_w for one of weight new_w."""
-        if self.level_counter(l)[old_w] <= 0:
+        if self._multiplicity(l, old_w) <= 0:
             raise CorruptedInput(f"no composition of weight {old_w} at level {l}")
         if not (0 <= new_w <= l):
             raise ValueError(f"weight {new_w} invalid at level {l}")
@@ -146,6 +146,15 @@ class CompositionMultiset(Observation):
     def level_counter(self, l: int) -> Counter:
         """Level l as weight -> multiplicity; KeyError outside 1..n.  Read-only."""
         return self.levels[l]
+
+    def _multiplicity(self, l: int, w: int) -> int:
+        return self.levels[l][w]
+
+    def level_counts(self, l: int):
+        import numpy as np
+        level, out = self.levels[l], np.zeros(l + 1, dtype=np.int64)
+        out[list(level)] = list(level.values())
+        return out
 
     def weight_profile(self):
         """w_1..w_n as an int64 numpy array."""

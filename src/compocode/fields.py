@@ -21,8 +21,8 @@ per prefix.
 
 Only sym-poly's machinery uses numpy, and it imports numpy on first call:
 ``alpha_power_table``, ``monomial_grid``, ``prefix_grid``, ``_scan_table``,
-``sparse_interpolate`` and ``BCHCode``.  The ternary erasure code of asym1
-and asym-t loads none.
+``sparse_support`` (under ``sparse_interpolate``) and ``BCHCode``.  The
+ternary erasure code of asym1 and asym-t loads none.
 """
 
 from __future__ import annotations
@@ -102,10 +102,10 @@ class PrimeField:
 
 @lru_cache(maxsize=None)
 def alpha_power_table(field: PrimeField) -> np.ndarray:
-    """alpha^i mod q for i = 0..q-2, as an int64 array for bulk evaluation."""
+    """alpha^i mod q for i = 0..q-2 as int32: it gathers faster; products need int64."""
     import numpy as np
     q, alpha = field.q, field.alpha
-    out = np.empty(q - 1, dtype=np.int64)
+    out = np.empty(q - 1, dtype=np.int32)
     v = 1
     for i in range(q - 1):
         out[i] = v
@@ -130,7 +130,7 @@ def monomial_grid(xe, ye, R: int, field: PrimeField, mult=None) -> np.ndarray:
     q = field.q
     if (q - 1) ** 2 > _EXACT_SUM:
         raise ValueError(f"GF({q}) is too large for an exact float64 grid")
-    table = alpha_power_table(field).astype(np.int32)  # q < 2^27; gathers faster
+    table = alpha_power_table(field)
     ls = np.arange(-R, R + 1)
     span = min(_BLOCK, _EXACT_SUM // (q - 1) ** 2)
     out = np.zeros((len(ls), len(ls)))
@@ -154,7 +154,7 @@ def prefix_grid(s: str, R: int, field: PrimeField) -> np.ndarray:
         P (y - 1) = sum_v x^v (y^(e_(v+1) + 1) - y^(e_v))
                   = x^-1 y (A - 1) + x^wt y^(n - wt + 1) - A,
     and where y = 1 the run lengths e_(v+1) - e_v + 1 weight the x^v
-    instead: two grids of wt + 1 terms, O(n + R^2 wt) in all.
+    instead: one grid of wt + 1 terms and one vector, O(n + R^2 wt) in all.
     """
     import numpy as np
     q, n = field.q, len(s)
@@ -166,10 +166,11 @@ def prefix_grid(s: str, R: int, field: PrimeField) -> np.ndarray:
     grid = (monomial_grid(np.array([-1]), np.array([1]), R, field) * (a - 1)
             + monomial_grid(np.array([wt]), np.array([n - wt + 1]), R, field)
             - a) % q
-    y = np.take(alpha_power_table(field), np.arange(-R, R + 1), mode="wrap")
-    at_one = y == 1
+    table, ls = alpha_power_table(field), np.arange(-R, R + 1)
+    y = np.take(table, ls, mode="wrap")
     grid = grid * [1 if v == 1 else pow(int(v) - 1, -1, q) for v in y] % q
-    grid[:, at_one] = monomial_grid(vs, 0 * vs, R, field, np.diff(e) + 1)[:, at_one]
+    x = np.take(table, np.outer(ls, vs), mode="wrap")
+    grid[:, y == 1] = (x * ((np.diff(e) + 1) % q) % q).sum(1, keepdims=True) % q
     return grid
 
 
@@ -371,39 +372,37 @@ def _scan_table(field: PrimeField, j: int) -> np.ndarray:
     """alpha^(-e*j) for e = 0..q-2, the j-th column of the full root scan."""
     import numpy as np
     es = np.arange(field.q - 1, dtype=np.int64)
-    return alpha_power_table(field)[(-es * j) % (field.q - 1)]
+    return alpha_power_table(field)[(-es * j) % (field.q - 1)].astype(np.int64)
 
 
-def sparse_interpolate(evals, T: int, field: PrimeField) -> dict[int, int]:
-    """Recover a polynomial with <= T nonzero terms from its values at
-    alpha^l, l = -T..T (evals[i] = E(alpha^(i-T))).
-
-    Returns {exponent: coefficient} over exponents 0..q-2.  Raises
-    SparsityExceeded when no such polynomial reproduces the evaluations.
-    """
+def sparse_support(evals, T: int, field: PrimeField) -> list[int]:
+    """The exponents, ascending, of the <= T terms that sparse_interpolate fits to
+    evals (values in [0, q)): the roots of their Berlekamp-Massey locator, unchecked."""
     import numpy as np
-    q = field.q
     if len(evals) != 2 * T + 1:
         raise ValueError("need exactly 2T+1 evaluations")
-    seq = [v % q for v in evals]
-    lam = _berlekamp_massey(seq, field)
+    lam = _berlekamp_massey(evals, field)
     L = len(lam) - 1
     if L > T:
         raise SparsityExceeded(f"locator degree {L} exceeds the bound {T}")
     # Lambda(alpha^-e) for every e at once, from cached per-degree columns;
     # each term is below q^2 and L <= T, so one reduction at the end is exact
-    acc = np.zeros(q - 1, dtype=np.int64)
-    for j, c in enumerate(lam):
-        if c:
-            acc += c * _scan_table(field, j)
-    roots = np.flatnonzero(acc % q == 0).tolist()
+    acc = sum(c * _scan_table(field, j) for j, c in enumerate(lam) if c)
+    roots = np.flatnonzero(acc % field.q == 0).tolist()
     if len(roots) != L:
-        raise SparsityExceeded(
-            f"locator has {len(roots)} roots in range, expected {L}")
+        raise SparsityExceeded(f"locator has {len(roots)} roots in range, expected {L}")
+    return roots
+
+
+def sparse_interpolate(evals, T: int, field: PrimeField) -> dict[int, int]:
+    """Recover a polynomial with <= T nonzero terms from its values at alpha^l,
+    l = -T..T (evals[i] = E(alpha^(i-T))), as {exponent: coefficient} over exponents
+    0..q-2.  Raises SparsityExceeded when no such polynomial reproduces them."""
     # the roots are distinct exponents below q - 1 and alpha is primitive, so
     # the points alpha^e are distinct and their Vandermonde matrix is
     # invertible: the solve always succeeds and only the check can fail
-    poly = SupportFit(roots, T, field)(seq)
+    seq = [v % field.q for v in evals]
+    poly = SupportFit(sparse_support(seq, T, field), T, field)(seq)
     if poly is None:
         raise SparsityExceeded("evaluations inconsistent with any sparse fit")
     return poly

@@ -59,6 +59,7 @@ from .fields import (
     monomial_grid,
     prefix_grid,
     sparse_interpolate,
+    sparse_support,
 )
 
 
@@ -138,14 +139,14 @@ def _signed(v: int, q: int) -> int:
 
 def _interpolate_rows(rows, T: int, field: PrimeField):
     """sparse_interpolate of each row (values mod q), one per step so that a
-    caller's checks keep their order.  Rows are fitted on the support of
-    sum_k (k+1) row_k, found by one scan.  A fit that passes its check is the
+    caller's checks keep their order.  Rows share one SupportFit, on the support
+    of sum_k (k+1) row_k found by one scan.  A fit that passes its check is the
     only one with <= T terms (two would differ by <= 2T terms vanishing at 2T+1
     consecutive powers of alpha); a row that does not fit is interpolated alone."""
     mix = [sum(k * row[i] for k, row in enumerate(rows, 1)) % field.q
            for i in range(2 * T + 1)]
     try:
-        fit = SupportFit(sorted(sparse_interpolate(mix, T, field)), T, field)
+        fit = SupportFit(sparse_support(mix, T, field), T, field)
     except SparsityExceeded:
         fit = SupportFit((), T, field)  # no support: only zero rows fit
     for row in rows:
@@ -274,12 +275,9 @@ class DeltaObservation(Observation):
 
     def validate_shape(self) -> None:
         for l, d in sorted(self.delta.items()):
-            flaws = []
-            for w, c in d.items():
-                # only a removal can take a count below 0: one O(n) count
-                m = c + np.count_nonzero(self._base_level(l) == w) if c < 0 else c
-                if m < 0 or not 0 <= w <= l:
-                    flaws.append((w, m))
+            # only a removal can take a count below 0: one O(n) count
+            ms = [(w, self._multiplicity(l, w) if c < 0 else c) for w, c in d.items()]
+            flaws = [(w, m) for w, m in ms if m < 0 or not 0 <= w <= l]
             self._check_level(l, flaws, self.n - l + 1 + sum(d.values()))
 
     def weight_profile(self) -> np.ndarray:
@@ -294,17 +292,20 @@ class DeltaObservation(Observation):
             raise KeyError(l)
         return self.pref[l:] - self.pref[:self.n - l + 1]
 
-    def level_counter(self, l: int) -> Counter:
-        counts = np.bincount(self._base_level(l))
-        ws = np.flatnonzero(counts)
-        out = Counter(dict(zip(ws.tolist(), counts[ws].tolist())))
-        for w, c in self.delta.get(l, {}).items():
-            out[w] += c
-            if out[w] < 0:
+    def _multiplicity(self, l: int, w: int) -> int:
+        return self.delta.get(l, {}).get(w, 0) + int((self._base_level(l) == w).sum())
+
+    def level_counts(self, l: int) -> np.ndarray:
+        counts = np.bincount(self._base_level(l), minlength=l + 1)
+        if d := self.delta.get(l):
+            counts[list(d)] += list(d.values())
+            if counts.min() < 0:
                 raise CorruptedInput(f"negative multiplicity at level {l}")
-            if out[w] == 0:
-                del out[w]
-        return out
+        return counts
+
+    def level_counter(self, l: int) -> Counter:
+        ws = np.flatnonzero(counts := self.level_counts(l))
+        return Counter(dict(zip(ws.tolist(), counts[ws].tolist())))
 
     def sym_eval(self, R: int, field: PrimeField) -> np.ndarray:
         """S(a^l1, a^l2) + S(a^-l1, a^-l2) mod q at [l1 + R, l2 + R], |l1|, |l2| <= R.
@@ -463,9 +464,7 @@ def _reconstruct_known_shell(obs, zeta: str, sigma) -> str:
             f"sigma disagrees with the known shell at pair {bad[0] + 1}")
     for k in (r + np.flatnonzero(sig[r:] == 1)).tolist():
         level = n - k - 1
-        observed = obs.level_counter(level)
-        counts = np.zeros(level + 1, dtype=np.int64)
-        counts[list(observed)] = list(observed.values())
+        counts = obs.level_counts(level)
         pw = np.concatenate(([0], np.cumsum(a[:k])))
         sw = np.concatenate(([0], np.cumsum(b[:k])))
         inner = W - pw[1:] - sw[:0:-1]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compocode import catalan
 from compocode.asym import st_params, st_redundancy
 from compocode.catalan import (
     _walk,
@@ -138,6 +139,21 @@ def test_size_matches_membership_count():
     for t in (1, 2):
         for n in range(2 * t + 2, 13, 2):
             assert sr_size(n, t) == len(brute_members(n, t)), (n, t)
+
+
+def test_block_sizes_are_summed_once_per_half_length(monkeypatch):
+    # sr_size(n, t) reads n and t only through hf = n/2 - t - 1, so the
+    # lengths of other shifts with the same hf reuse one sum
+    sums = []
+    block_sizes = catalan._block_sizes
+    monkeypatch.setattr(catalan, "_block_sizes",
+                        lambda hf: sums.append(hf) or block_sizes(hf))
+    sr_size.cache_clear()
+    hf = 3517
+    sizes = [sr_size(2 * hf + 2 + 2 * t, t) for t in range(4)]
+    assert sums == [hf]
+    assert len(set(sizes)) == 1
+    assert sizes[0] == sum(block_sizes(hf)) == sr_size.__wrapped__(2 * hf + 2, 0)
 
 
 def test_size_lower_bound():

@@ -181,3 +181,54 @@ def test_decode_rejects_a_codeword_of_another_length(name):
     with pytest.raises(ValueError,
                        match=f"length {obs.n} does not match parameters"):
         build_scheme(name, 4, t).decode(obs)
+
+
+class _CountedReads:
+    """An observation's multiset queries, counting the levels read."""
+
+    def __init__(self, obs):
+        self.obs, self.n, self.reads = obs, obs.n, 0
+
+    def weight_profile(self):
+        return self.obs.weight_profile()
+
+    def level_counts(self, l):
+        self.reads += 1
+        return self.obs.level_counts(l)
+
+
+def test_sym_poly_verify_bounds_the_multiset_distance():
+    # 58 replacements in weight-preserving pairs, at levels 100 .. 2,900:
+    # every level weight stays as it was, but the multiset is 116 elements
+    # from the codeword's, far beyond t = 1
+    code = build_scheme("sym-poly", 4, 1)
+    assert code.n == 4595
+    info = "1011"
+    s = code.encode(info)
+    one, _ = corrupt(code.observe(s), ErrorModel("symmetric", 1),
+                     random.Random(5))
+    for base in (s, s[::-1]):
+        obs = code.observe(base)
+        for l in range(100, 3000, 100):
+            lo, hi = min(obs.level_counter(l)), max(obs.level_counter(l))
+            obs.replace(l, lo, lo + 1)
+            obs.replace(l, hi, hi - 1)
+        assert sum(abs(c) for d in obs.delta.values() for c in d.values()) == 116
+        assert obs.weight_profile().tolist() == \
+            code.observe(s).weight_profile().tolist()
+        assert code.verify(info, obs) is False
+    # verify reads level by level and stops at the first level that takes
+    # the distance past 2t
+    far = _CountedReads(obs)
+    assert code.verify(info, far) is False
+    assert far.reads == 100
+    assert code.verify(info, one) is True
+    assert code.verify(info, compose_all(s)) is True
+    # a level that lost an element it never held is no multiset, though it
+    # is 2 elements from the codeword's: verify still answers
+    bad = code.observe(s)
+    l = 2000
+    w = max(bad.level_counter(l)) + 1
+    bad._bump(l, w, -1)
+    bad._bump(l, w - 1, 1)
+    assert code.verify(info, bad) is False

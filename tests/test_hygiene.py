@@ -345,13 +345,13 @@ def test_sym_poly_decode_reads_one_level_per_ambiguous_payload_pair(
     # without a level; a payload pair k (0-based) with sigma 1 reads level
     # n - k - 1 once
     levels = []
-    read = sym.DeltaObservation.level_counter
+    read = sym.DeltaObservation.level_counts
 
     def recording(self, l):
         levels.append(l)
         return read(self, l)
 
-    monkeypatch.setattr(sym.DeltaObservation, "level_counter", recording)
+    monkeypatch.setattr(sym.DeltaObservation, "level_counts", recording)
     rng = random.Random(35)
     for _ in range(10):
         info = "".join(rng.choice("01") for _ in range(k))

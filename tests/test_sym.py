@@ -280,8 +280,42 @@ def test_level_counter_rejects_levels_outside_1_to_n():
         with pytest.raises(KeyError):
             obs.level_counter(l)
         with pytest.raises(KeyError):
+            c.level_counts(l)
+        with pytest.raises(KeyError):
+            obs.level_counts(l)
+        with pytest.raises(KeyError):
             obs.replace(l, 0, 1)
     assert obs.delta == {}
+
+
+def test_both_observation_forms_count_levels_alike():
+    # level_counts(l) is level l as an int64 array over the weights 0..l in
+    # both forms, and level_counter(l) its Counter view; a removal past what
+    # a level holds leaves a negative count, which the sparse form refuses
+    rng = random.Random(41)
+    for _ in range(200):
+        s = random_bits(rng, rng.randint(1, 16))
+        n = len(s)
+        sparse, dense = DeltaObservation(s), compose_all(s)
+        for _ in range(rng.randint(0, 4)):  # the same channel errors in both
+            l = rng.randint(1, n)
+            old = rng.choice(sorted(dense.level_counter(l)))
+            new = rng.randint(0, l)
+            sparse.replace(l, old, new)
+            dense.replace(l, old, new)
+        for l in range(1, n + 1):
+            counts = sparse.level_counts(l)
+            assert counts.dtype == np.int64 and len(counts) == l + 1
+            assert np.array_equal(counts, dense.level_counts(l))
+            view = {w: m for w, m in enumerate(counts.tolist()) if m}
+            assert sparse.level_counter(l) == dense.level_counter(l) == view
+        l = rng.randint(1, n)
+        w = rng.randint(0, l)
+        sparse._bump(l, w, -1 - int(sparse.level_counts(l)[w]))
+        for read in (sparse.level_counts, sparse.level_counter):
+            with pytest.raises(CorruptedInput,
+                               match=f"^negative multiplicity at level {l}$"):
+                read(l)
 
 
 # -- parameters and the parity block -----------------------------------------
@@ -615,6 +649,44 @@ def test_a_two_error_decode_interpolates_at_most_twice(monkeypatch):
         calls.clear()
         assert etn_decode(obs, 2) == u
         assert len(calls) <= 2
+
+
+def test_an_in_budget_decode_builds_one_support_fit_per_stage(monkeypatch):
+    # each stage fits its rows on the support its mix's locator finds: the
+    # fit is built once, not once for the mix and once for the rows
+    built = []
+
+    class Counting(fields.SupportFit):
+        def __init__(self, support, T, field):
+            built.append(tuple(support))
+            super().__init__(support, T, field)
+
+    monkeypatch.setattr(fields, "SupportFit", Counting)
+    monkeypatch.setattr(sym, "SupportFit", Counting)
+    rng = random.Random(31)
+    u = random_bits(rng, 13)
+    s = etn_encode(u, 2)
+    for _ in range(4):
+        obs, _ = corrupt(DeltaObservation(s), ErrorModel("symmetric", 2), rng)
+        built.clear()
+        assert etn_decode(obs, 2) == u
+        assert 0 < len(built) <= 2
+
+
+@pytest.mark.parametrize("s", ["0000000", "0001000", "long"])
+def test_prefix_grid_column_at_y_one_matches_the_terms(s):
+    # at y = alpha^0 = 1, P(x, 1) sums x^(ones) over every prefix
+    if s == "long":
+        s = random_bits(random.Random(43), 5000)
+    field, R = field_setup(len(s)), 4
+    column = prefix_grid(s, R, field)[:, R]
+    q = field.q
+    for l1 in range(-R, R + 1):
+        ones, want = 0, 1  # the empty prefix
+        for ch in s:
+            ones += ch == "1"
+            want += pow(field.alpha, l1 * ones % (q - 1), q)
+        assert column[l1 + R] == want % q, l1
 
 
 def _assert_grid_matches_pointwise(s, R, field):
