@@ -117,8 +117,9 @@ class Scheme:
     returns the info word and raises ValueError on another length.  verify
     re-encodes info and is True when one of its codewords lies within the
     code's t errors of obs; it runs no decoder, and an info word of another
-    length than k or obs of another length than n is False.  params names
-    the code in reports: k, and t for the schemes that take one.
+    length than k, obs of another length than n or an obs that fails
+    validate_shape is False.  params names the code in reports: k, and t
+    for the schemes that take one.
     """
 
     params: dict
@@ -133,8 +134,13 @@ class Scheme:
         return self.decoder(obs)
 
     def verify(self, info: str, obs) -> bool:
-        return (obs.n == self.n and len(info) == self.params["k"]
-                and self.verifier(info, obs))
+        if obs.n != self.n or len(info) != self.params["k"]:
+            return False
+        try:
+            obs.validate_shape()
+        except CorruptedInput:  # obs is no multiset
+            return False
+        return self.verifier(info, obs)
 
 
 def _within(clean: str, obs, t: int) -> bool:
@@ -185,11 +191,8 @@ def _sym_poly(k: int, t: int) -> Scheme:
         # each error moves one level weight and two elements of the multiset
         gaps = accumulate(abs(clean.level_counts(l) - obs.level_counts(l)).sum()
                           for l in range(1, n + 1))  # all() stops past 2t
-        try:
-            return (int((clean.weight_profile() != obs.weight_profile()).sum()) <= t
-                    and all(d <= 2 * t for d in gaps))
-        except CorruptedInput:  # a negative count: obs is no multiset
-            return False
+        return (int((clean.weight_profile() != obs.weight_profile()).sum()) <= t
+                and all(d <= 2 * t for d in gaps))
     return Scheme({"k": k, "t": t}, n, encode, DeltaObservation,
                   partial(etn_decode_info, k=k, t=t), verify)
 

@@ -161,66 +161,48 @@ def recover_error_poly(e_grid: np.ndarray, d_x: int, d_y: int, t: int,
     e_grid holds Etilde(alpha^l1, alpha^l2) at [l1 + R, l2 + R], |l1|,
     |l2| <= R = 4t, where Etilde = x^dx y^dy (E(x,y) + E(1/x,1/y)).  Two
     sparse-interpolation stages (x then y, both with term bound 4t) rebuild
-    Etilde; the reciprocal pair is folded off using d_x, d_y.  Returns
-    {(w, z): coefficient} with coefficients in [-t, t].
+    Etilde.  A composition exponent pair is componentwise nonnegative, so E
+    is Etilde's quadrant p, r >= 0 around (dx, dy) without the origin, and
+    it is accepted only if its own trace is Etilde and it is t replacements.
+    Returns {(w, z): coefficient} with coefficients in [-t, t].
     """
     q = field.q
     R = 4 * t
     rng_l = range(-R, R + 1)
 
-    def in_window(poly, lo, hi):
-        # full-circle exponents back into the unique degree window
-        out = {}
-        for e, v in poly.items():
-            cands = [x for x in (e - (q - 1), e, e + (q - 1)) if lo <= x <= hi]
-            if len(cands) != 1:
+    def stage(rows, d):
+        # full-circle exponents into the degree window d-n..d+n, which holds
+        # each residue mod q-1 at most once since q-1 > 2n
+        for found in _interpolate_rows(rows, R, field):
+            out = {d - n + (e - d + n) % (q - 1): v for e, v in found.items()}
+            if any(e > d + n for e in out):
                 raise CorruptedInput("error exponent outside the degree window")
-            out[cands[0]] = v
-        return out
+            yield out
 
     # stage 1: for each l2 (a column), the x-support and the values M_i(alpha^l2)
     col_vals: dict[int, dict[int, int]] = {}
-    for l2, found in zip(rng_l, _interpolate_rows(e_grid.T.tolist(), R, field)):
-        for i, v in in_window(found, d_x - n, d_x + n).items():
+    for l2, found in zip(rng_l, stage(e_grid.T.tolist(), d_x)):
+        for i, v in found.items():
             col_vals.setdefault(i, {})[l2] = v
     if len(col_vals) > R:
         raise SparsityExceeded("more than 4t x-exponents in the error trace")
-    # stage 2: per x-exponent, interpolate the y-polynomial multiplier
-    etilde: dict = {}
+    # stage 2: per x-exponent in first-seen order, the y-polynomial multiplier
     rows = [[vals.get(l2, 0) for l2 in rng_l] for vals in col_vals.values()]
-    for i, found in zip(col_vals, _interpolate_rows(rows, R, field)):
-        for j, c in in_window(found, d_y - n, d_y + n).items():
-            etilde[(i, j)] = c
+    etilde = {(i, j): _signed(c, q) for i, found in zip(col_vals, stage(rows, d_y))
+              for j, c in found.items()}
     if len(etilde) > R:
         raise SparsityExceeded("more than 4t terms in the error trace")
-    # fold: Etilde coefficient at (dx+p, dy+r) is E_{p,r} + E_{-p,-r}, and a
-    # composition exponent pair is componentwise nonnegative, so the two
-    # quadrants separate cleanly
-    error: dict = {}
-    for (i, j), c in etilde.items():
-        p, r = i - d_x, j - d_y
-        cs = _signed(c, q)
-        if not -t <= cs <= t:
-            raise CorruptedInput(f"error coefficient {cs} exceeds the budget")
-        if p >= 0 and r >= 0:
-            if (p, r) == (0, 0) or p + r > n:
-                raise CorruptedInput("error exponent outside the multiset range")
-            error[(p, r)] = cs
-        elif not (p <= 0 and r <= 0):
-            raise CorruptedInput("mixed-sign error exponent")
-    for (p, r), cs in error.items():
-        mirror = etilde.get((d_x - p, d_y - r))
-        if mirror is None or _signed(mirror, q) != cs:
-            raise CorruptedInput("error trace is not reciprocal-symmetric")
-    if len(etilde) != 2 * len(error):
-        raise CorruptedInput("unmatched reciprocal error terms")
-    if sum(abs(c) for c in error.values()) > 2 * t:
-        raise CorruptedInput("more error mass than t replacements allow")
-    by_level: dict[int, int] = {}
-    for (w, z), cs in error.items():
-        by_level[w + z] = by_level.get(w + z, 0) + cs
-    if any(v != 0 for v in by_level.values()):
-        raise CorruptedInput("error does not preserve per-level counts")
+    error = {(i - d_x, j - d_y): c for (i, j), c in etilde.items()
+             if i >= d_x and j >= d_y and (i, j) != (d_x, d_y)}
+    trace = {(d_x + s * p, d_y + s * r): c
+             for (p, r), c in error.items() for s in (1, -1)}
+    by_level = Counter()
+    for (p, r), c in error.items():
+        by_level[p + r] += c
+    # balanced levels of total mass <= 2t also bound each |c| by t
+    if (trace != etilde or any(by_level.values()) or max(by_level, default=0) > n
+            or sum(map(abs, error.values())) > 2 * t):
+        raise CorruptedInput("error trace is not that of t replacements")
     return error
 
 
@@ -635,11 +617,7 @@ def _revert_candidates(c: CompositionMultiset, w, budget: int):
         targets = range(1, c.n + 1)
     for level in targets:
         other = c.n + 1 - level
-        cost_after = len(mism) - 1 if (level in mism or other in mism) \
-            else len(mism) + 1
-        if cost_after > budget - 1:
-            continue
-        for rm in sorted(c.levels[level]):
+        for rm in sorted(c.level_counter(level)):
             if mism and budget == len(mism):
                 # the revert must rebalance this pair exactly; the pair is
                 # mismatched, so delta != 0 and the new weight differs

@@ -303,6 +303,53 @@ def test_st_low_level_errors_trivial_for_sigma():
         assert st_decode(c, k, t) == info
 
 
+def test_st_decode_corrects_every_single_error_at_k_4():
+    # every codeword at k = 4, t = 1 (n = 22): each level, each weight it
+    # holds, replaced by each other weight of the level
+    k, t = 4, 1
+    n = st_params(k, t)[1]
+    assert n == 22
+    decodes = 0
+    for bits in itertools.product("01", repeat=k):
+        info = "".join(bits)
+        clean = compose_all(st_encode(info, t))
+        for l in range(1, n + 1):
+            for old in clean.level_counter(l):
+                for new in range(l + 1):
+                    if new != old:
+                        c = clean.copy()
+                        c.replace(l, old, new)
+                        assert st_decode(c, k, t) == info, (info, l, old, new)
+                        decodes += 1
+    assert decodes == 15356
+
+
+@pytest.mark.parametrize("info", ["1011", "0000", "0110"])
+def test_st_decode_reports_a_failed_sigma_recovery(info):
+    # two errors at levels 5 and 9 (n = 22, t = 1) mismatch two mirror pairs
+    # and erase more sigma digits than the ternary code's 3t parity fills
+    c = compose_all(st_encode(info, 1))
+    for l in (5, 9):
+        c.replace(l, min(c.level_counter(l)), min(c.level_counter(l)) + 1)
+    with pytest.raises(backtrack.ReconstructionFailure,
+                       match="sigma recovery failed"):
+        st_decode(c, 4, 1)
+
+
+@pytest.mark.parametrize("info", ["1011", "0000", "0110"])
+def test_st_decode_reports_an_exhausted_tolerance_budget(info):
+    # two errors at level 11 that keep its weight: sigma is exact and no
+    # level is marked bad, but no string has the level's elements
+    c = compose_all(st_encode(info, 1))
+    lo, hi = min(c.level_counter(11)), max(c.level_counter(11))
+    assert hi - lo >= 2
+    c.replace(11, lo, lo + 1)
+    c.replace(11, hi, hi - 1)
+    with pytest.raises(backtrack.ReconstructionFailure,
+                       match="tolerance budget exhausted"):
+        st_decode(c, 4, 1)
+
+
 def test_st_redundancy_bound():
     import math
     rng = random.Random(13)

@@ -189,6 +189,9 @@ class _CountedReads:
     def __init__(self, obs):
         self.obs, self.n, self.reads = obs, obs.n, 0
 
+    def validate_shape(self):
+        return self.obs.validate_shape()
+
     def weight_profile(self):
         return self.obs.weight_profile()
 
@@ -232,3 +235,27 @@ def test_sym_poly_verify_bounds_the_multiset_distance():
     bad._bump(l, w, -1)
     bad._bump(l, w - 1, 1)
     assert code.verify(info, bad) is False
+
+
+@pytest.mark.parametrize("w", [2001, -1])
+def test_sym_poly_verify_rejects_a_weight_outside_the_level(w):
+    # level 2,000 swaps an element it holds for one of weight l + 1 or -1:
+    # the level read used to index past its count array (IndexError) or
+    # wrap -1 round to weight l (True)
+    code = build_scheme("sym-poly", 4, 1)
+    info = "1011"
+    obs = code.observe(code.encode(info))
+    obs._bump(2000, max(obs.level_counter(2000)), -1)
+    obs._bump(2000, w, 1)
+    assert code.verify(info, obs) is False
+
+
+def test_dense_verify_rejects_a_level_of_the_wrong_size():
+    # one extra element at level 40 is 1 element from the codeword's
+    # multiset, within asym1's distance of 2, but no multiset of a string
+    code = build_scheme("asym1", 64)
+    info = "10" * 32
+    obs = compose_all(code.encode(info))
+    obs.levels[40][min(obs.levels[40])] += 1
+    assert code.verify(info, obs) is False
+    assert code.verify(info, compose_all(code.encode(info))) is True

@@ -16,7 +16,8 @@ ternary erasure and BCH decoders that return only the message, a ternary
 erasure interpolation that multiplies out every pair of nodes, a
 sym-poly decoder that keeps its evaluation grids in dicts keyed by grid point,
 a known-shell reconstruction that recounts every window for both
-branches of each ambiguous pair, and a CB ranker, a subset ranker and block
+branches of each ambiguous pair, an error-trace fold that runs each
+rejection rule as its own check, and a CB ranker, a subset ranker and block
 offsets that compute every binomial from scratch.
 The current code must give the same value, or raise the same exception type,
 on every input tried here, including profiles and strings that no codeword
@@ -89,6 +90,7 @@ from compocode.fields import (
     _berlekamp_massey,
     _field,
     bblock_code,
+    field_setup,
     monomial_grid,
     ternary_erasure_decode,
     ternary_erasure_encode,
@@ -118,6 +120,7 @@ from compocode.sym import (
     is_catalan_codeword,
     poly_params_from_length,
     poly_params_from_payload,
+    recover_error_poly,
     resolve_weight,
 )
 
@@ -1035,6 +1038,76 @@ def loop_recover_error_poly(F: dict, p_grid: dict, d_x: int, d_y: int, t: int,
     return error
 
 
+def loop_fold_error_poly(e_grid: np.ndarray, d_x: int, d_y: int, t: int,
+                       field: PrimeField, n: int) -> dict:
+    """The error polynomial E from the grid of its trace Etilde.
+
+    e_grid holds Etilde(alpha^l1, alpha^l2) at [l1 + R, l2 + R], |l1|,
+    |l2| <= R = 4t, where Etilde = x^dx y^dy (E(x,y) + E(1/x,1/y)).  Two
+    sparse-interpolation stages (x then y, both with term bound 4t) rebuild
+    Etilde; the reciprocal pair is folded off using d_x, d_y.  Returns
+    {(w, z): coefficient} with coefficients in [-t, t].
+    """
+    q = field.q
+    R = 4 * t
+    rng_l = range(-R, R + 1)
+
+    def in_window(poly, lo, hi):
+        # full-circle exponents back into the unique degree window
+        out = {}
+        for e, v in poly.items():
+            cands = [x for x in (e - (q - 1), e, e + (q - 1)) if lo <= x <= hi]
+            if len(cands) != 1:
+                raise CorruptedInput("error exponent outside the degree window")
+            out[cands[0]] = v
+        return out
+
+    # stage 1: for each l2 (a column), the x-support and the values M_i(alpha^l2)
+    col_vals: dict[int, dict[int, int]] = {}
+    for l2, found in zip(rng_l, _interpolate_rows(e_grid.T.tolist(), R, field)):
+        for i, v in in_window(found, d_x - n, d_x + n).items():
+            col_vals.setdefault(i, {})[l2] = v
+    if len(col_vals) > R:
+        raise SparsityExceeded("more than 4t x-exponents in the error trace")
+    # stage 2: per x-exponent, interpolate the y-polynomial multiplier
+    etilde: dict = {}
+    rows = [[vals.get(l2, 0) for l2 in rng_l] for vals in col_vals.values()]
+    for i, found in zip(col_vals, _interpolate_rows(rows, R, field)):
+        for j, c in in_window(found, d_y - n, d_y + n).items():
+            etilde[(i, j)] = c
+    if len(etilde) > R:
+        raise SparsityExceeded("more than 4t terms in the error trace")
+    # fold: Etilde coefficient at (dx+p, dy+r) is E_{p,r} + E_{-p,-r}, and a
+    # composition exponent pair is componentwise nonnegative, so the two
+    # quadrants separate cleanly
+    error: dict = {}
+    for (i, j), c in etilde.items():
+        p, r = i - d_x, j - d_y
+        cs = _signed(c, q)
+        if not -t <= cs <= t:
+            raise CorruptedInput(f"error coefficient {cs} exceeds the budget")
+        if p >= 0 and r >= 0:
+            if (p, r) == (0, 0) or p + r > n:
+                raise CorruptedInput("error exponent outside the multiset range")
+            error[(p, r)] = cs
+        elif not (p <= 0 and r <= 0):
+            raise CorruptedInput("mixed-sign error exponent")
+    for (p, r), cs in error.items():
+        mirror = etilde.get((d_x - p, d_y - r))
+        if mirror is None or _signed(mirror, q) != cs:
+            raise CorruptedInput("error trace is not reciprocal-symmetric")
+    if len(etilde) != 2 * len(error):
+        raise CorruptedInput("unmatched reciprocal error terms")
+    if sum(abs(c) for c in error.values()) > 2 * t:
+        raise CorruptedInput("more error mass than t replacements allow")
+    by_level: dict[int, int] = {}
+    for (w, z), cs in error.items():
+        by_level[w + z] = by_level.get(w + z, 0) + cs
+    if any(v != 0 for v in by_level.values()):
+        raise CorruptedInput("error does not preserve per-level counts")
+    return error
+
+
 def loop_grid_to_bits(a: int, grid: dict, p: PolyCodeParams) -> list[int]:
     bits = [int(b) for b in format(a, f"0{p.a_bits}b")]
     for pt in _grid_points(p.t):
@@ -1857,6 +1930,93 @@ def test_dense_sym_poly_decode_matches_the_loop():
     old = rng.choice(sorted(c.level_counter(l).elements()))
     c.replace(l, old, rng.choice([v for v in range(l + 1) if v != old]))
     assert etn_decode(c, 1) == loop_etn_decode(c, 1) == u
+
+
+def planted_error(rng, t, n):
+    """A random nonzero error of at most t replacements: {(w, z): c}."""
+    error = Counter()
+    while not any(error.values()):
+        error.clear()
+        for _ in range(rng.randint(1, t)):
+            l = rng.randint(1, n)
+            old, new = rng.sample(range(l + 1), 2)
+            error[(new, l - new)] += 1
+            error[(old, l - old)] -= 1
+    return {k: c for k, c in error.items() if c}
+
+
+def trace_offsets(rng, kind, t, n):
+    """Etilde's terms {(p, r): c} around (dx, dy), planted as kind.  Each
+    broken kind keeps the term count of a valid trace where it can."""
+    def trace(error):
+        return {k: c for (p, r), c in error.items() if c
+                for k in ((p, r), (-p, -r))}
+    error = planted_error(rng, t, n)
+    (p, r), c = next(iter(error.items()))
+    rest = trace({k: v for k, v in error.items() if k != (p, r)})
+    if kind == "mixed-sign":
+        return {**rest, (p, -r - 1): c, (-p, r + 1): c}
+    if kind == "flipped-mirror":
+        return {**rest, (p, r): c, (-p, -r): -c}
+    if kind == "missing-mirror":
+        return {**rest, (p, r): c}
+    if kind == "origin":
+        return {**rest, (p, r): c, (0, 0): c}
+    if kind == "coefficient":
+        return trace({k: v * (t + 1) for k, v in error.items()})
+    if kind == "mass":  # 2t + 2 in at most 4 terms
+        heavy = Counter({k: v * t for k, v in planted_error(rng, 1, n).items()})
+        heavy.update(planted_error(rng, 1, n))
+        return trace(heavy)
+    if kind == "unbalanced":
+        return {**rest, (p, r + 1): c, (-p, -r - 1): c}
+    if kind == "beyond-n":
+        h = n // 2 + 1
+        return {(h, h): 1, (-h, -h): 1, (h + 1, h - 1): -1, (-h - 1, 1 - h): -1}
+    if kind == "x-window":
+        return {**rest, (n + rng.randint(1, 3), r): c, (-p, -r): c}
+    if kind == "y-window":
+        return {**rest, (p, r): c, (-p, -n - rng.randint(1, 3)): c}
+    if kind == "too-many":
+        more = Counter(error)
+        while len(trace(more)) <= 4 * t:
+            more.update(planted_error(rng, 1, n))
+        return trace(more)
+    return {} if kind == "clean" else trace(error)
+
+
+TRACE_KINDS = ("clean", "planted", "mixed-sign", "flipped-mirror",
+               "missing-mirror", "origin", "coefficient", "mass", "unbalanced",
+               "beyond-n", "x-window", "y-window", "too-many", "noise")
+
+
+def test_error_trace_check_matches_the_fold():
+    rng = random.Random(35)
+    outcomes = Counter()
+    for t in (1, 2):
+        R = 4 * t
+        for n in (30, 200, poly_params_from_payload(13, t).n):
+            field = field_setup(n)
+            for i in range(250 if n < 1000 else 60):
+                kind = TRACE_KINDS[i % len(TRACE_KINDS)]
+                d_x, d_y = rng.randint(0, n), rng.randint(0, n)
+                if kind == "noise":
+                    e_grid = np.array([[rng.randrange(field.q)
+                                        for _ in range(2 * R + 1)]
+                                       for _ in range(2 * R + 1)])
+                else:
+                    terms = trace_offsets(rng, kind, t, n)
+                    e_grid = monomial_grid(
+                        np.array([d_x + p for p, _ in terms], dtype=np.int64),
+                        np.array([d_y + r for _, r in terms], dtype=np.int64),
+                        R, field, np.array(list(terms.values()), dtype=np.int64))
+                got = outcome(recover_error_poly, e_grid, d_x, d_y, t, field, n)
+                assert got == outcome(loop_fold_error_poly, e_grid, d_x, d_y, t,
+                                      field, n), (t, n, kind, d_x, d_y)
+                outcomes[got if isinstance(got, type) else bool(got)] += 1
+    assert sum(outcomes.values()) >= 1000
+    assert all(outcomes[k] for k in (True, False, CorruptedInput,
+                                     SparsityExceeded)), outcomes
 
 
 def as_point_dict(grid, t):

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from compocode.compositions import (
     CorruptedInput,
     compose_all,
+    cumulative_weights,
+    mirror_mismatches,
     multiset_symmetric_difference,
     sigma_of_string,
     weight,
@@ -17,7 +19,7 @@ from compocode.compositions import (
 from compocode import fields, sym
 from compocode.backtrack import ReconstructionFailure
 from compocode.catalan import sr_params
-from compocode.channel import ErrorModel, corrupt
+from compocode.channel import ErrorModel, build_scheme, corrupt
 from compocode.fields import (
     BCHCode,
     PrimeField,
@@ -501,6 +503,21 @@ def test_etn_flags_excess_errors():
     assert flagged >= 4
 
 
+@pytest.mark.parametrize("levels", [(6312, 6892, 664), (2202, 1034, 4180),
+                                    (3900, 8918, 2138), (4186, 5876, 8686)])
+def test_etn_reports_undecodable_weight_parities(levels):
+    # k = 4, t = 2 (n = 18,619): three errors, each raising an even level
+    # below rhat/2 by 1, flip three of sbar's bits, one more than the block
+    # code corrects
+    code = build_scheme("sym-poly", 4, 2)
+    assert code.n == 18619
+    obs = code.observe(code.encode("1011"))
+    for l in levels:
+        obs.replace(l, min(obs.level_counter(l)), min(obs.level_counter(l)) + 1)
+    with pytest.raises(BlockCodeFailure):
+        code.decode(obs)
+
+
 def test_etn_info_roundtrip_and_redundancy():
     rng = random.Random(11)
     info = random_bits(rng, 8)
@@ -553,21 +570,63 @@ def test_recover_error_poly_zero_error():
     assert recover_error_poly(e_grid, d_x, d_y, t, p.field, p.n) == {}
 
 
+def planted_grid(terms, d_x, d_y, p):
+    """The grid of sum c x^(dx+i) y^(dy+j) over terms {(i, j): c}, term by term."""
+    q, alpha, R = p.field.q, p.field.alpha, 4 * p.t
+    etilde = {(d_x + i, d_y + j): c for (i, j), c in terms.items()}
+    return np.array([[_eval_terms(etilde, pow(alpha, l1 % (q - 1), q),
+                                  pow(alpha, l2 % (q - 1), q), p.field)
+                      for l2 in range(-R, R + 1)] for l1 in range(-R, R + 1)])
+
+
+def trace_terms(error):
+    """E(x,y) + E(1/x,1/y) as {(i, j): c}: each term and its mirror."""
+    return {k: c for (w, z), c in error.items() for k in ((w, z), (-w, -z))}
+
+
 def test_recover_error_poly_reads_a_planted_error():
     # Etilde of a known level-preserving error, evaluated term by term
     t = 2
     p = poly_params_from_payload(13, t)
-    q, alpha, R = p.field.q, p.field.alpha, 4 * t
     error = {(3, 4): 1, (5, 2): -1, (9, 1): 1, (8, 2): -1}
     d_x, d_y = 40, p.n - 40
-    etilde = {}
-    for (w, z), c in error.items():
-        etilde[(d_x + w, d_y + z)] = c
-        etilde[(d_x - w, d_y - z)] = c
-    e_grid = np.array([[_eval_terms(etilde, pow(alpha, l1 % (q - 1), q),
-                                    pow(alpha, l2 % (q - 1), q), p.field)
-                        for l2 in range(-R, R + 1)] for l1 in range(-R, R + 1)])
+    e_grid = planted_grid(trace_terms(error), d_x, d_y, p)
     assert recover_error_poly(e_grid, d_x, d_y, t, p.field, p.n) == error
+
+
+_PAIR = {(3, 4): 1, (5, 2): -1}
+_N = poly_params_from_payload(13, 2).n
+_HALF = _N // 2 + 1  # p + r > n at (_HALF, _HALF)
+
+
+@pytest.mark.parametrize("terms, raises", [
+    ({(3, -2): 1, (-3, 2): 1}, CorruptedInput),  # a mixed-sign pair
+    ({**trace_terms(_PAIR), (-3, -4): -1}, CorruptedInput),  # a flipped mirror
+    ({k: c for k, c in trace_terms(_PAIR).items() if k != (-3, -4)},
+     CorruptedInput),  # a missing mirror
+    ({**trace_terms(_PAIR), (0, 0): 1}, CorruptedInput),  # an origin term
+    (trace_terms({(3, 4): 3, (5, 2): -3}), CorruptedInput),  # coefficient t + 1
+    (trace_terms({(3, 4): 2, (5, 2): -2, (9, 1): 1, (8, 2): -1}),
+     CorruptedInput),  # error mass 6 > 2t
+    (trace_terms({(3, 4): 1, (5, 3): -1}), CorruptedInput),  # levels 7 and 8
+    (trace_terms({(_HALF, _HALF): 1, (_HALF + 1, _HALF - 1): -1}),
+     CorruptedInput),  # p + r > n
+    (trace_terms({(_N + 1, 0): 1, (_N, 1): -1}),
+     CorruptedInput),  # an x-exponent outside the degree window
+    (trace_terms({(0, _N + 1): 1, (1, _N): -1}),
+     CorruptedInput),  # a y-exponent outside the degree window
+    (trace_terms({(3, 4): 1, (3, 5): -1, (4, 3): 1, (4, 4): -1, (5, 2): 1}),
+     SparsityExceeded),  # 10 terms > 4t on 6 x-exponents
+], ids=["mixed-sign", "flipped-mirror", "missing-mirror", "origin",
+        "coefficient", "mass", "unbalanced-level", "beyond-n", "x-window",
+        "y-window", "too-many-terms"])
+def test_recover_error_poly_rejects_a_planted_trace(terms, raises):
+    t = 2
+    p = poly_params_from_payload(13, t)
+    d_x, d_y = 40, p.n - 40
+    with pytest.raises(raises):
+        recover_error_poly(planted_grid(terms, d_x, d_y, p), d_x, d_y, t,
+                           p.field, p.n)
 
 
 # -- shared-support interpolation ---------------------------------------------
@@ -902,6 +961,18 @@ def test_catalan_decode_clean_and_single_errors():
             new = rng.choice([v for v in range(l + 1) if v != old])
             cc.replace(l, old, new)
             assert catalan_code_decode_bruteforce(cc, 1) == s
+
+
+def test_catalan_decode_reverts_a_pair_that_leaves_no_mismatch():
+    # k = 4, t = 2 (n = 28): levels 10 and 19 both gain 1 in weight, so no
+    # mirror pair is mismatched and the first revert may take any level
+    code = build_scheme("sym-catalan", 4, 2)
+    assert code.n == 28
+    c = code.observe(code.encode("1011"))
+    for l in (10, 19):
+        c.replace(l, min(c.level_counter(l)), min(c.level_counter(l)) + 1)
+    assert not mirror_mismatches(cumulative_weights(c), c.n)
+    assert code.decode(c) == "1011"
 
 
 def test_catalan_decode_weighs_the_observation_once(monkeypatch):
