@@ -175,9 +175,8 @@ def _encode_even(ind: int, n: int, t: int):
     half = n // 2
     hf = half - t - 1
     offsets = _block_offsets(hf)
+    # sr_encode checked ind < sr_size, the last offset, so i <= hf
     i = bisect_right(offsets, ind) - 1
-    if i > hf:
-        raise ValueError("info rank exceeds codebook size")
     cbt = cb_total(i + 1)
     nfree = hf - i
     p, rem = divmod(ind - offsets[i], cbt << nfree)

@@ -188,11 +188,10 @@ def _sym_poly(k: int, t: int) -> Scheme:
 
     def verify(info, obs):
         clean = DeltaObservation(encode(info))
-        # each error moves one level weight and two elements of the multiset
+        # a moved level weight costs an even gap of 2 or more, so <= 2t moves <= t
         gaps = accumulate(abs(clean.level_counts(l) - obs.level_counts(l)).sum()
                           for l in range(1, n + 1))  # all() stops past 2t
-        return (int((clean.weight_profile() != obs.weight_profile()).sum()) <= t
-                and all(d <= 2 * t for d in gaps))
+        return all(d <= 2 * t for d in gaps)
     return Scheme({"k": k, "t": t}, n, encode, DeltaObservation,
                   partial(etn_decode_info, k=k, t=t), verify)
 

@@ -398,14 +398,11 @@ def sparse_interpolate(evals, T: int, field: PrimeField) -> dict[int, int]:
     """Recover a polynomial with <= T nonzero terms from its values at alpha^l,
     l = -T..T (evals[i] = E(alpha^(i-T))), as {exponent: coefficient} over exponents
     0..q-2.  Raises SparsityExceeded when no such polynomial reproduces them."""
-    # the roots are distinct exponents below q - 1 and alpha is primitive, so
-    # the points alpha^e are distinct and their Vandermonde matrix is
-    # invertible: the solve always succeeds and only the check can fail
+    # the L <= T roots are distinct and alpha is primitive, so the Vandermonde
+    # solve succeeds; the locator's LFSR generates all 2T+1 values, so each is
+    # sum_k c_k alpha^(e_k l) and the fit on the first L points passes
     seq = [v % field.q for v in evals]
-    poly = SupportFit(sparse_support(seq, T, field), T, field)(seq)
-    if poly is None:
-        raise SparsityExceeded("evaluations inconsistent with any sparse fit")
-    return poly
+    return SupportFit(sparse_support(seq, T, field), T, field)(seq)
 
 
 # -- the ternary erasure code over GF(3^e) ----------------------------------
@@ -613,10 +610,8 @@ class BCHCode:
         if len(received) != self.code_len:
             raise ValueError("codeword length mismatch")
         f, t = self.f, self.t
-        synd = self._syndromes(received)
-        if all(s == 0 for s in synd):
-            return received
-        lam = _berlekamp_massey(synd, f)
+        # all-zero syndromes give the locator [1], which has no root
+        lam = _berlekamp_massey(self._syndromes(received), f)
         L = len(lam) - 1
         if L > t:
             raise ValueError("more errors than the design distance allows")
@@ -629,12 +624,11 @@ class BCHCode:
         roots = np.flatnonzero(acc == 0)
         if len(roots) != L:
             raise ValueError("error locator failed to split over the block")
-        fixed = received[:]
+        # S_2i = S_i^2 for a binary word, so the L roots carry coefficient 1;
+        # flipping them in this copy of the word zeroes all 2t syndromes
         for idx in roots.tolist():
-            fixed[idx] ^= 1
-        if any(self._syndromes(fixed)):
-            raise ValueError("correction did not cancel the syndromes")
-        return fixed
+            received[idx] ^= 1
+        return received
 
 
 # the shared distance-(2t+1) code for msg_len-bit messages

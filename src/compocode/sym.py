@@ -36,7 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .backtrack import ReconstructionFailure, reconstruct
+from . import backtrack
+from .backtrack import ReconstructionFailure
 from .catalan import cb_count, cb_rank, cb_total, cb_unrank, sr_decode, sr_encode
 from .compositions import (
     CompositionMultiset,
@@ -257,6 +258,8 @@ class DeltaObservation(Observation):
 
     def validate_shape(self) -> None:
         for l, d in sorted(self.delta.items()):
+            if not 1 <= l <= self.n:  # no base level to count against
+                raise CorruptedInput(f"level {l} out of range")
             # only a removal can take a count below 0: one O(n) count
             ms = [(w, self._multiplicity(l, w) if c < 0 else c) for w, c in d.items()]
             flaws = [(w, m) for w, m in ms if m < 0 or not 0 <= w <= l]
@@ -462,10 +465,8 @@ def _reconstruct_known_shell(obs, zeta: str, sigma) -> str:
             raise ReconstructionFailure(
                 f"pair {k + 1} is not settled by level {level}")
         a[k], b[k] = picked[0], 1 - picked[0]
-    mid = sigma[h:]  # the middle bit of odd n
-    if any(v not in (0, 1) for v in mid):
-        raise ReconstructionFailure("middle entry out of range")
-    return _bits_str(np.concatenate((a, np.asarray(mid, dtype=np.int64), b[::-1])))
+    mid = np.asarray(sigma[h:], dtype=np.int64)  # odd n: 0 or 1, by sigma_from_weights
+    return _bits_str(np.concatenate((a, mid, b[::-1])))
 
 
 def etn_decode(obs, t: int) -> str:
@@ -594,19 +595,20 @@ def is_catalan_codeword(s: str, t: int) -> bool:
     return True
 
 
-def _revert_candidates(c: CompositionMultiset, w, budget: int):
-    """Lazily yield mirror-consistent multisets reachable by <= budget reverts.
+def _revert_candidates(c: CompositionMultiset, w, budget: int, reverts=()):
+    """Lazily yield (multiset, weight profile, reverts) for each
+    mirror-consistent multiset within budget reverts of c, whose profile is w.
 
-    A revert swaps one element for a different same-length composition.  Each
-    revert changes exactly one level weight, so a candidate needs at least one
-    revert per mirror-mismatched level pair; branches that cannot rebalance
-    within the budget are pruned before any copy is made.  Candidates are
-    yielded as they are, to be read and not changed; one whose sigma leaves
-    range is left for reconstruct to reject.  w is c's weight profile.
+    A revert (level, removed, added) swaps one element for a different
+    same-length composition and moves one level weight, so a candidate needs
+    at least one revert per mirror-mismatched level pair; branches that
+    cannot rebalance within the budget are pruned before any copy is made.
+    replace checks each revert, so every candidate is a multiset and its
+    profile exact.  Candidates are to be read and not changed.
     """
     mism = mirror_mismatches(w, c.n)
     if not mism:
-        yield c
+        yield c, w, reverts
     if budget == 0 or len(mism) > budget:
         return
     if mism:
@@ -630,7 +632,8 @@ def _revert_candidates(c: CompositionMultiset, w, budget: int):
                 cc.replace(level, rm, add)
                 cw = list(w)
                 cw[level - 1] += add - rm
-                yield from _revert_candidates(cc, cw, budget - 1)
+                yield from _revert_candidates(cc, cw, budget - 1,
+                                              (*reverts, (level, rm, add)))
 
 
 def catalan_code_decode_bruteforce(c: CompositionMultiset, t: int) -> str:
@@ -638,30 +641,29 @@ def catalan_code_decode_bruteforce(c: CompositionMultiset, t: int) -> str:
 
     Pairwise codeword multisets differ in at least 4t+1 elements, so at most
     one codeword can explain the observation; none or several signal a
-    violated error model.
+    violated error model.  A codeword's prefixes are strictly lighter than
+    its suffixes up to n/2, so up to reversal it is its multiset's only
+    string: the first solution, whose first sigma = 1 pair is (0, 1).
     """
     c.validate_shape()
     pad = 4 * t + 1
     if c.n % 2 or c.n < 2 * pad + 2:
         raise ValueError("length incompatible with the code format")
-    found, tried = set(), set()  # reverts in any order reach one multiset
-    for cand in _revert_candidates(c, cumulative_weights(c), t):
-        # a revert writes a copy of its level, so every level the candidate
-        # still shares with c is unchanged; a level reverted and restored is
-        # a copy that compares equal
-        key = tuple((l, tuple(sorted(level.items())))
-                    for l, level in cand.levels.items()
-                    if level is not c.levels[l] and level != c.levels[l])
+    found, tried = set(), set()
+    for cand, w, reverts in _revert_candidates(c, cumulative_weights(c), t):
+        # reverts in any order reach one multiset: its net change from c
+        net = Counter((l, add) for l, _, add in reverts)
+        net.subtract((l, rm) for l, rm, _ in reverts)
+        key = frozenset((lw, d) for lw, d in net.items() if d)
         if key in tried:
             continue
         tried.add(key)
         try:
-            strings = reconstruct(cand)
-        except ReconstructionFailure:
+            s, _ = backtrack.tolerant_reconstruct(cand, w, sigma_from_weights(w, c.n), 0)
+        except (ReconstructionFailure, CorruptedInput):
             continue
-        for s in strings:
-            if is_catalan_codeword(s, t):
-                found.add(s)
+        if is_catalan_codeword(s, t):
+            found.add(s)
     if not found:
         raise ReconstructionFailure("no codeword within the error budget")
     if len(found) > 1:

@@ -324,6 +324,34 @@ def test_st_decode_corrects_every_single_error_at_k_4():
     assert decodes == 15356
 
 
+def adversarial_weight(old, l):
+    """The replacement corrupt's adversarial mode draws: farthest from old."""
+    return max((w for w in range(l + 1) if w != old), key=lambda w: abs(w - old))
+
+
+@pytest.mark.parametrize("info", ["1011", "0110"])
+def test_st_decode_corrects_every_non_mirror_pair_at_k_4_t_2(info):
+    # n = 48: every pair of levels that are not each other's mirror, each
+    # losing its lightest or heaviest element to the adversarial weight
+    k, t = 4, 2
+    n = st_params(k, t)[1]
+    assert n == 48
+    clean = compose_all(st_encode(info, t))
+    ends = {l: sorted({min(clean.level_counter(l)), max(clean.level_counter(l))})
+            for l in range(1, n + 1)}
+    decodes = 0
+    for l1, l2 in itertools.combinations(range(1, n + 1), 2):
+        if l1 + l2 == n + 1:
+            continue
+        for o1, o2 in itertools.product(ends[l1], ends[l2]):
+            c = clean.copy()
+            c.replace(l1, o1, adversarial_weight(o1, l1))
+            c.replace(l2, o2, adversarial_weight(o2, l2))
+            assert st_decode(c, k, t) == info, (l1, o1, l2, o2)
+            decodes += 1
+    assert decodes > 4000
+
+
 @pytest.mark.parametrize("info", ["1011", "0000", "0110"])
 def test_st_decode_reports_a_failed_sigma_recovery(info):
     # two errors at levels 5 and 9 (n = 22, t = 1) mismatch two mirror pairs

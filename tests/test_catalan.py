@@ -245,3 +245,32 @@ def test_membership_basics():
     # balanced 0..01..1 strings are members for suitable t
     assert is_member("000111", 2)
     assert is_member("0011", 1)
+
+
+@pytest.mark.parametrize("call, args, match", [
+    (sr_size, (10, -1), "^shift must be >= 0$"),
+    (sr_size, (1, 0), "^length too short$"),
+    (sr_encode, ("0120",), "^info must be a bit string$"),
+    (sr_encode, ("1" * 4, 0, 6), "^info rank exceeds codebook size$"),
+], ids=["shift", "odd-short", "bits", "too-many-bits"])
+def test_declared_rejections(call, args, match):
+    with pytest.raises(ValueError, match=match):
+        call(*args)
+
+
+def test_sr_encode_checks_the_codebook_size_for_every_rank():
+    # why the even-length encoder checks no rank: sr_encode rejects any k
+    # with 2^k > sr_size(n, t), and an odd length halves the rank into the
+    # even codebook of half its size
+    for t, lengths in ((0, range(3, 15)), (1, range(6, 17, 2)), (2, range(8, 19, 2))):
+        for n in lengths:
+            size = sr_size(n, t)
+            if n % 2:
+                assert size == 2 * sr_size(n - 1, 0)
+            k = size.bit_length() - 1
+            for v in range(2 ** k):
+                info = format(v, f"0{k}b")
+                cw = sr_encode(info, t, n)
+                assert len(cw) == n and sr_decode(cw, k, t) == info
+            with pytest.raises(ValueError, match="^info rank exceeds codebook size$"):
+                sr_encode("0" * (k + 1), t, n)

@@ -100,6 +100,9 @@ def test_report_accounting():
     assert rep.success_rate == 0.7
 
 
+FLIP = str.maketrans("01", "10")
+
+
 def failing_recon(exc, recon=REGISTRY["recon"]):
     """The recon builder with a decoder that raises exc."""
     def build(k, t):
@@ -109,8 +112,17 @@ def failing_recon(exc, recon=REGISTRY["recon"]):
     return build
 
 
+def flipping(build):
+    """The scheme builder with a decoder that complements the word it found."""
+    def flipped(k, t):
+        code = build(k, t)
+        return dataclasses.replace(
+            code, decoder=lambda c: code.decoder(c).translate(FLIP))
+    return flipped
+
+
 def test_run_trials_counts_decode_failures_and_raises_faults(monkeypatch):
-    model = ErrorModel("symmetric", 0)
+    model, recon = ErrorModel("symmetric", 0), REGISTRY["recon"]
     monkeypatch.setitem(REGISTRY, "recon",
                         failing_recon(ReconstructionFailure("no string")))
     rep = run_trials("recon", {"k": 4}, model, trials=2)
@@ -119,6 +131,19 @@ def test_run_trials_counts_decode_failures_and_raises_faults(monkeypatch):
     monkeypatch.setitem(REGISTRY, "recon", failing_recon(TypeError("bug")))
     with pytest.raises(TypeError):
         run_trials("recon", {"k": 4}, model, trials=2)
+    # a decoder that returns a wrong word is counted, not raised
+    monkeypatch.setitem(REGISTRY, "recon", flipping(recon))
+    rep = run_trials("recon", {"k": 4}, model, trials=3)
+    assert (rep.successes, rep.failures) == (0, {"wrong-output": 3})
+
+
+@pytest.mark.parametrize("call, args, match", [
+    (ErrorModel, ("symmetric", -1), "^t must be >= 0$"),
+    (build_scheme, ("asym-t", 0, 1), "^scheme asym-t: k must be >= 1$"),
+], ids=["negative-t", "k-below-1"])
+def test_declared_rejections(call, args, match):
+    with pytest.raises(ValueError, match=match):
+        call(*args)
 
 
 def test_unknown_scheme_and_model():
@@ -248,6 +273,31 @@ def test_sym_poly_verify_rejects_a_weight_outside_the_level(w):
     obs._bump(2000, max(obs.level_counter(2000)), -1)
     obs._bump(2000, w, 1)
     assert code.verify(info, obs) is False
+
+
+def test_sym_poly_verify_rejects_a_removal_past_the_last_level():
+    code = build_scheme("sym-poly", 4, 1)
+    info = "1011"
+    obs = code.observe(code.encode(info))
+    obs._bump(code.n + 1, 1, -1)
+    assert code.verify(info, obs) is False
+
+
+def test_a_moved_level_weight_costs_an_even_gap_of_two_or_more():
+    # why sym-poly's verify counts no mismatched weights: levels of equal
+    # size differ by an even number of elements, 2 or more where their
+    # weights differ, so a distance <= 2t leaves at most t weights moved
+    rng = random.Random(43)
+    for _ in range(300):
+        s = "".join(rng.choice("01") for _ in range(rng.randint(3, 24)))
+        clean = compose_all(s)
+        obs, _ = corrupt(clean, ErrorModel("symmetric", rng.randint(1, 3)), rng,
+                         adversarial=rng.random() < 0.3)
+        weights = clean.weight_profile(), obs.weight_profile()
+        for l in range(1, len(s) + 1):
+            gap = abs(clean.level_counts(l) - obs.level_counts(l)).sum()
+            assert gap % 2 == 0
+            assert gap >= 2 or weights[0][l - 1] == weights[1][l - 1]
 
 
 def test_dense_verify_rejects_a_level_of_the_wrong_size():

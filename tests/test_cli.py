@@ -7,8 +7,10 @@ import sys
 import pytest
 
 import compocode
+from compocode.channel import REGISTRY
 from compocode.cli import main
 from compocode.compositions import compose_all, parse, serialize
+from test_channel import flipping
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -198,6 +200,29 @@ def test_exit_codes(tmp_path, capsys):
     code, out, err = run(capsys, "sim", "--scheme", "recon", "--k", "4",
                          "--model", "asym", "--errors", "-1", "--trials", "1")
     assert code == 2 and out == "" and err == "error: --errors must be >= 0\n"
+
+
+@pytest.mark.parametrize("argv, stdin, code, err", [
+    (("encode", "--scheme", "recon", "--k", "4"), "10a1\n", 3,
+     "error: malformed bit string: bit strings must consist of '0'/'1' "
+     "characters\n"),
+    (("sim", "--scheme", "asym-t", "--k", "4", "--t", "-1", "--model", "asym",
+      "--errors", "1", "--trials", "1"), "", 2, "error: --t must be >= 0\n"),
+], ids=["bad-bit", "negative-t"])
+def test_declared_rejections_exit_with_their_codes(capsys, monkeypatch, argv,
+                                                   stdin, code, err):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert run(capsys, *argv) == (code, "", err)
+
+
+def test_decode_exits_4_when_the_output_fails_verification(capsys, monkeypatch):
+    # a decoder that returns the complement of the info word it found: the
+    # re-encode check, not the decoder, rejects it
+    monkeypatch.setitem(REGISTRY, "asym1", flipping(REGISTRY["asym1"]))
+    assert run(capsys, "decode", "--scheme", "asym1", "--k", "5", "--input",
+               os.path.join(FIXTURES, "example2_corrupted.txt")) == \
+        (4, "", "error: re-encode verification failed: output does not "
+         "explain the observed multiset within the error budget\n")
 
 
 def test_sim_exits_2_when_the_channel_cannot_place_the_errors(tmp_path,

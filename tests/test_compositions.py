@@ -11,6 +11,7 @@ from compocode.compositions import (
     CompositionMultiset,
     CorruptedInput,
     _differences,
+    check_bits,
     compose_all,
     cumulative_weights,
     multiset_symmetric_difference,
@@ -256,3 +257,37 @@ def test_corrupt_leaves_its_input_unchanged():
         out, log = corrupt(src, ErrorModel(kind, 3), random.Random(1))
         assert len(log) == 3 and out != src
         assert src.levels == before
+
+
+@pytest.mark.parametrize("call, args, match", [
+    (check_bits, ("01a",), "^bit strings must consist of '0'/'1' characters$"),
+    (lambda: compose_all("0110").replace(2, 1, 3), (), "^weight 3 invalid at level 2$"),
+    (multiset_symmetric_difference, (compose_all("01"), compose_all("011")),
+     "^multisets describe strings of different lengths$"),
+], ids=["bits", "new-weight", "lengths"])
+def test_declared_rejections(call, args, match):
+    with pytest.raises(ValueError, match=match):
+        call(*args)
+
+
+def test_a_multiset_equals_only_a_multiset():
+    c = compose_all("0110")
+    assert c.__eq__("0110") is NotImplemented
+    assert c != "0110" and c == compose_all("0110")
+
+
+def test_sigma_keeps_the_middle_entry_of_odd_n_a_bit():
+    # why the sym-poly shell takes the middle bit of odd n unchecked: every
+    # profile sigma_from_weights accepts has a middle entry of 0 or 1
+    with pytest.raises(CorruptedInput, match="^sigma_2 = 2 out of range"):
+        sigma_from_weights([2, 4, 2], 3)
+    for n in (1, 3, 5, 7, 9):
+        for s in all_strings(n):
+            w = list(cumulative_weights(compose_all(s)))
+            for d in range(-3, 4):
+                wp = w[:n // 2] + [w[n // 2] + d] + w[n // 2 + 1:]
+                try:
+                    sigma = sigma_from_weights(wp, n)
+                except CorruptedInput:
+                    continue
+                assert sigma[-1] in (0, 1), (s, d)

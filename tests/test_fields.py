@@ -10,11 +10,13 @@ from compocode.fields import (
     EraseBudgetExceeded,
     PrimeField,
     SparsityExceeded,
+    SupportFit,
     _rs_interpolate_eval,
     bblock_code,
     bch_shape,
     field_setup,
     sparse_interpolate,
+    sparse_support,
     ternary_erasure_decode,
     ternary_erasure_encode,
     ternary_field_params,
@@ -82,6 +84,48 @@ def test_sparse_interpolate_random_many():
         poly = {e: rng.randrange(1, f.q) for e in exps}
         evals = [evaluate_sparse(poly, ell, f) for ell in range(-T, T + 1)]
         assert sparse_interpolate(evals, T, f) == poly
+
+
+def lfsr_sequence(rng, q, L, length):
+    """length values mod q of a random recurrence of order L."""
+    taps = [rng.randrange(q) for _ in range(L)]
+    seq = [rng.randrange(q) for _ in range(L)]
+    while len(seq) < length:
+        seq.append(sum(c * v for c, v in zip(taps, seq[::-1])) % q)
+    return seq[:length]
+
+
+def test_sparse_support_returns_only_supports_that_fit():
+    # why sparse_interpolate rechecks nothing: when the Berlekamp-Massey
+    # locator has L <= T distinct roots, its LFSR generates all 2T+1 values,
+    # so each is sum_k c_k alpha^(e_k l) and the fit on L points passes.
+    # Exhaustive at T = 1 over GF(7) and GF(11); seeded at T = 2..4, from
+    # random values, random recurrences of order <= T and sparse sums
+    def cases():
+        for q in (7, 11):
+            f = PrimeField(q, sympy.primitive_root(q))
+            for seq in itertools.product(range(q), repeat=3):
+                yield list(seq), 1, f
+        rng = random.Random(4)
+        for q in (7, 11, 13, 101):
+            f = PrimeField(q, sympy.primitive_root(q))
+            for T in (2, 3, 4):
+                for _ in range(150):
+                    yield [rng.randrange(q) for _ in range(2 * T + 1)], T, f
+                    yield lfsr_sequence(rng, q, rng.randint(1, T), 2 * T + 1), T, f
+                    poly = {e: rng.randrange(1, q)
+                            for e in rng.sample(range(q - 1), min(T, q - 1))}
+                    yield [evaluate_sparse(poly, l, f) for l in range(-T, T + 1)], T, f
+    fitted = 0
+    for seq, T, f in cases():
+        try:
+            support = sparse_support(seq, T, f)
+        except SparsityExceeded:
+            continue
+        assert SupportFit(support, T, f)(seq) is not None, (seq, T, f.q)
+        assert sparse_interpolate(seq, T, f) == SupportFit(support, T, f)(seq)
+        fitted += 1
+    assert fitted > 2000
 
 
 def test_sparse_interpolate_overfull_raises():
@@ -332,3 +376,22 @@ def test_bch_larger_instance_random_errors():
         for p in rng.sample(range(len(word)), t):
             word[p] ^= 1
         assert bblock_code(msg_len, t).decode(word) == cw
+
+
+@pytest.mark.parametrize("call, args, exc, match", [
+    (field_setup, (0,), ValueError, "^n must be >= 1$"),
+    (GF, (4, 1), ValueError, r"^GF\(4\^1\) needs a prime p and m >= 1$"),
+    (lambda: GF(3, 2).inv(0), (), ZeroDivisionError, "^$"),
+    (sparse_support, ([0] * 4, 2, PrimeField(7, 3)), ValueError,
+     r"^need exactly 2T\+1 evaluations$"),
+    (ternary_erasure_decode, ([0] * 5, 4, 2), ValueError,
+     "^codeword length inconsistent with parameters$"),
+    (lambda: BCHCode(11, 1).encode([0] * 10), (), ValueError,
+     "^message length mismatch$"),
+    (lambda: BCHCode(11, 1).decode([0] * 16), (), ValueError,
+     "^codeword length mismatch$"),
+], ids=["field-n", "gf-prime", "inverse-of-zero", "evaluations",
+        "ternary-length", "bch-message", "bch-word"])
+def test_declared_rejections(call, args, exc, match):
+    with pytest.raises(exc, match=match):
+        call(*args)

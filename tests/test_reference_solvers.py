@@ -26,6 +26,7 @@ through int() but that is not spelled 0|[1-9][0-9]*.
 """
 
 import itertools
+import operator
 import os
 import random
 import re
@@ -1537,14 +1538,17 @@ def test_search_matches_the_loop_on_long_strings():
 def test_catalan_decoder_matches_the_loop_beyond_single_errors():
     # criterion 09 covers every single error at t = 1; each of these rows
     # also reaches mirror-consistent candidates whose sigma leaves range,
-    # which the loop filters out and the current code leaves to reconstruct
+    # which the loop filters out and the current code leaves to
+    # sigma_from_weights
     rng = random.Random(24)
-    for k, t, errors, trials in ((3, 1, 2, 100), (2, 2, 1, 2), (2, 2, 2, 12),
-                                 (2, 2, 3, 100)):
+    rows = [(3, 1, "symmetric", 2, 100), (2, 2, "symmetric", 1, 2),
+            (2, 2, "symmetric", 2, 12), (2, 2, "symmetric", 3, 100)]
+    rows += [(k, 1, kind, errors, 10) for k in (3, 4)
+             for kind in ("symmetric", "asymmetric") for errors in (1, 2, 3)]
+    for k, t, kind, errors, trials in rows:
         for _ in range(trials):
             s = catalan_code_encode(random_bits(rng, k), t)
-            model = ErrorModel("symmetric", errors)
-            c, _ = corrupt(compose_all(s), model, rng)
+            c, _ = corrupt(compose_all(s), ErrorModel(kind, errors), rng)
             assert outcome(catalan_code_decode_bruteforce, c, t) == \
                 outcome(loop_catalan_code_decode_bruteforce, c, t), (s, errors)
 
@@ -1839,11 +1843,18 @@ def test_bch_decode_returns_the_codeword_the_loop_re_encodes():
                 word = code.encode([rng.randrange(2) for _ in range(msg_len)])
                 for pos in rng.sample(range(code.code_len), flips):
                     word[pos] ^= 1
+                received = word[:]
                 got = outcome(code.decode, word)
+                assert word == received  # decode corrects a copy
                 want = outcome(loop_bch_decode, code, word)
                 if not isinstance(want, type):
                     want = code.encode(want)
                 assert got == want, (msg_len, t, flips)
+                if not isinstance(got, type):
+                    # why decode rechecks nothing: S_2i = S_i^2 for a binary
+                    # word, so the located bits all flip to a codeword
+                    assert not any(code._syndromes(got))
+                    assert sum(map(operator.ne, got, received)) <= t
 
 
 def decode_outcome(f, *args):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compocode.compositions import (
+    CompositionMultiset,
     CorruptedInput,
     compose_all,
     cumulative_weights,
@@ -17,7 +18,7 @@ from compocode.compositions import (
     weight,
 )
 from compocode import fields, sym
-from compocode.backtrack import ReconstructionFailure
+from compocode.backtrack import ReconstructionFailure, reconstruct, tolerant_reconstruct
 from compocode.catalan import sr_params
 from compocode.channel import ErrorModel, build_scheme, corrupt
 from compocode.fields import (
@@ -61,6 +62,7 @@ from compocode.sym import (
     string_to_P,
     verify_identity,
 )
+from test_asym import adversarial_weight
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=12)
 
@@ -318,6 +320,15 @@ def test_both_observation_forms_count_levels_alike():
             with pytest.raises(CorruptedInput,
                                match=f"^negative multiplicity at level {l}$"):
                 read(l)
+
+
+@pytest.mark.parametrize("level, w", [(5, 1), (0, 0)])
+def test_sparse_validate_shape_rejects_a_level_outside_the_string(level, w):
+    # a level outside 1..n has no base windows to count a removal against
+    obs = DeltaObservation("0110")
+    obs._bump(level, w, -1)
+    with pytest.raises(CorruptedInput, match=f"^level {level} out of range$"):
+        obs.validate_shape()
 
 
 # -- parameters and the parity block -----------------------------------------
@@ -627,6 +638,37 @@ def test_recover_error_poly_rejects_a_planted_trace(terms, raises):
     with pytest.raises(raises):
         recover_error_poly(planted_grid(terms, d_x, d_y, p), d_x, d_y, t,
                            p.field, p.n)
+
+
+def column_monomials_grid(t, n):
+    """recover_error_poly's arguments, dx = dy = n, for a grid whose column l2
+    is the lone monomial x^(n + l2 + R): each column fits one term, and
+    together they hold 2R + 1 x-exponents."""
+    field, R = field_setup(n), 4 * t
+    q, alpha = field.q, field.alpha
+    grid = np.array([[pow(alpha, l1 * (n + l2 + R) % (q - 1), q)
+                      for l2 in range(-R, R + 1)] for l1 in range(-R, R + 1)])
+    return grid, n, n, t, field, n
+
+
+@pytest.mark.parametrize("call, args, exc, match", [
+    (poly_params_from_length, (4000, 0), ValueError, "^t must be >= 1$"),
+    (lambda: recover_error_poly(*column_monomials_grid(1, 40)), (),
+     SparsityExceeded, "^more than 4t x-exponents in the error trace$"),
+    (catalan_code_params, (0, 1), ValueError, "^need k >= 1 and t >= 0$"),
+    (catalan_code_strip, ("0" + catalan_unrank(4, 3) + "1", 2, 0), ValueError,
+     "^codeword outside the 2\\^k information range$"),
+    (catalan_code_decode_bruteforce, (compose_all("0" * 11), 1), ValueError,
+     "^length incompatible with the code format$"),
+], ids=["poly-t", "x-exponents", "catalan-k", "strip", "catalan-length"])
+def test_declared_rejections(call, args, exc, match):
+    with pytest.raises(exc, match=match):
+        call(*args)
+
+
+@pytest.mark.parametrize("s", ["0" * 5 + "1" * 5, "0" * 6 + "1" * 7])
+def test_is_catalan_codeword_rejects_a_short_or_odd_string(s):
+    assert not is_catalan_codeword(s, 1)
 
 
 # -- shared-support interpolation ---------------------------------------------
@@ -939,6 +981,54 @@ def test_catalan_code_format():
     assert not is_catalan_codeword(s[:-1] + "0", 1)
 
 
+def structured_errors(clean, t):
+    """Levels 1, 2, ceil(n/2), n - 1, n and the payload's bounds r/2, r/2 + 1
+    and r/2 + nu of the codeword observation clean, each with its lightest
+    and its heaviest weight replaced by the adversarial weight and by a
+    neighbour, the smallest change."""
+    n = clean.n
+    p = poly_params_from_length(n, t)
+    half = p.r_hat // 2
+    for l in sorted({1, 2, (n + 1) // 2, n - 1, n, half, half + 1, half + p.nu}):
+        ws = clean.level_counter(l)
+        for old in sorted({min(ws), max(ws)}):
+            near = old + 1 if old < l else old - 1
+            for new in sorted({near, adversarial_weight(old, l)}):
+                yield l, old, new
+
+
+def test_sym_poly_corrects_structured_single_errors_at_k_4():
+    code = build_scheme("sym-poly", 4, 1)
+    decodes = 0
+    for v in range(16):
+        info = format(v, "04b")
+        clean = code.observe(code.encode(info))
+        for l, old, new in structured_errors(clean, 1):
+            c = clean.copy()
+            c.replace(l, old, new)
+            assert code.decode(c) == info, (info, l, old, new)
+            decodes += 1
+    assert decodes >= 16 * 20
+
+
+def test_sym_poly_corrects_mirror_pairs_at_t_2():
+    # the symmetric model may hit a level and its mirror: each structured
+    # error below the middle, with its mirror's heaviest weight moved as far
+    # as it goes
+    code = build_scheme("sym-poly", 4, 2)
+    n = code.n
+    info = "1011"
+    clean = code.observe(code.encode(info))
+    errors = [e for e in structured_errors(clean, 2) if 2 * e[0] < n + 1]
+    for l, old, new in errors:
+        c = clean.copy()
+        c.replace(l, old, new)
+        heavy = max(clean.level_counter(n + 1 - l))
+        c.replace(n + 1 - l, heavy, adversarial_weight(heavy, n + 1 - l))
+        assert code.decode(c) == info, (l, old, new)
+    assert len(errors) >= 12
+
+
 def test_catalan_codebook_distance():
     n = 18
     cb = ["0" * 5 + catalan_unrank(r, 4) + "1" * 5
@@ -977,22 +1067,45 @@ def test_catalan_decode_reverts_a_pair_that_leaves_no_mismatch():
 
 def test_catalan_decode_weighs_the_observation_once(monkeypatch):
     # each revert moves one level weight, so the candidate enumeration
-    # carries the profile down instead of re-summing every level per node
-    calls = []
+    # carries the profile down instead of re-summing every level per node;
+    # replace checks each revert, so no candidate's shape is checked again
+    calls, shapes = [], []
     weigh = sym.cumulative_weights
+    validate = CompositionMultiset.validate_shape
 
     def counting_weights(c):
         calls.append(c)
         return weigh(c)
 
+    def counting_validate(c):
+        shapes.append(c)
+        return validate(c)
+
     monkeypatch.setattr(sym, "cumulative_weights", counting_weights)
+    monkeypatch.setattr(CompositionMultiset, "validate_shape", counting_validate)
     rng = random.Random(15)
     s = catalan_code_encode("101", 1)
     for errors in (0, 1):
         c, _ = corrupt(compose_all(s), ErrorModel("symmetric", errors), rng)
         calls.clear()
+        shapes.clear()
         assert catalan_code_decode_bruteforce(c, 1) == s
-        assert calls == [c]
+        assert calls == [c] and shapes == [c]
+
+
+def test_catalan_codewords_reconstruct_uniquely_up_to_reversal():
+    # why the decoder takes one solution per candidate: a codeword's
+    # prefixes are strictly lighter than its suffixes, so its multiset has
+    # no other string but its reversal, which the search never returns first
+    for t in range(3):
+        for k in range(1, 7):
+            for v in range(2 ** k):
+                s = catalan_code_encode(format(v, f"0{k}b"), t)
+                c = compose_all(s)
+                assert reconstruct(c) == {s, s[::-1]}, (s, t)
+                first, _ = tolerant_reconstruct(c, cumulative_weights(c),
+                                                sigma_of_string(s), 0)
+                assert first == s
 
 
 def test_catalan_decode_flags_unexplainable_input():
