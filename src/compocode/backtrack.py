@@ -92,15 +92,17 @@ def _excess(rem) -> int:
 def _finalize(c, s: str, n: int, steps: int, bad_levels) -> bool:
     """Whether s matches the levels the search skips: 1 .. n-steps-1 and n.
 
-    Level l of s is the lane-wise difference of its packed prefix weights X
-    shifted down by l lanes and X itself; prefix weights never decrease, so
-    no lane borrows.
+    When s is the source string of a source-backed c, only c's touched
+    levels can differ from s's, so only those are checked, in full.  Level l
+    of s is the lane-wise difference of its packed prefix weights X shifted
+    down by l lanes and X itself; prefix weights never decrease, so no lane
+    borrows.
     """
     X = _pack(prefix_weights(s))
-    for l in (*range(1, n - steps), n):
+    for l in c.levels_to_check(s, (*range(1, n - steps), n)):
         size = n + 1 - l
         windows = (X >> 32 * l) - (X & ((1 << 32 * size) - 1))
-        if _excess(_remainder(c.levels[l], windows, size)) > (l in bad_levels):
+        if _excess(_remainder(c.level_counter(l), windows, size)) > (l in bad_levels):
             return False
     return True
 
@@ -151,7 +153,7 @@ def _search(c, sigma, bad_levels, stats, *, collect_all):
             continue
         # level n-k-1 less its k windows already known
         m = n - k - 1
-        rem = _remainder(c.levels[m], Q - S, k)
+        rem = _remainder(c.level_counter(m), Q - S, k)
         excess = _excess(rem)
         choices = _pair_choices(sigma[k])
         if sigma[k] == 1:

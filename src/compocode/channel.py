@@ -187,8 +187,12 @@ def _sym_poly(k: int, t: int) -> Scheme:
     encode = partial(etn_encode_info, t=t)
 
     def verify(info, obs):
-        clean = DeltaObservation(encode(info))
+        s = encode(info)
         # a moved level weight costs an even gap of 2 or more, so <= 2t moves <= t
+        if isinstance(obs, DeltaObservation) and obs.s == s:
+            # only the delta's levels differ from s's, each by its |counts|
+            return sum(abs(c) for d in obs.delta.values() for c in d.values()) <= 2 * t
+        clean = DeltaObservation(s)
         gaps = accumulate(abs(clean.level_counts(l) - obs.level_counts(l)).sum()
                           for l in range(1, n + 1))  # all() stops past 2t
         return all(d <= 2 * t for d in gaps)

@@ -104,10 +104,7 @@ def cmd_encode(args) -> int:
     if len(info) != args.k:
         raise CliError(EXIT_INPUT,
                        f"info length {len(info)} does not match --k {args.k}")
-    try:
-        s = code.encode(info)
-    except ValueError as e:
-        raise CliError(EXIT_PARAMS, str(e)) from e
+    s = code.encode(info)
     manifest = _manifest(args, {"n": len(s), "redundancy": len(s) - args.k,
                                 "input_digest": _digest(info)})
     _emit(args, s + "\n", manifest)

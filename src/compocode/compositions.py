@@ -114,45 +114,67 @@ class Observation:
 
 
 class CompositionMultiset(Observation):
-    """The dense form of the observation: every level as a Counter.
+    """The composition multiset as Counters, one per level.
 
-    levels[l] is a Counter weight -> multiplicity for l in 1..n; built by
-    compose_all and parse.  A copy shares its source's Counters until _bump
-    writes one, so nothing else may write them.
+    compose_all's source-backed form keeps its string s: it composes a level
+    of s on its first read, into a cache its copies share, and holds in
+    _levels only the levels _bump has written (touched); the others equal
+    s's.  Reading levels composes every level and drops s, leaving parse's
+    dense form: levels[l] is a Counter weight -> multiplicity for l in 1..n.
+    A copy shares its source's Counters until _bump writes one, so nothing
+    else may write them.
     """
 
-    __slots__ = ("n", "levels", "_owned")
+    __slots__ = ("n", "_levels", "_owned", "_source", "_P", "_composed")
 
-    def __init__(self, n: int, levels: dict[int, Counter]):
+    def __init__(self, n: int, levels: dict[int, Counter], source: str | None = None):
         self.n = n
-        self.levels = levels
-        self._owned = None  # levels _bump may write in place; None: all
+        self._levels = levels  # dense: every level; source-backed: the touched ones
+        self._owned = set()  # levels _bump may write in place
+        self._source = source
+        self._P = None if source is None else prefix_weights(source)
+        self._composed = {}  # the source's levels read so far, shared by copies
+
+    @property
+    def levels(self) -> dict[int, Counter]:
+        """Every level, l = 1..n; composes the untouched ones and drops the source."""
+        if self._source is not None:
+            self._levels = {l: self.level_counter(l) for l in range(1, self.n + 1)}
+            self._source = self._P = None
+        return self._levels
 
     def copy(self) -> "CompositionMultiset":
         """A copy sharing every level until either side writes one."""
-        out = CompositionMultiset(self.n, dict(self.levels))
-        self._owned, out._owned = set(), set()
+        out = CompositionMultiset(self.n, dict(self._levels))
+        out._source, out._P, out._composed = self._source, self._P, self._composed
+        self._owned = set()
         return out
 
     def _bump(self, l: int, w: int, by: int) -> None:
-        if self._owned is not None and l not in self._owned:
-            self.levels[l] = Counter(self.levels[l])  # copy a shared level
+        if l not in self._owned:  # copy a shared or composed level
+            self._levels[l] = Counter(self.level_counter(l))
             self._owned.add(l)
-        level = self.levels[l]
+        level = self._levels[l]
         level[w] += by
         if level[w] == 0:
             del level[w]
 
     def level_counter(self, l: int) -> Counter:
         """Level l as weight -> multiplicity; KeyError outside 1..n.  Read-only."""
-        return self.levels[l]
+        if l in self._levels or self._source is None:
+            return self._levels[l]
+        if (level := self._composed.get(l)) is None:
+            if not 1 <= l <= self.n:
+                raise KeyError(l)
+            level = self._composed[l] = level_of_prefix(self._P, l)
+        return level
 
     def _multiplicity(self, l: int, w: int) -> int:
-        return self.levels[l][w]
+        return self.level_counter(l)[w]
 
     def level_counts(self, l: int):
         import numpy as np
-        level, out = self.levels[l], np.zeros(l + 1, dtype=np.int64)
+        level, out = self.level_counter(l), np.zeros(l + 1, dtype=np.int64)
         out[list(level)] = list(level.values())
         return out
 
@@ -176,25 +198,28 @@ class CompositionMultiset(Observation):
         return (g + g[::-1, ::-1]) % field.q
 
     def validate_shape(self) -> None:
-        for l in range(1, self.n + 1):
-            if (lv := self.levels.get(l)) is None:
+        """Check the touched levels, or every level of the dense form."""
+        for l in range(1, self.n + 1) if self._source is None else sorted(self._levels):
+            if (lv := self._levels.get(l)) is None:
                 raise CorruptedInput(f"level {l} missing")
             self._check_level(l, [(w, m) for w, m in lv.items()
                                   if m < 1 or not 0 <= w <= l], sum(lv.values()))
 
+    def levels_to_check(self, s: str, levels):
+        """Those of levels at which C(s) can differ from this multiset: all,
+        unless s is the source string, whose untouched levels equal these."""
+        return levels if s != self._source else [l for l in levels if l in self._levels]
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompositionMultiset):
             return NotImplemented
-        return self.n == other.n and all(
-            self.levels[l] == other.levels[l] for l in range(1, self.n + 1))
+        return self.n == other.n and multiset_symmetric_difference(self, other)[0] == 0
 
 
 def compose_all(s: str) -> CompositionMultiset:
-    """The composition multiset of the bit string s."""
-    check_bits(s)
-    P = prefix_weights(s)
-    return CompositionMultiset(len(s), {l: level_of_prefix(P, l)
-                                        for l in range(1, len(s) + 1)})
+    """The composition multiset of the bit string s, source-backed: each level
+    is composed on its first read."""
+    return CompositionMultiset(len(check_bits(s)), {}, s)
 
 
 def prefix_weights(s: str) -> list[int]:
@@ -208,9 +233,21 @@ def level_of_prefix(P, l: int) -> Counter:
 
 
 def cumulative_weights(c: CompositionMultiset) -> tuple[int, ...]:
-    """w_l = sum of 1-counts at level l; returned 0-indexed (entry l-1 = w_l)."""
-    return tuple(sum(map(mul, lv, lv.values()))
-                 for lv in map(c.levels.__getitem__, range(1, c.n + 1)))
+    """w_l = sum of 1-counts at level l; returned 0-indexed (entry l-1 = w_l).
+
+    For the source-backed form an untouched level's w_l is the sum of
+    P[i+l] - P[i] over i = 0..n-l, PP[n+1] - PP[l] - PP[n-l+1] with PP the
+    prefix sums of P, so only the touched levels are summed.
+    """
+    n = c.n
+    if c._source is None:
+        return tuple(sum(map(mul, lv, lv.values()))
+                     for lv in map(c._levels.__getitem__, range(1, n + 1)))
+    PP = [0, *accumulate(c._P)]
+    w = [PP[n + 1] - PP[l] - PP[n - l + 1] for l in range(1, n + 1)]
+    for l, lv in c._levels.items():
+        w[l - 1] = sum(map(mul, lv, lv.values()))
+    return tuple(w)
 
 
 def mirror_mismatches(wp, n: int) -> list[int]:
@@ -293,7 +330,12 @@ def multiset_symmetric_difference(c1, c2):
         raise ValueError("multisets describe strings of different lengths")
     count = 0
     detail: dict[int, list[tuple[int, int]]] = {}
-    for l in range(1, c1.n + 1):
+    levels = range(1, c1.n + 1)
+    if (src := getattr(c1, "_source", None)) is not None and \
+            src == getattr(c2, "_source", None):
+        # two forms of one string differ only where either was written
+        levels = sorted(c1._levels.keys() | c2._levels.keys())
+    for l in levels:
         a, b = c1.level_counter(l), c2.level_counter(l)
         # Equal dicts differ by 0 at every weight.  No level holds a zero
         # count, so dict equality (in C; Counter's runs a generator) is
@@ -320,7 +362,7 @@ def multiset_symmetric_difference(c1, c2):
 def serialize(c: CompositionMultiset) -> str:
     lines = [f"n={c.n}"]
     for l in range(c.n, 0, -1):
-        lv = c.levels[l]
+        lv = c.level_counter(l)
         # each token with its trailing space, repeated by its multiplicity
         ws = "".join([f"{w} " * lv[w] for w in sorted(lv)])
         lines.append(f"{l}: " + ws[:-1])

@@ -104,7 +104,7 @@ def string_to_P(s: str) -> PrefixPolynomial:
 def multiset_to_S(c: CompositionMultiset) -> MultisetPolynomial:
     terms: dict = {}
     for l in range(1, c.n + 1):
-        for w, cnt in c.levels[l].items():
+        for w, cnt in c.level_counter(l).items():
             terms[(w, l - w)] = terms.get((w, l - w), 0) + cnt
     return MultisetPolynomial(terms, c.n)
 

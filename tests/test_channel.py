@@ -262,6 +262,37 @@ def test_sym_poly_verify_bounds_the_multiset_distance():
     assert code.verify(info, bad) is False
 
 
+def test_sym_poly_verify_reads_the_delta_of_the_codeword(monkeypatch):
+    # on an observation of the re-encoded codeword verify counts the delta;
+    # the all-levels comparison, reached through a wrapper that is no
+    # DeltaObservation or on another base string, gives the same answers
+    from compocode.sym import DeltaObservation
+    code = build_scheme("sym-poly", 4, 1)
+    info = "1011"
+    s = code.encode(info)
+    cases = []
+    for base in (s, s[::-1]):
+        for errors in (0, 1, 2):
+            obs, _ = corrupt(code.observe(base), ErrorModel("symmetric", errors),
+                             random.Random(errors))
+            cases.append((base, obs, code.verify(info, _CountedReads(obs))))
+    assert [want for *_, want in cases] == [True, True, False] * 2
+    for base, obs, want in cases[3:]:
+        assert code.verify(info, obs) is want
+    monkeypatch.setattr(DeltaObservation, "level_counts", None)  # no level read
+    for base, obs, want in cases[:3]:
+        assert code.verify(info, obs) is want
+
+
+@pytest.mark.parametrize("name, t, errors", [("recon", 0, 0), ("asym1", 0, 1),
+                                             ("asym-t", 3, 3)])
+def test_a_large_k_trial_decodes_the_sent_word(name, t, errors):
+    # no size cliff at k = 4,096 (n = 4,104 to 4,218)
+    report = run_trials(name, {"k": 4096, "t": t}, ErrorModel("asymmetric", errors),
+                        1, seed=3)
+    assert report.successes == 1, report.failures
+
+
 @pytest.mark.parametrize("w", [2001, -1])
 def test_sym_poly_verify_rejects_a_weight_outside_the_level(w):
     # level 2,000 swaps an element it holds for one of weight l + 1 or -1:

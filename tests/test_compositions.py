@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compocode.channel import ErrorModel, corrupt
+from compocode.asym import s1_decode, st_decode
+from compocode.backtrack import ReconstructionFailure, reconstruct, tolerant_reconstruct
+from compocode.channel import ErrorModel, build_scheme, corrupt
 from compocode.compositions import (
     CompositionMultiset,
     CorruptedInput,
@@ -180,6 +182,111 @@ def test_sigma_partial_single_error_mask():
         for i, k in enumerate(known):
             if k:
                 assert sigma[i] == true_sigma[i]
+
+
+def _random_replace(c, rng):
+    """Swap a random element of a random level of c; returns (l, old, new)."""
+    l = rng.randint(1, c.n)
+    old = rng.choice(sorted(c.level_counter(l)))
+    new = rng.choice([w for w in range(l + 1) if w != old])
+    c.replace(l, old, new)
+    return l, old, new
+
+
+def test_symmetric_difference_of_one_source_matches_the_dense_forms():
+    # forms of one string compare only their written levels; the dense
+    # forms compare every level
+    rng = random.Random(17)
+    for _ in range(200):
+        s = "".join(rng.choice("01") for _ in range(rng.randint(1, 30)))
+        base = compose_all(s)
+        a, b = base.copy(), compose_all(s)
+        for c in (a, b):
+            for _ in range(rng.randint(0, 4)):
+                l, old, new = _random_replace(c, rng)
+                if rng.random() < 0.3:  # restore the level's contents
+                    c.replace(l, new, old)
+        for x, y in ((a, b), (b, a), (a, base), (base, b)):
+            assert multiset_symmetric_difference(x, y) == multiset_symmetric_difference(
+                parse(serialize(x)), parse(serialize(y)))
+    a, b = compose_all("0110100111" * 50), compose_all("0110100111" * 50)
+    b.replace(300, 180, 181)
+    assert multiset_symmetric_difference(a, b) == (2, {300: [(180, 1), (181, -1)]})
+    assert set(a._composed) | set(b._composed) == {300}
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the declared failure it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("scheme", ["recon", "asym1", "asym-t"])
+def test_source_backed_and_dense_forms_agree(scheme):
+    # the same writes, valid or not, leave the two forms giving the same
+    # answer to every query and every decoder
+    k, t = 6, (1 if scheme == "asym-t" else 0)
+    code = build_scheme(scheme, k, t)
+    decode = {"recon": reconstruct, "asym1": lambda c: s1_decode(c, k),
+              "asym-t": lambda c: st_decode(c, k, t)}[scheme]
+    rng = random.Random(23)
+    for trial in range(40):
+        s = code.encode("".join(rng.choice("01") for _ in range(k)))
+        lazy = compose_all(s)
+        dense = parse(serialize(compose_all(s)))
+        for _ in range(rng.randint(0, 3)):
+            state = rng.getstate()
+            _random_replace(lazy, rng)
+            rng.setstate(state)
+            _random_replace(dense, rng)
+        if trial % 4 == 1:  # swap one element through correct, on copies
+            l = rng.randint(1, len(s))
+            old = rng.choice(sorted(lazy.level_counter(l)))
+            new = rng.choice([w for w in range(l + 1) if w != old])
+            error = {(old, l - old): 1, (new, l - new): -1}
+            lazy, dense = lazy.correct(error), dense.correct(error)
+        if trial % 4 == 3:  # a level of the wrong size, weight or count
+            l = rng.randint(1, len(s))
+            w, by = rng.choice([(0, 1), (l + 1, 1), (max(lazy.level_counter(l)) + 1, -1)])
+            for c in (lazy, dense):
+                c._bump(l, w, by)
+        assert cumulative_weights(lazy) == cumulative_weights(dense)
+        shape = _outcome(lazy.validate_shape)
+        assert shape == _outcome(dense.validate_shape)
+        assert _outcome(decode, lazy) == _outcome(decode, dense)
+        if shape is None:
+            args = (cumulative_weights(lazy), sigma_of_string(s), 1)
+            assert _outcome(tolerant_reconstruct, lazy, *args) == \
+                _outcome(tolerant_reconstruct, dense, *args)
+        for l in range(1, len(s) + 1):
+            assert lazy.level_counter(l) == dense.level_counter(l)
+        assert lazy == dense and dense == lazy
+        assert lazy.levels == dense.levels
+
+
+def test_tolerant_reconstruct_checks_the_written_levels_of_its_source():
+    # level 2 keeps its weight but loses two 1s: the search, which checks
+    # levels 9 .. 5, finds the source string, and only level 2 refutes it
+    s = "0010110111"
+    assert tolerant_reconstruct(compose_all(s), cumulative_weights(compose_all(s)),
+                                sigma_of_string(s), 0)[0] == s
+    c = compose_all(s)
+    c.replace(2, 1, 2)
+    c.replace(2, 1, 0)
+    assert cumulative_weights(c) == cumulative_weights(compose_all(s))
+    with pytest.raises(ReconstructionFailure):
+        tolerant_reconstruct(c, cumulative_weights(c), sigma_of_string(s), 0)
+
+
+def test_reading_levels_makes_the_multiset_dense():
+    c = compose_all("0110")
+    c.replace(3, 2, 3)
+    c.levels[4] = Counter({2: 1, 1: 0})  # a write the source would not see
+    assert c.level_counter(4) == Counter({2: 1})
+    assert cumulative_weights(c) == (2, 4, 5, 2)
+    assert c.copy().levels == c.levels
 
 
 def test_symmetric_difference():
