@@ -56,10 +56,13 @@ def _read_input(args) -> str:
 def _emit(args, text: str, manifest: dict) -> None:
     manifest["output_digest"] = _digest(text)
     if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
-        with open(args.output + ".manifest.json", "w") as f:
-            f.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        for path, body in ((args.output, text), (args.output + ".manifest.json",
+                           json.dumps(manifest, indent=2, sort_keys=True) + "\n")):
+            try:
+                with open(path, "w") as f:
+                    f.write(body)
+            except OSError as e:
+                raise CliError(EXIT_PARAMS, f"cannot write {path}: {e}") from e
     else:
         sys.stdout.write(text)
         print(json.dumps(manifest, sort_keys=True), file=sys.stderr)

@@ -269,10 +269,12 @@ def _out_of_range(sigma, n: int):
     return (i for i, v in enumerate(sigma) if not 0 <= v <= 2 - (i == mid))
 
 
-def sigma_from_weights(wp, n: int) -> tuple[int, ...]:
+def sigma_from_weights(wp, n: int):
     """Solve the triangular pairwise-weight system by successive differencing.
 
-    wp holds w_1..w_n (or at least w_1..w_{ceil(n/2)}), 0-indexed.
+    wp holds w_1..w_n (or at least w_1..w_{ceil(n/2)}), 0-indexed: a list or
+    tuple, solved in Python into a tuple, or an integer numpy array, solved
+    with numpy into an int64 array of the same values.
     Raises CorruptedInput if the solution leaves {0,1,2} (or {0,1} for the
     middle entry of odd n).  No sum check is needed: with d_l = w_l - w_{l-1},
     sigma_l = d_l - d_{l+1} for l < h and sigma_h = d_h, so the sum telescopes
@@ -281,10 +283,21 @@ def sigma_from_weights(wp, n: int) -> tuple[int, ...]:
     h = (n + 1) // 2
     if len(wp) < h:
         raise ValueError("weight profile too short")
-    sigma = _differences(wp, h)
-    for i in _out_of_range(sigma, n):
-        raise CorruptedInput(f"sigma_{i+1} = {sigma[i]} out of range: corrupted input")
-    return tuple(sigma)
+    if hasattr(wp, "dtype"):  # numpy only here: the list path loads none
+        import numpy as np
+        d = np.diff(np.asarray(wp[:h], dtype=np.int64), prepend=0)
+        sigma = d - np.append(d[1:], 0)
+        top = np.full(h, 2)
+        top[-1] -= n % 2
+        bad = np.flatnonzero((sigma < 0) | (sigma > top))
+        i = int(bad[0]) if bad.size else None
+    else:
+        sigma = tuple(_differences(wp, h))
+        i = next(_out_of_range(sigma, n), None)
+    if i is not None:
+        raise CorruptedInput(
+            f"sigma_{i+1} = {sigma[i]} out of range: corrupted input")
+    return sigma
 
 
 def weights_from_sigma(sigma, w1: int, n: int) -> tuple[int, ...]:

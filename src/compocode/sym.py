@@ -217,13 +217,14 @@ def _prefix_arrays(s: str):
     return pref, zeros
 
 
-def _string_weight_profile(s: str) -> np.ndarray:
-    """w_1..w_n of C(s) in O(n): w_l = CS[n+1] - CS[l] - CS[n-l+1]."""
-    pref, _ = _prefix_arrays(s)
+def _string_weight_profile(s: str, pref: np.ndarray | None = None) -> np.ndarray:
+    """w_1..w_n of C(s) in O(n): w_l = CS[n+1] - CS[l] - CS[n-l+1], with CS
+    the prefix sums of pref, s's prefix weights (computed if not given)."""
+    if pref is None:
+        pref = _prefix_arrays(s)[0]
     n = len(s)
     cs = np.concatenate(([0], np.cumsum(pref)))
-    ls = np.arange(1, n + 1)
-    return cs[n + 1] - cs[ls] - cs[n + 1 - ls]
+    return cs[n + 1] - cs[1:n + 1] - cs[n:0:-1]
 
 
 class DeltaObservation(Observation):
@@ -239,7 +240,7 @@ class DeltaObservation(Observation):
         self.s = s
         self.n = len(s)
         self.pref = _prefix_arrays(s)[0]
-        self.base_w = _string_weight_profile(s)
+        self.base_w = _string_weight_profile(s, self.pref)
         self.delta: dict[int, dict[int, int]] = {}  # level -> weight -> count
 
     def copy(self) -> "DeltaObservation":
@@ -436,10 +437,12 @@ def _reconstruct_known_shell(obs, zeta: str, sigma) -> str:
     are known, and the branch kept is the one whose two end windows are
     exactly what the level has left, the test backtrack._search makes.  The
     counting is numpy: these levels hold thousands of distinct weights.
+    sigma is a tuple or sigma_from_weights' int64 array, read as it is.
     """
     n, h, r = obs.n, obs.n // 2, len(zeta)
-    W = sum(sigma)
-    sig = np.asarray(sigma[:h], dtype=np.int64)
+    sigma = np.asarray(sigma, dtype=np.int64)
+    W = int(sigma.sum())
+    sig = sigma[:h]
     a, b = sig // 2, sig // 2
     a[:r] = 0
     b[:r] = np.frombuffer(zeta[::-1].encode("ascii"), np.uint8) - ord("0")
@@ -465,7 +468,7 @@ def _reconstruct_known_shell(obs, zeta: str, sigma) -> str:
             raise ReconstructionFailure(
                 f"pair {k + 1} is not settled by level {level}")
         a[k], b[k] = picked[0], 1 - picked[0]
-    mid = np.asarray(sigma[h:], dtype=np.int64)  # odd n: 0 or 1, by sigma_from_weights
+    mid = sigma[h:]  # odd n: 0 or 1, by sigma_from_weights
     return _bits_str(np.concatenate((a, mid, b[::-1])))
 
 
@@ -512,7 +515,7 @@ def etn_decode(obs, t: int) -> str:
     w = fixed.weight_profile()
     if w[0] != d_x or w[n - 1] != d_x:
         raise ReconstructionFailure("corrected weights disagree with wt(s)")
-    sigma = sigma_from_weights(w.tolist(), n)
+    sigma = sigma_from_weights(w, n)
     s = _reconstruct_known_shell(fixed, zeta, sigma)
     if not np.array_equal(_string_weight_profile(s), w):
         raise ReconstructionFailure("reassembled string misses the multiset")

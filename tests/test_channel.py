@@ -284,11 +284,15 @@ def test_sym_poly_verify_reads_the_delta_of_the_codeword(monkeypatch):
         assert code.verify(info, obs) is want
 
 
-@pytest.mark.parametrize("name, t, errors", [("recon", 0, 0), ("asym1", 0, 1),
-                                             ("asym-t", 3, 3)])
-def test_a_large_k_trial_decodes_the_sent_word(name, t, errors):
-    # no size cliff at k = 4,096 (n = 4,104 to 4,218)
-    report = run_trials(name, {"k": 4096, "t": t}, ErrorModel("asymmetric", errors),
+LARGE_K = [("recon", 0, 0, "asymmetric"), ("asym1", 0, 1, "asymmetric"),
+           ("asym-t", 3, 3, "asymmetric"), ("sym-poly", 2, 2, "symmetric")]
+
+
+@pytest.mark.parametrize("name, t, errors, kind", LARGE_K,
+                         ids=[f"{name}-{t}-{e}" for name, t, e, _ in LARGE_K])
+def test_a_large_k_trial_decodes_the_sent_word(name, t, errors, kind):
+    # no size cliff at k = 4,096 (n = 4,104 to 22,716)
+    report = run_trials(name, {"k": 4096, "t": t}, ErrorModel(kind, errors),
                         1, seed=3)
     assert report.successes == 1, report.failures
 

@@ -215,6 +215,26 @@ def test_declared_rejections_exit_with_their_codes(capsys, monkeypatch, argv,
     assert run(capsys, *argv) == (code, "", err)
 
 
+@pytest.mark.parametrize("unwritable", ["output", "manifest"])
+def test_an_unwritable_output_exits_2(tmp_path, capsys, unwritable):
+    # a missing directory for the output, or a directory in the manifest's
+    # place: a bad parameter, not a traceback
+    inp = tmp_path / "cw.txt"
+    inp.write_text("0110100\n")
+    out = tmp_path / "ms.txt"
+    if unwritable == "output":
+        out = tmp_path / "missing" / "ms.txt"
+        bad = str(out)
+    else:
+        bad = str(out) + ".manifest.json"
+        os.mkdir(bad)
+    code, stdout, err = run(capsys, "compose", "--input", str(inp),
+                            "--output", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {bad}: ") and \
+        err.count("\n") == 1, err
+
+
 def test_decode_exits_4_when_the_output_fails_verification(capsys, monkeypatch):
     # a decoder that returns the complement of the info word it found: the
     # re-encode check, not the decoder, rejects it

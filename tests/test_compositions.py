@@ -2,6 +2,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +125,60 @@ def test_differences_telescope_to_w1(wp):
     # why sigma_from_weights needs no sum check: sigma_1 + ... + sigma_h = w_1
     # for every integer profile, not only for real ones
     assert sum(_differences(wp, (len(wp) + 1) // 2)) == wp[0]
+
+
+def sigma_outcome(wp, n):
+    """sigma_from_weights' values as a list, or its exception's type and message."""
+    try:
+        sigma = sigma_from_weights(wp, n)
+    except ValueError as e:
+        return type(e), str(e)
+    if isinstance(wp, np.ndarray):
+        assert isinstance(sigma, np.ndarray) and sigma.dtype == np.int64
+        return sigma.tolist()
+    return list(sigma)
+
+
+def assert_sigma_paths_agree(wp, n):
+    h = (n + 1) // 2
+    for prof in (wp, wp[:h], wp[:h - 1]):  # the last one is too short
+        assert sigma_outcome(np.array(prof, dtype=np.int64), n) == \
+            sigma_outcome(prof, n), (prof, n)
+
+
+def perturbed(rng, w):
+    """w with +-1..3 added at 1-3 random levels."""
+    w = list(w)
+    for _ in range(rng.randint(1, 3)):
+        w[rng.randrange(len(w))] += rng.choice((-3, -2, -1, 1, 2, 3))
+    return w
+
+
+def test_sigma_array_path_matches_the_list_path():
+    # the list path is the reference: same values, or the same exception
+    # type and message, on real profiles and on profiles with entries out of
+    # range, for odd and even n
+    rng = random.Random(27)
+    for n in range(1, 11):
+        for s in all_strings(n):
+            w = list(cumulative_weights(compose_all(s)))
+            assert_sigma_paths_agree(w, n)
+            assert_sigma_paths_agree(perturbed(rng, w), n)
+    outcomes = Counter()
+    for _ in range(300):
+        n = rng.randint(1, 300)
+        w = list(cumulative_weights(compose_all(
+            "".join(rng.choice("01") for _ in range(n)))))
+        for wp in (w, perturbed(rng, w)):
+            assert_sigma_paths_agree(wp, n)
+            outcomes[type(sigma_outcome(wp, n))] += 1
+    assert outcomes[list] > 300 and outcomes[tuple] > 50, outcomes
+
+
+@given(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=80),
+       st.integers(1, 160))
+def test_sigma_array_path_matches_the_list_path_on_any_profile(wp, n):
+    assert_sigma_paths_agree(wp, n)
 
 
 def test_sigma_rejects_corrupt_profile():
