@@ -92,8 +92,8 @@ def _excess(rem) -> int:
 def _finalize(c, s: str, n: int, steps: int, bad_levels) -> bool:
     """Whether s matches the levels the search skips: 1 .. n-steps-1 and n.
 
-    When s is the source string of a source-backed c, only c's touched
-    levels can differ from s's, so only those are checked, in full.  Level l
+    When s is the source string of a source-backed c, only the levels in
+    c's delta can differ from s's, so only those are checked, in full.  Level l
     of s is the lane-wise difference of its packed prefix weights X shifted
     down by l lanes and X itself; prefix weights never decrease, so no lane
     borrows.

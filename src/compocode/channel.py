@@ -116,9 +116,10 @@ class Scheme:
     scheme, before they call the builder's decoder and verifier.  decode
     returns the info word and raises ValueError on another length.  verify
     re-encodes info and is True when one of its codewords lies within the
-    code's t errors of obs; it runs no decoder, and an info word of another
-    length than k, obs of another length than n or an obs that fails
-    validate_shape is False.  params names the code in reports: k, and t
+    code's t errors of obs; it runs no decoder and never raises: an info
+    word of another length than k or with a character other than 0 and 1,
+    obs of another length than n or an obs that fails validate_shape is
+    False.  params names the code in reports: k, and t
     for the schemes that take one.
     """
 
@@ -134,7 +135,7 @@ class Scheme:
         return self.decoder(obs)
 
     def verify(self, info: str, obs) -> bool:
-        if obs.n != self.n or len(info) != self.params["k"]:
+        if obs.n != self.n or len(info) != self.params["k"] or set(info) - {"0", "1"}:
             return False
         try:
             obs.validate_shape()
@@ -189,9 +190,8 @@ def _sym_poly(k: int, t: int) -> Scheme:
     def verify(info, obs):
         s = encode(info)
         # a moved level weight costs an even gap of 2 or more, so <= 2t moves <= t
-        if isinstance(obs, DeltaObservation) and obs.s == s:
-            # only the delta's levels differ from s's, each by its |counts|
-            return sum(abs(c) for d in obs.delta.values() for c in d.values()) <= 2 * t
+        if getattr(obs, "_source", None) == s:  # forms of s differ by their deltas
+            return _within(s, obs, t)
         clean = DeltaObservation(s)
         gaps = accumulate(abs(clean.level_counts(l) - obs.level_counts(l)).sum()
                           for l in range(1, n + 1))  # all() stops past 2t
@@ -233,6 +233,8 @@ def build_scheme(name: str, k: int, t: int = 0) -> Scheme:
 
 def run_trials(scheme: str, params: dict, model: ErrorModel, trials: int,
                seed: int = 0) -> TrialReport:
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     code = build_scheme(scheme, params["k"], params.get("t", 0))
     k = params["k"]
     successes = 0

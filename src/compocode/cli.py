@@ -232,12 +232,10 @@ def main(argv=None) -> int:
     if getattr(args, "k", 1) is not None and getattr(args, "k", 1) < 1:
         print("error: --k must be >= 1", file=sys.stderr)
         return EXIT_PARAMS
-    if getattr(args, "t", 0) < 0:
-        print("error: --t must be >= 0", file=sys.stderr)
-        return EXIT_PARAMS
-    if getattr(args, "errors", 0) < 0:
-        print("error: --errors must be >= 0", file=sys.stderr)
-        return EXIT_PARAMS
+    for name in ("t", "errors", "trials"):
+        if getattr(args, name, 0) < 0:
+            print(f"error: --{name} must be >= 0", file=sys.stderr)
+            return EXIT_PARAMS
     try:
         return args.func(args)
     except CliError as e:

@@ -68,105 +68,65 @@ def sigma_of_string(s: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Observation:
+class CompositionMultiset:
     """The decoder input: a (possibly corrupted) composition multiset of a
-    string of known length n.
+    string of known length n, as a read-only base plus a sparse delta.
 
-    Each form answers n, level_counter(l), level_counts(l) (int64, by weight 0..l),
-    _multiplicity(l, w), weight_profile(), sym_eval(R, field), copy() and
-    validate_shape(), and writes through _bump(l, w, by), which adds `by` elements
-    of weight w to level l.  replace and correct are written here once over those,
-    and validate_shape reports the first flaw in (level, weight) order in both forms.
+    The base is parse's dense levels, _levels[l] a Counter weight ->
+    multiplicity for l = 1..n, or compose_all's source string s, whose level
+    l is composed on its first read into _levels, a cache its copies share.
+    delta maps level -> weight -> count; only _bump writes it, so a copy
+    copies the delta alone.  Level l reads as its base level plus delta[l].
+    Reading levels folds the delta in and drops the source, leaving the
+    dense form.  Copies may share its Counters, so only a multiset that has
+    no copies may be written through levels.
     """
 
-    __slots__ = ()
-
-    def replace(self, l: int, old_w: int, new_w: int) -> None:
-        """Swap one level-l element of weight old_w for one of weight new_w."""
-        if self._multiplicity(l, old_w) <= 0:
-            raise CorruptedInput(f"no composition of weight {old_w} at level {l}")
-        if not (0 <= new_w <= l):
-            raise ValueError(f"weight {new_w} invalid at level {l}")
-        self._bump(l, old_w, -1)
-        self._bump(l, new_w, 1)
-
-    def correct(self, error: dict):
-        """A copy with c elements of weight w taken out of level w+z per error term.
-
-        error maps (w, z) to c; a negative c puts -c elements back.
-        """
-        out = self.copy()
-        for (w, z), c in error.items():
-            out._bump(w + z, w, -c)
-        out.validate_shape()
-        return out
-
-    def _check_level(self, l: int, flaws, size: int) -> None:
-        """Raise CorruptedInput at the smallest weight in flaws, level l's
-        (weight, multiplicity) pairs, or at a size other than n - l + 1."""
-        if flaws:
-            w, m = min(flaws)
-            raise CorruptedInput(f"level {l} holds weight {w} {m} times" if m < 1
-                                 else f"level {l} contains weight {w} out of range")
-        if size != self.n - l + 1:
-            raise CorruptedInput(
-                f"level {l} has {size} elements, expected {self.n - l + 1}")
-
-
-class CompositionMultiset(Observation):
-    """The composition multiset as Counters, one per level.
-
-    compose_all's source-backed form keeps its string s: it composes a level
-    of s on its first read, into a cache its copies share, and holds in
-    _levels only the levels _bump has written (touched); the others equal
-    s's.  Reading levels composes every level and drops s, leaving parse's
-    dense form: levels[l] is a Counter weight -> multiplicity for l in 1..n.
-    A copy shares its source's Counters until _bump writes one, so nothing
-    else may write them.
-    """
-
-    __slots__ = ("n", "_levels", "_owned", "_source", "_P", "_composed")
-
-    def __init__(self, n: int, levels: dict[int, Counter], source: str | None = None):
+    def __init__(self, n: int, levels: dict[int, Counter], source: str | None = None,
+                 P=None):
         self.n = n
-        self._levels = levels  # dense: every level; source-backed: the touched ones
-        self._owned = set()  # levels _bump may write in place
+        self._levels = levels
         self._source = source
-        self._P = None if source is None else prefix_weights(source)
-        self._composed = {}  # the source's levels read so far, shared by copies
+        self._P = P  # the source's prefix weights
+        self.delta: dict[int, dict[int, int]] = {}
 
     @property
     def levels(self) -> dict[int, Counter]:
-        """Every level, l = 1..n; composes the untouched ones and drops the source."""
-        if self._source is not None:
+        """Every level, l = 1..n; folds the delta in and drops the source."""
+        if self._source is not None or self.delta:
             self._levels = {l: self.level_counter(l) for l in range(1, self.n + 1)}
             self._source = self._P = None
+            self.delta = {}
         return self._levels
 
     def copy(self) -> "CompositionMultiset":
-        """A copy sharing every level until either side writes one."""
-        out = CompositionMultiset(self.n, dict(self._levels))
-        out._source, out._P, out._composed = self._source, self._P, self._composed
-        self._owned = set()
+        """A copy sharing the base, with its own delta."""
+        out = object.__new__(type(self))
+        out.__dict__ = {**self.__dict__,
+                        "delta": {l: dict(d) for l, d in self.delta.items()}}
         return out
 
     def _bump(self, l: int, w: int, by: int) -> None:
-        if l not in self._owned:  # copy a shared or composed level
-            self._levels[l] = Counter(self.level_counter(l))
-            self._owned.add(l)
-        level = self._levels[l]
-        level[w] += by
-        if level[w] == 0:
-            del level[w]
+        """Add `by` elements of weight w to level l."""
+        d = self.delta.setdefault(l, {})
+        d[w] = d.get(w, 0) + by
+        if d[w] == 0:
+            del d[w]
+            if not d:
+                del self.delta[l]
 
     def level_counter(self, l: int) -> Counter:
         """Level l as weight -> multiplicity; KeyError outside 1..n.  Read-only."""
-        if l in self._levels or self._source is None:
-            return self._levels[l]
-        if (level := self._composed.get(l)) is None:
-            if not 1 <= l <= self.n:
+        if (level := self._levels.get(l)) is None:  # compose the source's
+            if self._source is None or not 1 <= l <= self.n:
                 raise KeyError(l)
-            level = self._composed[l] = level_of_prefix(self._P, l)
+            level = self._levels[l] = level_of_prefix(self._P, l)
+        if d := self.delta.get(l):
+            level = Counter(level)
+            level.update(d)
+            for w in d:
+                if not level[w]:
+                    del level[w]
         return level
 
     def _multiplicity(self, l: int, w: int) -> int:
@@ -197,18 +157,61 @@ class CompositionMultiset(Observation):
         g = monomial_grid(ws, ls - ws, R, field, counts)
         return (g + g[::-1, ::-1]) % field.q
 
+    def replace(self, l: int, old_w: int, new_w: int) -> None:
+        """Swap one level-l element of weight old_w for one of weight new_w."""
+        if self._multiplicity(l, old_w) <= 0:
+            raise CorruptedInput(f"no composition of weight {old_w} at level {l}")
+        if not (0 <= new_w <= l):
+            raise ValueError(f"weight {new_w} invalid at level {l}")
+        self._bump(l, old_w, -1)
+        self._bump(l, new_w, 1)
+
+    def correct(self, error: dict) -> "CompositionMultiset":
+        """A copy with c elements of weight w taken out of level w+z per error term.
+
+        error maps (w, z) to c; a negative c puts -c elements back.
+        """
+        out = self.copy()
+        for (w, z), c in error.items():
+            out._bump(w + z, w, -c)
+        out.validate_shape()
+        return out
+
     def validate_shape(self) -> None:
-        """Check the touched levels, or every level of the dense form."""
-        for l in range(1, self.n + 1) if self._source is None else sorted(self._levels):
-            if (lv := self._levels.get(l)) is None:
-                raise CorruptedInput(f"level {l} missing")
-            self._check_level(l, [(w, m) for w, m in lv.items()
-                                  if m < 1 or not 0 <= w <= l], sum(lv.values()))
+        """Raise CorruptedInput at the first flaw in (level, weight) order.
+
+        The dense form checks every level.  A source-backed form checks only
+        the delta's levels, in O(|delta|) besides one count per removal: the
+        others are its source's.
+        """
+        dense = self._source is None
+        for l in sorted(self.delta.keys() | (range(1, self.n + 1) if dense else ())):
+            if not 1 <= l <= self.n:  # no base level to count against
+                raise CorruptedInput(f"level {l} out of range")
+            if dense:
+                if l not in self._levels:
+                    raise CorruptedInput(f"level {l} missing")
+                lv = self.level_counter(l)
+                flaws = [(w, m) for w, m in lv.items() if m < 1 or not 0 <= w <= l]
+                size = sum(lv.values())
+            else:
+                d = self.delta[l]
+                # only a removal can take a count below 0
+                ms = [(w, self._multiplicity(l, w) if c < 0 else c) for w, c in d.items()]
+                flaws = [(w, m) for w, m in ms if m < 0 or not 0 <= w <= l]
+                size = self.n - l + 1 + sum(d.values())
+            if flaws:
+                w, m = min(flaws)
+                raise CorruptedInput(f"level {l} holds weight {w} {m} times" if m < 1
+                                     else f"level {l} contains weight {w} out of range")
+            if size != self.n - l + 1:
+                raise CorruptedInput(
+                    f"level {l} has {size} elements, expected {self.n - l + 1}")
 
     def levels_to_check(self, s: str, levels):
         """Those of levels at which C(s) can differ from this multiset: all,
-        unless s is the source string, whose untouched levels equal these."""
-        return levels if s != self._source else [l for l in levels if l in self._levels]
+        unless s is the source string, whose levels differ only in the delta."""
+        return levels if s != self._source else [l for l in levels if l in self.delta]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompositionMultiset):
@@ -219,7 +222,7 @@ class CompositionMultiset(Observation):
 def compose_all(s: str) -> CompositionMultiset:
     """The composition multiset of the bit string s, source-backed: each level
     is composed on its first read."""
-    return CompositionMultiset(len(check_bits(s)), {}, s)
+    return CompositionMultiset(len(check_bits(s)), {}, s, prefix_weights(s))
 
 
 def prefix_weights(s: str) -> list[int]:
@@ -235,18 +238,19 @@ def level_of_prefix(P, l: int) -> Counter:
 def cumulative_weights(c: CompositionMultiset) -> tuple[int, ...]:
     """w_l = sum of 1-counts at level l; returned 0-indexed (entry l-1 = w_l).
 
-    For the source-backed form an untouched level's w_l is the sum of
-    P[i+l] - P[i] over i = 0..n-l, PP[n+1] - PP[l] - PP[n-l+1] with PP the
-    prefix sums of P, so only the touched levels are summed.
+    The base profile of a source-backed form is O(n): w_l sums P[i+l] - P[i]
+    over i = 0..n-l, PP[n+1] - PP[l] - PP[n-l+1] with PP the prefix sums of
+    P.  Each delta level then adds its sum of w * c.
     """
     n = c.n
     if c._source is None:
-        return tuple(sum(map(mul, lv, lv.values()))
-                     for lv in map(c._levels.__getitem__, range(1, n + 1)))
-    PP = [0, *accumulate(c._P)]
-    w = [PP[n + 1] - PP[l] - PP[n - l + 1] for l in range(1, n + 1)]
-    for l, lv in c._levels.items():
-        w[l - 1] = sum(map(mul, lv, lv.values()))
+        w = [sum(map(mul, lv, lv.values()))
+             for lv in map(c._levels.__getitem__, range(1, n + 1))]
+    else:
+        PP = [0, *accumulate(map(int, c._P))]  # int: a DeltaObservation's P is numpy
+        w = [PP[n + 1] - PP[l] - PP[n - l + 1] for l in range(1, n + 1)]
+    for l, d in c.delta.items():
+        w[l - 1] += sum(map(mul, d, d.values()))
     return tuple(w)
 
 
@@ -338,26 +342,27 @@ def sigma_partial(wp, n: int) -> tuple[tuple[int, ...], tuple[bool, ...]]:
 
 
 def multiset_symmetric_difference(c1, c2):
-    """Total count and per-level detail of (C1 \\ C2) u (C2 \\ C1), for any observations."""
+    """Total count and per-level detail of (C1 \\ C2) u (C2 \\ C1).
+
+    Two forms of one source string differ by their deltas alone, so only
+    those are compared and no level is composed.
+    """
     if c1.n != c2.n:
         raise ValueError("multisets describe strings of different lengths")
     count = 0
     detail: dict[int, list[tuple[int, int]]] = {}
-    levels = range(1, c1.n + 1)
-    if (src := getattr(c1, "_source", None)) is not None and \
-            src == getattr(c2, "_source", None):
-        # two forms of one string differ only where either was written
-        levels = sorted(c1._levels.keys() | c2._levels.keys())
-    for l in levels:
-        a, b = c1.level_counter(l), c2.level_counter(l)
-        # Equal dicts differ by 0 at every weight.  No level holds a zero
-        # count, so dict equality (in C; Counter's runs a generator) is
-        # Counter equality, and every equal level is skipped.
+    same = c1._source is not None and c1._source == c2._source
+    for l in sorted(c1.delta.keys() | c2.delta.keys()) if same else range(1, c1.n + 1):
+        a, b = ((c1.delta.get(l, {}), c2.delta.get(l, {})) if same
+                else (c1.level_counter(l), c2.level_counter(l)))
+        # Equal dicts differ by 0 at every weight.  No level or delta holds
+        # a zero count, so dict equality (in C; Counter's runs a generator)
+        # is Counter equality, and every equal level is skipped.
         if dict.__eq__(a, b):
             continue
         diffs = []
-        for w in set(a) | set(b):
-            d = a[w] - b[w]
+        for w in a.keys() | b.keys():
+            d = a.get(w, 0) - b.get(w, 0)
             if d:
                 diffs.append((w, d))
                 count += abs(d)

@@ -18,18 +18,18 @@ Two constructions:
   1^(4t+1).  Distinct codewords have multiset symmetric difference >= 4t+1;
   decoding is brute force over reverted corrections.
 
-etn_decode reads any compositions.Observation: the dense
-CompositionMultiset of a parsed file, or a DeltaObservation, which answers
-multiset queries in O(n) from a base string plus a sparse error delta and
-so keeps large-n trials tractable.  A string's P goes on the (2R+1)^2
-evaluation grid through fields.prefix_grid, one monomial per run of zeros,
-in O(n + R^2 wt) rather than O(R^2 n); fields.monomial_grid sums those
-monomials, the delta read as a signed multiset, and the one-term shifts.
+etn_decode reads any compositions.CompositionMultiset: the dense form of a
+parsed file, or a DeltaObservation, the source-backed form read through
+numpy, which answers multiset queries in O(n) from the source string plus
+the sparse error delta and so keeps large-n trials tractable.  A string's
+P goes on the (2R+1)^2 evaluation grid through fields.prefix_grid, one
+monomial per run of zeros, in O(n + R^2 wt) rather than O(R^2 n);
+fields.monomial_grid sums those monomials, the delta read as a signed
+multiset, and the one-term shifts.
 """
 
 from __future__ import annotations
 
-import copy
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,7 +42,6 @@ from .catalan import cb_count, cb_rank, cb_total, cb_unrank, sr_decode, sr_encod
 from .compositions import (
     CompositionMultiset,
     CorruptedInput,
-    Observation,
     check_bits,
     cumulative_weights,
     mirror_mismatches,
@@ -227,56 +226,36 @@ def _string_weight_profile(s: str, pref: np.ndarray | None = None) -> np.ndarray
     return cs[n + 1] - cs[1:n + 1] - cs[n:0:-1]
 
 
-class DeltaObservation(Observation):
-    """The sparse form of the observation: a base string plus an error delta.
+class DeltaObservation(CompositionMultiset):
+    """compose_all's source-backed form of s, read through numpy.
 
-    All queries cost O(n) or less, so corruption and decoding of long
-    strings never materialize the quadratic multiset; sym_eval costs
-    O(n + R^2 wt) for the base string plus O(R^2) per delta term.
+    Its P is s's prefix weights as an int64 array, and every read costs O(n)
+    or less, so corruption and decoding of long strings never materialize
+    the quadratic multiset; sym_eval costs O(n + R^2 wt) for the source
+    plus O(R^2) per delta term.  Reading levels gives new Counters and
+    leaves this form sparse.
     """
 
     def __init__(self, s: str):
-        check_bits(s)
-        self.s = s
-        self.n = len(s)
-        self.pref = _prefix_arrays(s)[0]
-        self.base_w = _string_weight_profile(s, self.pref)
-        self.delta: dict[int, dict[int, int]] = {}  # level -> weight -> count
+        pref = _prefix_arrays(check_bits(s))[0]
+        super().__init__(len(s), {}, s, pref)
+        self._base_w = _string_weight_profile(s, pref)
 
-    def copy(self) -> "DeltaObservation":
-        """A copy sharing the base string's arrays, with its own delta."""
-        out = copy.copy(self)
-        out.delta = {l: dict(d) for l, d in self.delta.items()}
-        return out
-
-    def _bump(self, l: int, w: int, by: int) -> None:
-        d = self.delta.setdefault(l, {})
-        d[w] = d.get(w, 0) + by
-        if d[w] == 0:
-            del d[w]
-        if not d:
-            del self.delta[l]
-
-    def validate_shape(self) -> None:
-        for l, d in sorted(self.delta.items()):
-            if not 1 <= l <= self.n:  # no base level to count against
-                raise CorruptedInput(f"level {l} out of range")
-            # only a removal can take a count below 0: one O(n) count
-            ms = [(w, self._multiplicity(l, w) if c < 0 else c) for w, c in d.items()]
-            flaws = [(w, m) for w, m in ms if m < 0 or not 0 <= w <= l]
-            self._check_level(l, flaws, self.n - l + 1 + sum(d.values()))
+    @property
+    def levels(self) -> dict[int, Counter]:
+        return {l: self.level_counter(l) for l in range(1, self.n + 1)}
 
     def weight_profile(self) -> np.ndarray:
-        w = self.base_w.copy()
+        w = self._base_w.copy()
         for l, d in self.delta.items():
             w[l - 1] += sum(wt * c for wt, c in d.items())
         return w
 
     def _base_level(self, l: int) -> np.ndarray:
-        """The weights of the base string's substrings of length l."""
+        """The weights of the source's substrings of length l."""
         if not 1 <= l <= self.n:
             raise KeyError(l)
-        return self.pref[l:] - self.pref[:self.n - l + 1]
+        return self._P[l:] - self._P[:self.n - l + 1]
 
     def _multiplicity(self, l: int, w: int) -> int:
         return self.delta.get(l, {}).get(w, 0) + int((self._base_level(l) == w).sum())
@@ -296,11 +275,11 @@ class DeltaObservation(Observation):
     def sym_eval(self, R: int, field: PrimeField) -> np.ndarray:
         """S(a^l1, a^l2) + S(a^-l1, a^-l2) mod q at [l1 + R, l2 + R], |l1|, |l2| <= R.
 
-        The base string's part is P(x,y) P(1/x,1/y) - (n+1), from one
-        prefix_grid of P; S is linear in the multiset, so the delta's part is
-        the monomial_grid of the delta read as a signed multiset.
+        The source's part is P(x,y) P(1/x,1/y) - (n+1), from one prefix_grid
+        of P; S is linear in the multiset, so the delta's part is the
+        monomial_grid of the delta read as a signed multiset.
         """
-        p = prefix_grid(self.s, R, field)
+        p = prefix_grid(self._source, R, field)
         delta = CompositionMultiset(self.n, self.delta).sym_eval(R, field)
         return (p * p[::-1, ::-1] - (self.n + 1) + delta) % field.q
 

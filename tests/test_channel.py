@@ -140,7 +140,9 @@ def test_run_trials_counts_decode_failures_and_raises_faults(monkeypatch):
 @pytest.mark.parametrize("call, args, match", [
     (ErrorModel, ("symmetric", -1), "^t must be >= 0$"),
     (build_scheme, ("asym-t", 0, 1), "^scheme asym-t: k must be >= 1$"),
-], ids=["negative-t", "k-below-1"])
+    (run_trials, ("recon", {"k": 4}, ErrorModel("asymmetric", 0), -1),
+     "^trials must be >= 0$"),
+], ids=["negative-t", "k-below-1", "negative-trials"])
 def test_declared_rejections(call, args, match):
     with pytest.raises(ValueError, match=match):
         call(*args)
@@ -194,6 +196,18 @@ def test_registry_round_trip(name):
     # nor is an info word of another length, which encodes to another n
     obs = code.observe(code.encode(info[:k]))
     assert code.verify(info[:k + 1], obs) is False
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_verify_is_false_for_an_info_word_that_is_no_bit_string(name):
+    # a k-character word with a non-bit is no info word: False, not a raise
+    k, t, _ = ROUND_TRIP[name]
+    code = build_scheme(name, k, t)
+    info = "10" * (k // 2) + "1" * (k % 2)
+    obs = code.observe(code.encode(info))
+    assert code.verify(info, obs) is True
+    for bad in ("a" + info[1:], info[:-1] + "2", " " * k, "\u0661" + info[1:]):
+        assert code.verify(bad, obs) is False, bad
 
 
 @pytest.mark.parametrize("name", list(REGISTRY))
@@ -263,9 +277,10 @@ def test_sym_poly_verify_bounds_the_multiset_distance():
 
 
 def test_sym_poly_verify_reads_the_delta_of_the_codeword(monkeypatch):
-    # on an observation of the re-encoded codeword verify counts the delta;
-    # the all-levels comparison, reached through a wrapper that is no
-    # DeltaObservation or on another base string, gives the same answers
+    # on an observation of the re-encoded codeword verify compares deltas
+    # and reads no level; the all-levels comparison, reached through a
+    # wrapper that hides the source string or on another source string,
+    # gives the same answers
     from compocode.sym import DeltaObservation
     code = build_scheme("sym-poly", 4, 1)
     info = "1011"

@@ -208,7 +208,9 @@ def test_exit_codes(tmp_path, capsys):
      "characters\n"),
     (("sim", "--scheme", "asym-t", "--k", "4", "--t", "-1", "--model", "asym",
       "--errors", "1", "--trials", "1"), "", 2, "error: --t must be >= 0\n"),
-], ids=["bad-bit", "negative-t"])
+    (("sim", "--scheme", "recon", "--k", "8", "--errors", "0", "--model", "asym",
+      "--trials", "-3"), "", 2, "error: --trials must be >= 0\n"),
+], ids=["bad-bit", "negative-t", "negative-trials"])
 def test_declared_rejections_exit_with_their_codes(capsys, monkeypatch, argv,
                                                    stdin, code, err):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))

@@ -156,6 +156,9 @@ def test_observations_agree_with_multiset():
         for l in range(1, len(s) + 1):
             assert delta.level_counter(l) == c.level_counter(l) == c.levels[l]
         assert list(delta.weight_profile()) == list(c.weight_profile())
+        # reading levels leaves the numpy form readable: it stays sparse
+        assert delta.levels == c.levels and delta == c
+        assert delta.level_counter(len(s)) == c.levels[len(s)]
 
 
 def test_observation_replace_tracks_multiset():
@@ -195,7 +198,7 @@ def test_observation_sym_eval_matches_polynomial():
 
 def obs_to_multiset(obs):
     # rebuild a plain multiset by applying the delta directly
-    c = compose_all(obs.s)
+    c = compose_all(obs._source)
     for l, d in obs.delta.items():
         for w, cnt in d.items():
             if cnt > 0:
