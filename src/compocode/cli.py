@@ -89,7 +89,7 @@ def _parse_bits(text: str) -> str:
     bits = text.strip()
     try:
         check_bits(bits)
-    except (CorruptedInput, ValueError) as e:
+    except ValueError as e:
         raise CliError(EXIT_INPUT, f"malformed bit string: {e}") from e
     return bits
 
@@ -229,12 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = sys.argv[1:] if argv is None else argv  # the manifests' command
-    if getattr(args, "k", 1) is not None and getattr(args, "k", 1) < 1:
-        print("error: --k must be >= 1", file=sys.stderr)
-        return EXIT_PARAMS
-    for name in ("t", "errors", "trials"):
-        if getattr(args, name, 0) < 0:
-            print(f"error: --{name} must be >= 0", file=sys.stderr)
+    for name, least in (("k", 1), ("t", 0), ("errors", 0), ("trials", 0)):
+        if getattr(args, name, least) < least:
+            print(f"error: --{name} must be >= {least}", file=sys.stderr)
             return EXIT_PARAMS
     try:
         return args.func(args)

@@ -16,7 +16,7 @@ Two constructions:
 
 * A Catalan-path code: 0^(4t+1), a balanced prefix-dominated (Catalan) middle,
   1^(4t+1).  Distinct codewords have multiset symmetric difference >= 4t+1;
-  decoding is brute force over reverted corrections.
+  decoding is brute force over reverted corrections, up to the first codeword.
 
 etn_decode reads any compositions.CompositionMultiset: the dense form of a
 parsed file, or a DeltaObservation, the source-backed form read through
@@ -416,7 +416,9 @@ def _reconstruct_known_shell(obs, zeta: str, sigma) -> str:
     are known, and the branch kept is the one whose two end windows are
     exactly what the level has left, the test backtrack._search makes.  The
     counting is numpy: these levels hold thousands of distinct weights.
-    sigma is a tuple or sigma_from_weights' int64 array, read as it is.
+    sigma is a tuple or sigma_from_weights' int64 array, read as it is, in
+    {0, 1, 2} ({0, 1} at the middle of odd n): each placed pair sums to its
+    sigma, so an inner window counts the ones of level bits, in 0..level.
     """
     n, h, r = obs.n, obs.n // 2, len(zeta)
     sigma = np.asarray(sigma, dtype=np.int64)
@@ -434,12 +436,9 @@ def _reconstruct_known_shell(obs, zeta: str, sigma) -> str:
         counts = obs.level_counts(level)
         pw = np.concatenate(([0], np.cumsum(a[:k])))
         sw = np.concatenate(([0], np.cumsum(b[:k])))
-        inner = W - pw[1:] - sw[:0:-1]
-        left = []  # the level's weights besides the inner windows, sorted
-        if ((inner >= 0) & (inner <= level)).all():
-            rest = counts - np.bincount(inner, minlength=level + 1)
-            if rest.min() >= 0:
-                left = np.repeat(np.arange(level + 1), rest).tolist()
+        rest = counts - np.bincount(W - pw[1:] - sw[:0:-1], minlength=level + 1)
+        # the level's weights besides the inner windows, sorted
+        left = np.repeat(np.arange(level + 1), rest).tolist() if rest.min() >= 0 else []
         x, y = W - int(sw[k]), W - int(pw[k])
         picked = [ca for ca, ends in ((0, (x - 1, y)), (1, (x, y - 1)))
                   if sorted(ends) == left]
@@ -577,20 +576,21 @@ def is_catalan_codeword(s: str, t: int) -> bool:
     return True
 
 
-def _revert_candidates(c: CompositionMultiset, w, budget: int, reverts=()):
-    """Lazily yield (multiset, weight profile, reverts) for each
-    mirror-consistent multiset within budget reverts of c, whose profile is w.
+def _revert_candidates(c: CompositionMultiset, w, budget: int):
+    """Lazily yield (multiset, weight profile) for each mirror-consistent
+    multiset within budget reverts of c, whose profile is w.
 
     A revert (level, removed, added) swaps one element for a different
     same-length composition and moves one level weight, so a candidate needs
     at least one revert per mirror-mismatched level pair; branches that
     cannot rebalance within the budget are pruned before any copy is made.
     replace checks each revert, so every candidate is a multiset and its
-    profile exact.  Candidates are to be read and not changed.
+    profile exact.  Its delta, c's plus its net reverts kept canonical by
+    _bump, names it.  Candidates are to be read and not changed.
     """
     mism = mirror_mismatches(w, c.n)
     if not mism:
-        yield c, w, reverts
+        yield c, w
     if budget == 0 or len(mism) > budget:
         return
     if mism:
@@ -614,29 +614,27 @@ def _revert_candidates(c: CompositionMultiset, w, budget: int, reverts=()):
                 cc.replace(level, rm, add)
                 cw = list(w)
                 cw[level - 1] += add - rm
-                yield from _revert_candidates(cc, cw, budget - 1,
-                                              (*reverts, (level, rm, add)))
+                yield from _revert_candidates(cc, cw, budget - 1)
 
 
 def catalan_code_decode_bruteforce(c: CompositionMultiset, t: int) -> str:
-    """The unique codeword whose multiset is within t replacements.
+    """The codeword whose multiset is within t replacements, the first found.
 
-    Pairwise codeword multisets differ in at least 4t+1 elements, so at most
-    one codeword can explain the observation; none or several signal a
-    violated error model.  A codeword's prefixes are strictly lighter than
-    its suffixes up to n/2, so up to reversal it is its multiset's only
-    string: the first solution, whose first sigma = 1 pair is (0, 1).
+    Each string the t = 0 search returns has exactly its candidate's
+    multiset, and each candidate is within t replacements of c, so two
+    codewords found would be within 2t replacements (4t elements) of each
+    other, below the code's distance 4t+1: the first codeword is the only
+    one.  A codeword's prefixes are strictly lighter than its suffixes up to
+    n/2, so up to reversal it is its multiset's only string: the first
+    solution, whose first sigma = 1 pair is (0, 1).
     """
     c.validate_shape()
     pad = 4 * t + 1
     if c.n % 2 or c.n < 2 * pad + 2:
         raise ValueError("length incompatible with the code format")
-    found, tried = set(), set()
-    for cand, w, reverts in _revert_candidates(c, cumulative_weights(c), t):
-        # reverts in any order reach one multiset: its net change from c
-        net = Counter((l, add) for l, _, add in reverts)
-        net.subtract((l, rm) for l, rm, _ in reverts)
-        key = frozenset((lw, d) for lw, d in net.items() if d)
+    tried = set()
+    for cand, w in _revert_candidates(c, cumulative_weights(c), t):
+        key = frozenset((l, wt, m) for l, d in cand.delta.items() for wt, m in d.items())
         if key in tried:
             continue
         tried.add(key)
@@ -645,9 +643,5 @@ def catalan_code_decode_bruteforce(c: CompositionMultiset, t: int) -> str:
         except (ReconstructionFailure, CorruptedInput):
             continue
         if is_catalan_codeword(s, t):
-            found.add(s)
-    if not found:
-        raise ReconstructionFailure("no codeword within the error budget")
-    if len(found) > 1:
-        raise ReconstructionFailure("ambiguous: multiple codewords fit")
-    return found.pop()
+            return s
+    raise ReconstructionFailure("no codeword within the error budget")

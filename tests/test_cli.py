@@ -210,7 +210,9 @@ def test_exit_codes(tmp_path, capsys):
       "--errors", "1", "--trials", "1"), "", 2, "error: --t must be >= 0\n"),
     (("sim", "--scheme", "recon", "--k", "8", "--errors", "0", "--model", "asym",
       "--trials", "-3"), "", 2, "error: --trials must be >= 0\n"),
-], ids=["bad-bit", "negative-t", "negative-trials"])
+    (("encode", "--scheme", "recon", "--k", "0"), "10\n", 2,
+     "error: --k must be >= 1\n"),
+], ids=["bad-bit", "negative-t", "negative-trials", "zero-k"])
 def test_declared_rejections_exit_with_their_codes(capsys, monkeypatch, argv,
                                                    stdin, code, err):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))

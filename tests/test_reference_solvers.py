@@ -1932,6 +1932,33 @@ def test_known_shell_matches_the_loop():
         (ReconstructionFailure, "pair 7 is not settled by level 7")
 
 
+def test_known_shell_inner_windows_fit_their_level():
+    # why _reconstruct_known_shell counts a sigma = 1 pair's inner windows
+    # unchecked: once the shell matches, every placed pair sums to its sigma,
+    # so whatever branches the earlier pairs took, each window is in 0..level
+    rng, place = random.Random(34), random.Random(35)
+    windows = 0
+    for k in (4, 12, 40):
+        for t in (1, 2):
+            s = etn_encode(sr_encode(random_bits(rng, k), 0), t)
+            half = poly_params_from_length(len(s), t).r_hat // 2
+            n, h = len(s), len(s) // 2
+            shell = np.frombuffer(s[::-1][:half].encode("ascii"), np.uint8) - ord("0")
+            for _, sigma in shell_variants(s, half, rng):
+                sig = np.asarray(sigma[:h], dtype=np.int64)
+                if (sig[:half] != shell).any():
+                    continue  # the decoder stops at the shell first
+                a = sig // 2  # pair j holds a_j and sig_j - a_j
+                for j in (half + np.flatnonzero(sig[half:] == 1)).tolist():
+                    pw = np.concatenate(([0], np.cumsum(a[:j])))
+                    sw = np.concatenate(([0], np.cumsum(sig[:j] - a[:j])))
+                    inner = sum(sigma) - pw[1:] - sw[:0:-1]
+                    assert 0 <= inner.min() and inner.max() <= n - j - 1, (k, t, j)
+                    windows += inner.size
+                    a[j] = place.randint(0, 1)  # either branch
+    assert windows > 10 ** 6, windows
+
+
 def test_dense_sym_poly_decode_matches_the_loop():
     # the parsed-file path: the whole quadratic multiset, no delta
     rng = random.Random(33)

@@ -17,7 +17,7 @@ from compocode.compositions import (
     sigma_of_string,
     weight,
 )
-from compocode import fields, sym
+from compocode import backtrack, fields, sym
 from compocode.backtrack import ReconstructionFailure, reconstruct, tolerant_reconstruct
 from compocode.catalan import sr_params
 from compocode.channel import ErrorModel, build_scheme, corrupt
@@ -1032,13 +1032,16 @@ def test_sym_poly_corrects_mirror_pairs_at_t_2():
     assert len(errors) >= 12
 
 
-def test_catalan_codebook_distance():
-    n = 18
-    cb = ["0" * 5 + catalan_unrank(r, 4) + "1" * 5
-          for r in range(catalan_number(4))]
+@pytest.mark.parametrize("t, h", itertools.product((1, 2, 3), (3, 4, 5)))
+def test_catalan_codebook_distance(t, h):
+    # why the decoder stops at its first codeword: two codewords within t
+    # replacements of one observation are at most 4t elements apart
+    pad = 4 * t + 1
+    cb = [compose_all("0" * pad + catalan_unrank(r, h) + "1" * pad)
+          for r in range(catalan_number(h))]
     for a, b in itertools.combinations(cb, 2):
-        d, _ = multiset_symmetric_difference(compose_all(a), compose_all(b))
-        assert d >= 5
+        d, _ = multiset_symmetric_difference(a, b)
+        assert d >= 4 * t + 1
 
 
 def test_catalan_decode_clean_and_single_errors():
@@ -1066,6 +1069,22 @@ def test_catalan_decode_reverts_a_pair_that_leaves_no_mismatch():
         c.replace(l, min(c.level_counter(l)), min(c.level_counter(l)) + 1)
     assert not mirror_mismatches(cumulative_weights(c), c.n)
     assert code.decode(c) == "1011"
+
+
+def test_catalan_decode_stops_at_the_first_codeword(monkeypatch):
+    # the clean observation is the first candidate, and its one search
+    # finds the codeword, which the code's distance makes the only one
+    calls = []
+    search = backtrack.tolerant_reconstruct
+
+    def counting_search(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(backtrack, "tolerant_reconstruct", counting_search)
+    code = build_scheme("sym-catalan", 4, 2)
+    assert code.decode(code.observe(code.encode("1011"))) == "1011"
+    assert len(calls) == 1
 
 
 def test_catalan_decode_weighs_the_observation_once(monkeypatch):
