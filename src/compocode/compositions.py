@@ -139,23 +139,38 @@ class CompositionMultiset:
         return out
 
     def weight_profile(self):
-        """w_1..w_n as an int64 numpy array."""
+        """w_1..w_n as an int64 numpy array; a source-backed form's is
+        cumulative_weights' O(n) sum in numpy, and composes no level."""
         import numpy as np
-        return np.array(cumulative_weights(self), dtype=np.int64)
+        if self._source is None:
+            return np.array(cumulative_weights(self), dtype=np.int64)
+        n = self.n
+        cs = np.concatenate(([0], np.cumsum(np.asarray(self._P, np.int64))))
+        w = cs[n + 1] - cs[1:n + 1] - cs[n:0:-1]
+        for l, d in self.delta.items():
+            w[l - 1] += sum(map(mul, d, d.values()))
+        return w
 
     def sym_eval(self, R: int, field):
         """S(a^l1, a^l2) + S(a^-l1, a^-l2) mod q at [l1 + R, l2 + R], |l1|, |l2| <= R.
 
         S(x, y) sums x^w y^(l-w) over the multiset's elements, a = field.alpha.
+        S is linear, so one monomial_grid sums the signed terms (l, w, m) of
+        the delta and, in the dense form, the levels.  A source string adds
+        P(x,y) P(1/x,1/y) - (n+1) from one prefix_grid; no level is composed.
         """
         import numpy as np
-        from .fields import monomial_grid
-        levels = self.levels.values()
-        ws = np.fromiter((w for c in levels for w in c), np.int64)
-        counts = np.fromiter((m for c in levels for m in c.values()), np.int64)
-        ls = np.repeat(np.fromiter(self.levels, np.int64), [len(c) for c in levels])
-        g = monomial_grid(ws, ls - ws, R, field, counts)
-        return (g + g[::-1, ::-1]) % field.q
+        from .fields import monomial_grid, prefix_grid
+        parts = (self.delta,) if self._source is not None else (self._levels, self.delta)
+        terms = [(l, w, m) for part in parts for l, lv in part.items()
+                 for w, m in lv.items()]
+        l, w, m = np.array(terms, np.int64).reshape(-1, 3).T
+        g = monomial_grid(w, l - w, R, field, m)
+        g = g + g[::-1, ::-1]
+        if self._source is not None:
+            p = prefix_grid(self._source, R, field)
+            g += p * p[::-1, ::-1] - (self.n + 1)
+        return g % field.q
 
     def replace(self, l: int, old_w: int, new_w: int) -> None:
         """Swap one level-l element of weight old_w for one of weight new_w."""

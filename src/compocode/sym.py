@@ -19,13 +19,13 @@ Two constructions:
   decoding is brute force over reverted corrections, up to the first codeword.
 
 etn_decode reads any compositions.CompositionMultiset: the dense form of a
-parsed file, or a DeltaObservation, the source-backed form read through
-numpy, which answers multiset queries in O(n) from the source string plus
-the sparse error delta and so keeps large-n trials tractable.  A string's
-P goes on the (2R+1)^2 evaluation grid through fields.prefix_grid, one
-monomial per run of zeros, in O(n + R^2 wt) rather than O(R^2 n);
-fields.monomial_grid sums those monomials, the delta read as a signed
-multiset, and the one-term shifts.
+parsed file, or a source-backed one (compose_all's, or a DeltaObservation,
+whose level reads are numpy bincounts), which answers the decoder's reads
+from the source string plus the sparse error delta and so keeps large-n
+trials tractable.  A string's P goes on the (2R+1)^2 evaluation grid
+through fields.prefix_grid, one monomial per run of zeros, in
+O(n + R^2 wt) rather than O(R^2 n); fields.monomial_grid sums those
+monomials, the delta read as a signed multiset, and the one-term shifts.
 """
 
 from __future__ import annotations
@@ -216,14 +216,9 @@ def _prefix_arrays(s: str):
     return pref, zeros
 
 
-def _string_weight_profile(s: str, pref: np.ndarray | None = None) -> np.ndarray:
-    """w_1..w_n of C(s) in O(n): w_l = CS[n+1] - CS[l] - CS[n-l+1], with CS
-    the prefix sums of pref, s's prefix weights (computed if not given)."""
-    if pref is None:
-        pref = _prefix_arrays(s)[0]
-    n = len(s)
-    cs = np.concatenate(([0], np.cumsum(pref)))
-    return cs[n + 1] - cs[1:n + 1] - cs[n:0:-1]
+def _string_weight_profile(s: str) -> np.ndarray:
+    """w_1..w_n of C(s) in O(n), from the prefix sums of s's prefix weights."""
+    return DeltaObservation(s).weight_profile()
 
 
 class DeltaObservation(CompositionMultiset):
@@ -231,25 +226,21 @@ class DeltaObservation(CompositionMultiset):
 
     Its P is s's prefix weights as an int64 array, and every read costs O(n)
     or less, so corruption and decoding of long strings never materialize
-    the quadratic multiset; sym_eval costs O(n + R^2 wt) for the source
-    plus O(R^2) per delta term.  Reading levels gives new Counters and
-    leaves this form sparse.
+    the quadratic multiset.  weight_profile and sym_eval are the base's,
+    which read P, the string and the delta; the level reads here are
+    bincounts of the string's windows.  Reading levels gives new Counters
+    and leaves this form sparse.
     """
 
     def __init__(self, s: str):
-        pref = _prefix_arrays(check_bits(s))[0]
-        super().__init__(len(s), {}, s, pref)
-        self._base_w = _string_weight_profile(s, pref)
+        super().__init__(len(s), {}, s, _prefix_arrays(check_bits(s))[0])
+
+    # bench/tracer.py wraps sym_eval by this name on this class
+    sym_eval = CompositionMultiset.sym_eval
 
     @property
     def levels(self) -> dict[int, Counter]:
         return {l: self.level_counter(l) for l in range(1, self.n + 1)}
-
-    def weight_profile(self) -> np.ndarray:
-        w = self._base_w.copy()
-        for l, d in self.delta.items():
-            w[l - 1] += sum(wt * c for wt, c in d.items())
-        return w
 
     def _base_level(self, l: int) -> np.ndarray:
         """The weights of the source's substrings of length l."""
@@ -271,17 +262,6 @@ class DeltaObservation(CompositionMultiset):
     def level_counter(self, l: int) -> Counter:
         ws = np.flatnonzero(counts := self.level_counts(l))
         return Counter(dict(zip(ws.tolist(), counts[ws].tolist())))
-
-    def sym_eval(self, R: int, field: PrimeField) -> np.ndarray:
-        """S(a^l1, a^l2) + S(a^-l1, a^-l2) mod q at [l1 + R, l2 + R], |l1|, |l2| <= R.
-
-        The source's part is P(x,y) P(1/x,1/y) - (n+1), from one prefix_grid
-        of P; S is linear in the multiset, so the delta's part is the
-        monomial_grid of the delta read as a signed multiset.
-        """
-        p = prefix_grid(self._source, R, field)
-        delta = CompositionMultiset(self.n, self.delta).sym_eval(R, field)
-        return (p * p[::-1, ::-1] - (self.n + 1) + delta) % field.q
 
 
 # -- the systematic evaluation-constrained encoder --------------------------
@@ -453,10 +433,12 @@ def _reconstruct_known_shell(obs, zeta: str, sigma) -> str:
 def etn_decode(obs, t: int) -> str:
     """Recover the payload from an observation with at most t symmetric errors.
 
-    Failure modes raise distinct types: BlockCodeFailure when the weight
-    parities cannot be corrected, SparsityExceeded when the error trace does
-    not fit the sparse model, ReconstructionFailure when the corrected
-    multiset does not assemble back into a string.
+    Failure modes raise distinct types: BlockCodeFailure, a CorruptedInput,
+    when the weight parities cannot be corrected; CorruptedInput when the
+    observation's shape, the decoded grid, the weight residue, the error
+    trace or the corrected sigma is inconsistent; SparsityExceeded when the
+    error trace does not fit the sparse model; ReconstructionFailure when
+    the corrected multiset does not assemble back into a string.
     """
     obs.validate_shape()
     p = poly_params_from_length(obs.n, t)

@@ -14,10 +14,12 @@ from compocode.compositions import (
     cumulative_weights,
     mirror_mismatches,
     multiset_symmetric_difference,
+    parse,
+    serialize,
     sigma_of_string,
     weight,
 )
-from compocode import backtrack, fields, sym
+from compocode import backtrack, compositions, fields, sym
 from compocode.backtrack import ReconstructionFailure, reconstruct, tolerant_reconstruct
 from compocode.catalan import sr_params
 from compocode.channel import ErrorModel, build_scheme, corrupt
@@ -176,38 +178,66 @@ def test_observation_replace_tracks_multiset():
 
 
 def test_observation_sym_eval_matches_polynomial():
+    # three forms of each string with one replace: compose_all's and
+    # DeltaObservation's source-backed ones, and a parsed dense one, whose
+    # replace also lands in its delta
     field = poly_params_from_payload(13, 1).field
     q = field.q
     rng = random.Random(3)
     for _ in range(10):
         s = random_bits(rng, rng.randint(3, 20))
-        obs = DeltaObservation(s)
-        obs.replace(2, weight(s[:2]), (weight(s[:2]) + 1) % 3)
-        grid = obs.sym_eval(4, field)
-        assert grid.shape == (9, 9)
-        assert np.array_equal(grid, obs_to_multiset(obs).sym_eval(4, field))
-        # and against S itself, term by term
-        S = multiset_to_S(obs_to_multiset(obs))
-        for l1, l2 in [(0, 0), (1, 2), (-3, 4), (2, -2)]:
-            x = pow(field.alpha, l1 % (q - 1), q)
-            y = pow(field.alpha, l2 % (q - 1), q)
-            want = (_eval_terms(S.terms, x, y, field) + _eval_terms(
-                S.terms, field.inv(x), field.inv(y), field)) % q
-            assert grid[l1 + 4, l2 + 4] == want
+        forms = [compose_all(s), DeltaObservation(s), parse(serialize(compose_all(s)))]
+        for obs in forms:
+            obs.replace(2, weight(s[:2]), (weight(s[:2]) + 1) % 3)
+        assert forms[2].delta == forms[0].delta and forms[2]._source is None
+        grids = [obs.sym_eval(4, field) for obs in forms]
+        profiles = [obs.weight_profile() for obs in forms]
+        assert grids[0].shape == (9, 9)
+        for obs, grid, profile in zip(forms, grids, profiles):
+            assert np.array_equal(grid, grids[0])
+            assert np.array_equal(profile, profiles[0])
+            # and against S itself, term by term
+            S = multiset_to_S(obs)
+            for l1, l2 in [(0, 0), (1, 2), (-3, 4), (2, -2)]:
+                x = pow(field.alpha, l1 % (q - 1), q)
+                y = pow(field.alpha, l2 % (q - 1), q)
+                want = (_eval_terms(S.terms, x, y, field) + _eval_terms(
+                    S.terms, field.inv(x), field.inv(y), field)) % q
+                assert grid[l1 + 4, l2 + 4] == want
+            want = [0] * len(s)
+            for (w, z), c in S.terms.items():
+                want[w + z - 1] += w * c
+            assert profile.tolist() == want
 
 
-def obs_to_multiset(obs):
-    # rebuild a plain multiset by applying the delta directly
-    c = compose_all(obs._source)
-    for l, d in obs.delta.items():
-        for w, cnt in d.items():
-            if cnt > 0:
-                c.levels[l][w] += cnt
-            else:
-                c.levels[l][w] += cnt
-                if c.levels[l][w] == 0:
-                    del c.levels[l][w]
-    return c
+def test_source_backed_reads_compose_no_level(monkeypatch):
+    # sym_eval and weight_profile read the string and the delta: they
+    # compose no level, and the form keeps its source
+    field = poly_params_from_payload(13, 1).field
+    s = "0110100111010"
+    obs, dense = compose_all(s), parse(serialize(compose_all(s)))
+    for c in (obs, dense):
+        c.replace(3, 2, 0)
+
+    def refuse(P, l):
+        raise AssertionError(f"level {l} composed")
+    monkeypatch.setattr(compositions, "level_of_prefix", refuse)
+    assert np.array_equal(obs.sym_eval(4, field), dense.sym_eval(4, field))
+    assert np.array_equal(obs.weight_profile(), dense.weight_profile())
+    assert obs._source == s and obs.delta == {3: {2: -1, 0: 1}}
+
+
+def test_sym_poly_decodes_a_compose_all_observation_at_k_12():
+    # the registry's decoder on compose_all's form at n = 18,628: two
+    # symmetric errors decode, and the observation keeps its source
+    code = build_scheme("sym-poly", 12, 2)
+    rng = random.Random(43)
+    info = random_bits(rng, 12)
+    s = code.encode(info)
+    obs, log = corrupt(compose_all(s), ErrorModel("symmetric", 2), rng)
+    assert len(log) == 2 and obs._source == s
+    assert code.decode(obs) == info
+    assert obs._source == s and code.verify(info, obs)
 
 
 def test_observation_correct_roundtrip():
