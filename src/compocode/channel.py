@@ -33,18 +33,42 @@ class ErrorModel:
             raise ValueError("t must be >= 0")
 
 
+def _shuffle(x: list, rng: random.Random) -> None:
+    """Shuffle x in place with exactly the draws and swaps of rng.shuffle(x).
+
+    CPython 3.10-3.13's Random.shuffle swaps x[i] with x[j] for i = len(x)-1
+    down to 1, j = _randbelow_with_getrandbits(i + 1): getrandbits((i + 1)
+    .bit_length()) redrawn until it is at most i.  This inlines that
+    Fisher-Yates loop (Durstenfeld, CACM Algorithm 235, 1964), with the bit
+    length computed once per block of i that share it.
+    """
+    getrandbits = rng.getrandbits
+    top = len(x) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # the block's last i, where i + 1 = 2^(k-1)
+        for i in range(top, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = low - 1
+
+
 def corrupt(c, model: ErrorModel, rng: random.Random, adversarial=False):
     """Apply exactly model.t replacements to an observation, drawing from rng.
 
     Returns (corrupted copy, log); the log lists (level, removed weight,
-    added weight) per error.  In adversarial mode the replacement maximizes
-    the weight change instead of being uniform.
+    added weight) per error.  The t levels come from the Fisher-Yates
+    draws of random.shuffle, inlined in _shuffle, so a seed picks the same
+    levels as rng.shuffle would.  In adversarial mode the replacement
+    maximizes the weight change instead of being uniform.
     """
     n = c.n
     out = c.copy()
     chosen: list[int] = []
     pool = list(range(1, n + 1))
-    rng.shuffle(pool)
+    _shuffle(pool, rng)
     for level in pool:
         if len(chosen) == model.t:
             break

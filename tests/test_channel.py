@@ -8,6 +8,8 @@ from compocode.channel import (
     REGISTRY,
     ErrorModel,
     TrialReport,
+    _random_info,
+    _shuffle,
     build_scheme,
     corrupt,
     run_trials,
@@ -63,6 +65,42 @@ def test_corrupt_can_produce_worked_example():
             found = True
             break
     assert found
+
+
+# every n below 300, then n = 2^j - 1, 2^j, 2^j + 1 up to j = 15
+SHUFFLE_LENGTHS = [*range(300),
+                   *(2 ** j + d for j in range(9, 16) for d in (-1, 0, 1))]
+
+
+def test_shuffle_makes_the_draws_and_swaps_of_random_shuffle():
+    # every block boundary of the inlined loop, where i + 1 gains a bit
+    for n in SHUFFLE_LENGTHS:
+        for seed in range(3):
+            want, got = list(range(n)), list(range(n))
+            stdlib, inlined = random.Random(seed), random.Random(seed)
+            stdlib.shuffle(want)
+            _shuffle(got, inlined)
+            assert got == want, (n, seed)
+            assert inlined.getstate() == stdlib.getstate(), (n, seed)
+
+
+def test_corrupt_pins_the_bench_draws():
+    # op 0 of the bench at seed 1, as drawn before the shuffle was inlined:
+    # the log and the generator's next word after corrupt
+    from compocode.asym import st_encode
+    from compocode.sym import DeltaObservation, etn_encode_info
+    rng = random.Random("1:0")
+    obs = DeltaObservation(etn_encode_info(_random_info(rng, 12), 2))
+    assert obs.n == 18628
+    _, log = corrupt(obs, ErrorModel("symmetric", 2), rng)
+    assert log == [(1384, 356, 49), (18469, 2381, 13978)]
+    assert rng.getrandbits(32) == 2346983913
+    rng = random.Random("1:0")
+    obs = compose_all(st_encode(_random_info(rng, 128), 3))
+    assert obs.n == 212
+    _, log = corrupt(obs, ErrorModel("asymmetric", 3), rng)
+    assert log == [(31, 18, 0), (34, 16, 25), (40, 17, 27)]
+    assert rng.getrandbits(32) == 2292558868
 
 
 def test_run_trials_recon_perfect():

@@ -1578,6 +1578,25 @@ def test_corrupt_matches_the_loop():
                 (s, model, adversarial)
 
 
+def test_corrupt_matches_the_loop_on_long_strings():
+    # the inlined shuffle across its block boundaries and at the bench's
+    # n = 18,628; the delta stands in for every level, whose comparison
+    # would cost O(n^2)
+    rng = random.Random(31)
+    forms = [compose_all(random_bits(rng, n)) for n in (255, 256, 257, 1025)]
+    forms.append(DeltaObservation(random_bits(rng, 18628)))
+    for c in forms:
+        for kind in ("asymmetric", "symmetric"):
+            for t in (0, 1, 3):
+                seed = rng.random()
+                got = []
+                for corrupt_fn in (corrupt, loop_corrupt):
+                    draws = random.Random(seed)
+                    out, log = corrupt_fn(c, ErrorModel(kind, t), draws)
+                    got.append((log, out.delta, draws.getstate()))
+                assert got[0] == got[1], (c.n, kind, t)
+
+
 def seeded_multisets(seed, lengths):
     """compose_all of a random string of each length, then the same multiset
     after 1-3 asymmetric or symmetric errors, uniform or adversarial."""
