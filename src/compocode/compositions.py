@@ -38,7 +38,8 @@ class CorruptedInput(ValueError):
 def check_bits(s: str) -> str:
     if not s:
         raise ValueError("empty string rejected")
-    if set(s) - {"0", "1"}:
+    # ASCII, and nothing left once one bytes pass deletes every 0 and 1
+    if not s.isascii() or s.encode().translate(None, b"01"):
         raise ValueError("bit strings must consist of '0'/'1' characters")
     return s
 

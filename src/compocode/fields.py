@@ -17,19 +17,20 @@ On the (2R+1)^2 grid x = alpha^l1, y = alpha^l2 over GF(q),
 products; it serves a multiset delta, a lone shift, and ``prefix_grid``,
 which sums a bit string's prefix polynomial one run of prefixes at a time
 (those holding v ones), in O(n + R^2 wt) instead of O(R^2 n) for one term
-per prefix.
+per prefix; its y = 1 column is one more column of the same product.
 
 Only sym-poly's machinery uses numpy, and it imports numpy on first call:
 ``alpha_power_table``, ``monomial_grid``, ``prefix_grid``, ``_scan_table``,
-``sparse_support`` (under ``sparse_interpolate``) and ``BCHCode``.  The
-ternary erasure code of asym1 and asym-t loads none.
+``sparse_support`` (under ``sparse_interpolate``), ``SupportFit`` and
+``BCHCode``.  The ternary erasure code of asym1 and asym-t loads none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import mul
+from functools import lru_cache, reduce
+from itertools import compress
+from operator import xor
 
 
 class SparsityExceeded(ValueError):
@@ -121,10 +122,19 @@ def monomial_grid(xe, ye, R: int, field: PrimeField, mult=None) -> np.ndarray:
     """sum_i mult_i x^xe_i y^ye_i at x = alpha^l1, y = alpha^l2, mod q.
 
     Returns the grid l1, l2 in -R..R at [l1 + R, l2 + R]; mult defaults to
-    all ones.  The terms go in blocks, each one float64 matrix product of
-    X[l1, i] = mult_i alpha^(l1 xe_i) and Y[i, l2] = alpha^(l2 ye_i) mod q.
-    A block holds at most _BLOCK terms, and few enough that its sums of
-    products below q^2 stay exact integers, so q - 1 may not pass 2^26.5.
+    all ones.  The terms go in blocks (see _grid_sum), so q - 1 may not pass
+    2^26.5.
+    """
+    return _grid_sum(xe, ye, R, field, mult)
+
+
+def _grid_sum(xe, ye, R: int, field: PrimeField, mult=None, col=None) -> np.ndarray:
+    """monomial_grid, plus with col one last column sum_i mult_i col_i x^xe_i.
+
+    The terms go in blocks, each one float64 matrix product of X[l1, i] =
+    mult_i alpha^(l1 xe_i) and Y[i, l2] = alpha^(l2 ye_i) (then col_i) mod q,
+    so one gather of X serves both.  A block holds at most _BLOCK terms, and
+    few enough that its sums of products below q^2 stay exact integers.
     """
     import numpy as np
     q = field.q
@@ -133,14 +143,20 @@ def monomial_grid(xe, ye, R: int, field: PrimeField, mult=None) -> np.ndarray:
     table = alpha_power_table(field)
     ls = np.arange(-R, R + 1)
     span = min(_BLOCK, _EXACT_SUM // (q - 1) ** 2)
-    out = np.zeros((len(ls), len(ls)))
+    width = len(ls) + (col is not None)
+    out = np.zeros((len(ls), width))
     for lo in range(0, len(xe), span):
-        # mode="wrap" reduces the exponents mod q - 1
-        x = np.take(table, np.outer(ls, xe[lo:lo + span]), mode="wrap")
+        block = slice(lo, lo + span)
+        # Y goes straight into float64, before X is gathered, so fewer
+        # temporaries are alive at once; mode="wrap" reduces exponents mod q-1
+        y = np.empty((width, len(ye[block])))
+        y[:len(ls)] = np.take(table, np.outer(ls, ye[block]), mode="wrap")
+        if col is not None:
+            y[-1] = col[block] % q
+        x = np.take(table, np.outer(ls, xe[block]), mode="wrap")
         if mult is not None:
-            x = x * (mult[lo:lo + span] % q) % q
-        y = np.take(table, np.outer(ls, ye[lo:lo + span]), mode="wrap")
-        out += np.fmod(x.astype(np.float64) @ y.T.astype(np.float64), q)
+            x = x * (mult[block] % q) % q
+        out += np.fmod(x.astype(np.float64) @ y.T, q)
     return out.astype(np.int64) % q
 
 
@@ -154,7 +170,8 @@ def prefix_grid(s: str, R: int, field: PrimeField) -> np.ndarray:
         P (y - 1) = sum_v x^v (y^(e_(v+1) + 1) - y^(e_v))
                   = x^-1 y (A - 1) + x^wt y^(n - wt + 1) - A,
     and where y = 1 the run lengths e_(v+1) - e_v + 1 weight the x^v
-    instead: one grid of wt + 1 terms and one vector, O(n + R^2 wt) in all.
+    instead: one grid of wt + 1 terms with that sum as its extra column, so
+    one gather of the x^v serves both; O(n + R^2 wt) in all.
     """
     import numpy as np
     q, n = field.q, len(s)
@@ -162,15 +179,14 @@ def prefix_grid(s: str, R: int, field: PrimeField) -> np.ndarray:
     wt = len(pos)
     vs = np.arange(wt + 1)
     e = np.concatenate(([0], pos - vs[:-1], [n - wt]))
-    a = monomial_grid(vs, e[:-1], R, field)
+    a = _grid_sum(vs, e[:-1], R, field, col=np.diff(e) + 1)
+    a, at_one = a[:, :-1], a[:, -1:]
     grid = (monomial_grid(np.array([-1]), np.array([1]), R, field) * (a - 1)
             + monomial_grid(np.array([wt]), np.array([n - wt + 1]), R, field)
             - a) % q
-    table, ls = alpha_power_table(field), np.arange(-R, R + 1)
-    y = np.take(table, ls, mode="wrap")
+    y = np.take(alpha_power_table(field), np.arange(-R, R + 1), mode="wrap")
     grid = grid * [1 if v == 1 else pow(int(v) - 1, -1, q) for v in y] % q
-    x = np.take(table, np.outer(ls, vs), mode="wrap")
-    grid[:, y == 1] = (x * ((np.diff(e) + 1) % q) % q).sum(1, keepdims=True) % q
+    grid[:, y == 1] = at_one
     return grid
 
 
@@ -343,28 +359,42 @@ def _berlekamp_massey(seq, F) -> list[int]:
 class SupportFit:
     """Fits values E(alpha^l), l = -T..T, on a fixed support of L <= T exponents:
     the inverse Vandermonde matrix of the support at the first L points solves
-    for the coefficients, and each term's value at every point checks them."""
+    for the coefficients, and each term's value at every point checks them.
+    `rows` fits many rows in two int64 products, exact as every entry is below
+    q and a sum has at most 2T+1 terms; `__call__` fits one row with it."""
 
     def __init__(self, support, T: int, field: PrimeField):
-        q, alpha = field.q, field.alpha
+        import numpy as np
+        q, L = field.q, len(support)
         self.q, self.support = q, tuple(support)
-        xs = [pow(alpha, e, q) for e in self.support]
-        self.powers = [[pow(x, l, q) for x in xs] for l in range(-T, T + 1)]
+        # powers[l + T, k] = alpha^(l e_k), gathered from the alpha table
+        es = np.outer(np.arange(-T, T + 1), np.array(self.support, dtype=np.int64))
+        self.powers = np.take(alpha_power_table(field), es,
+                              mode="wrap").astype(np.int64)
+        xs = self.powers[T + 1].tolist() if T else []  # alpha^e_k; L <= T
         # row j: X_j^T prod_{m != j} (z - X_m) / (X_j - X_m), low power first
-        self.inverse = []
-        for x in xs:
-            row = [pow(x, T, q)]
+        inverse = []
+        for x, x_t in zip(xs, self.powers[-1].tolist()):
+            row = [x_t]
             for y in (y for y in xs if y != x):
                 s = pow(x - y, -1, q)
                 row = [(lo - y * hi) * s % q for lo, hi in zip([0, *row], [*row, 0])]
-            self.inverse.append(row)
+            inverse.append(row)
+        self.inverse = np.array(inverse, dtype=np.int64).reshape(L, L)
+
+    def rows(self, rows) -> list[dict[int, int] | None]:
+        """The fit of each row (values in [0, q)) without its zero terms, or
+        None where the row does not fit."""
+        import numpy as np
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(self.powers))
+        coeffs = rows[:, :len(self.support)] @ self.inverse.T % self.q
+        fits = (coeffs @ self.powers.T % self.q == rows).all(1).tolist()
+        return [{e: c for e, c in zip(self.support, cs) if c} if ok else None
+                for cs, ok in zip(coeffs.tolist(), fits)]
 
     def __call__(self, seq) -> dict[int, int] | None:
         """The fit of seq (values in [0, q)) without its zero terms, or None."""
-        coeffs = [sum(map(mul, row, seq)) % self.q for row in self.inverse]
-        fits = all(sum(map(mul, row, coeffs)) % self.q == v
-                   for row, v in zip(self.powers, seq))
-        return {e: c for e, c in zip(self.support, coeffs) if c} if fits else None
+        return self.rows([seq])[0]
 
 
 @lru_cache(maxsize=64)
@@ -558,9 +588,15 @@ class BCHCode:
         self.f = _field(2, m)
         self.g = self._generator(self.f, _bch_roots(m, t))
         self.code_len = msg_len + self.n_parity
-        # g without its leading x^r term, as a bitmask (bit i = coefficient
-        # of x^i), for the division in `encode`
-        self._g_low = sum(c << i for i, c in enumerate(self.g[:-1]))
+        # row j is x^(r+j) mod g, the parity of message bit j alone, as a
+        # bitmask (bit i = coefficient of x^i); each row is the last times
+        # x, one shift-register step
+        r = self.n_parity
+        g_low = sum(c << i for i, c in enumerate(self.g[:-1]))  # x^r mod g
+        row, mask, self._rows = g_low, (1 << r) - 1, []
+        for _ in range(msg_len):
+            self._rows.append(row)
+            row = ((row << 1) & mask) ^ (g_low if row >> (r - 1) else 0)
         self._antilog = np.array(self.f.antilog, dtype=np.int64)
         # bit index -> degree in the code polynomial
         self._degree = np.concatenate((
@@ -588,20 +624,14 @@ class BCHCode:
                 for i in range(1, 2 * self.t + 1)]
 
     def encode(self, bits):
+        """The codeword: the message, then msg(x) x^r mod g.  The parity is
+        linear in the message: the XOR of the cached remainders x^(r+j) mod g
+        of the message's 1 bits j."""
         bits = list(bits)
         if len(bits) != self.msg_len:
             raise ValueError("message length mismatch")
-        r = self.n_parity
-        g_low, mask = self._g_low, (1 << r) - 1
-        rem = 0
-        # msg(x) * x^r mod g, msb first: a shift register holding the
-        # remainder, bit i the coefficient of x^i
-        for b in reversed(bits):
-            feedback = (rem >> (r - 1)) ^ b
-            rem = (rem << 1) & mask
-            if feedback:
-                rem ^= g_low
-        return bits + [(rem >> i) & 1 for i in range(r)]
+        rem = reduce(xor, compress(self._rows, bits), 0)
+        return bits + [(rem >> i) & 1 for i in range(self.n_parity)]
 
     def decode(self, received):
         """The corrected codeword, message bits first."""

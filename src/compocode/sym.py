@@ -24,8 +24,9 @@ whose level reads are numpy bincounts), which answers the decoder's reads
 from the source string plus the sparse error delta and so keeps large-n
 trials tractable.  A string's P goes on the (2R+1)^2 evaluation grid
 through fields.prefix_grid, one monomial per run of zeros, in
-O(n + R^2 wt) rather than O(R^2 n); fields.monomial_grid sums those
-monomials, the delta read as a signed multiset, and the one-term shifts.
+O(n + R^2 wt) rather than O(R^2 n); monomial_grid's blocked product sums
+those monomials (with P's y = 1 column from the same gather), the delta
+read as a signed multiset, and the one-term shifts.
 """
 
 from __future__ import annotations
@@ -142,15 +143,15 @@ def _interpolate_rows(rows, T: int, field: PrimeField):
     caller's checks keep their order.  Rows share one SupportFit, on the support
     of sum_k (k+1) row_k found by one scan.  A fit that passes its check is the
     only one with <= T terms (two would differ by <= 2T terms vanishing at 2T+1
-    consecutive powers of alpha); a row that does not fit is interpolated alone."""
-    mix = [sum(k * row[i] for k, row in enumerate(rows, 1)) % field.q
-           for i in range(2 * T + 1)]
+    consecutive powers of alpha); a row that does not fit is interpolated alone.
+    The fit of every row is one SupportFit.rows call."""
+    stack = np.asarray(rows, dtype=np.int64).reshape(-1, 2 * T + 1)
+    mix = (np.arange(1, len(stack) + 1) @ stack % field.q).tolist()
     try:
         fit = SupportFit(sparse_support(mix, T, field), T, field)
     except SparsityExceeded:
         fit = SupportFit((), T, field)  # no support: only zero rows fit
-    for row in rows:
-        poly = fit(row)
+    for row, poly in zip(rows, fit.rows(stack)):
         yield sparse_interpolate(row, T, field) if poly is None else poly
 
 

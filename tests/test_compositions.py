@@ -448,6 +448,20 @@ def test_declared_rejections(call, args, match):
         call(*args)
 
 
+@settings(max_examples=400)
+@given(st.text(alphabet=["0", "1", "١", "１", "2", " ", "\t", "\n", "\x00", "a"],
+               max_size=12)
+       | st.text(max_size=12))
+def test_check_bits_accepts_exactly_the_nonempty_bit_strings(s):
+    # the ASCII-and-delete test accepts the strings a set test accepts:
+    # other digits (Arabic-Indic, fullwidth), whitespace and NUL are refused
+    if s and set(s) <= {"0", "1"}:
+        assert check_bits(s) is s
+    else:
+        with pytest.raises(ValueError):
+            check_bits(s)
+
+
 def test_a_multiset_equals_only_a_multiset():
     c = compose_all("0110")
     assert c.__eq__("0110") is NotImplemented

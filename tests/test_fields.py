@@ -316,8 +316,10 @@ def per_bit_syndromes(code, word):
     return out
 
 
+# (1136, 1), (4627, 2) and (10628, 3): sym-poly's parity messages at k = 12
 @pytest.mark.parametrize("msg_len,t", [(1, 1), (4, 1), (11, 1), (57, 2),
-                                       (200, 3), (1000, 2), (4627, 2)])
+                                       (200, 3), (1000, 2), (1136, 1),
+                                       (4627, 2), (10628, 3)])
 def test_bch_encode_and_syndromes_match_oracles(msg_len, t):
     code = BCHCode(msg_len, t)
     assert bch_shape(msg_len, t)[1] == len(code.g) - 1

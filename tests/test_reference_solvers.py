@@ -13,7 +13,8 @@ through a partition rank counted across blocks, a CB ranker that sums and
 searches its blocks, a single-error encoder that slices in its middle bit
 and tries every check pair, a weight pin that lists its candidates,
 ternary erasure and BCH decoders that return only the message, a ternary
-erasure interpolation that multiplies out every pair of nodes, a
+erasure interpolation that multiplies out every pair of nodes, a support
+fit that builds its matrices with pow calls and fits one row at a time, a
 sym-poly decoder that keeps its evaluation grids in dicts keyed by grid point,
 a known-shell reconstruction that recounts every window for both
 branches of each ambiguous pair, an error-trace fold that runs each
@@ -83,16 +84,19 @@ from compocode.compositions import (
     sigma_partial,
     weights_from_sigma,
 )
+from compocode import fields
 from compocode.fields import (
     BCHCode,
     EraseBudgetExceeded,
     PrimeField,
     SparsityExceeded,
+    SupportFit,
     _berlekamp_massey,
     _field,
     bblock_code,
     field_setup,
     monomial_grid,
+    prefix_grid,
     ternary_erasure_decode,
     ternary_erasure_encode,
     ternary_field_params,
@@ -103,6 +107,7 @@ from compocode.sym import (
     PolyCodeParams,
     _bits_str,
     _bits_to_grid,
+    _eval_prefix_string,
     _grid_points,
     _grid_to_bits,
     _interpolate_rows,
@@ -964,6 +969,27 @@ def loop_bch_decode(code: BCHCode, received):
     if any(code._syndromes(fixed)):
         raise ValueError("correction did not cancel the syndromes")
     return fixed[:code.msg_len]
+
+
+def loop_support_fit(support, T: int, field: PrimeField, seq):
+    """SupportFit(support, T, field)(seq) when it built its matrices with pow
+    calls and fitted one row at a time."""
+    q, alpha = field.q, field.alpha
+    support = tuple(support)
+    xs = [pow(alpha, e, q) for e in support]
+    powers = [[pow(x, l, q) for x in xs] for l in range(-T, T + 1)]
+    # row j: X_j^T prod_{m != j} (z - X_m) / (X_j - X_m), low power first
+    inverse = []
+    for x in xs:
+        row = [pow(x, T, q)]
+        for y in (y for y in xs if y != x):
+            s = pow(x - y, -1, q)
+            row = [(lo - y * hi) * s % q for lo, hi in zip([0, *row], [*row, 0])]
+        inverse.append(row)
+    coeffs = [sum(map(operator.mul, row, seq)) % q for row in inverse]
+    fits = all(sum(map(operator.mul, row, coeffs)) % q == v
+               for row, v in zip(powers, seq))
+    return {e: c for e, c in zip(support, coeffs) if c} if fits else None
 
 
 def loop_recover_error_poly(F: dict, p_grid: dict, d_x: int, d_y: int, t: int,
@@ -1874,6 +1900,51 @@ def test_bch_decode_returns_the_codeword_the_loop_re_encodes():
                     # word, so the located bits all flip to a codeword
                     assert not any(code._syndromes(got))
                     assert sum(map(operator.ne, got, received)) <= t
+
+
+def test_support_fit_matches_the_loop():
+    # every stage's rows in two int64 products against one row at a time,
+    # on rows that fit and on rows with one value changed
+    rng = random.Random(35)
+    for field in (field_setup(300), field_setup(18628)):
+        q, alpha = field.q, field.alpha
+        for T in range(1, 6):
+            for L in range(T + 1):
+                support = rng.sample(range(q - 1), L)
+                rows = []
+                for _ in range(6):
+                    cs = [rng.choice((0, rng.randrange(1, q))) for _ in support]
+                    row = [sum(c * pow(alpha, e * l, q) for e, c in zip(support, cs)) % q
+                           for l in range(-T, T + 1)]
+                    rows.append(row)
+                    bad = row[:]
+                    i = rng.randrange(len(bad))
+                    bad[i] = (bad[i] + rng.randrange(1, q)) % q
+                    rows.append(bad)
+                want = [loop_support_fit(support, T, field, row) for row in rows]
+                fit = SupportFit(support, T, field)
+                assert fit.rows(rows) == want, (q, T, support)
+                assert [fit(row) for row in rows] == want, (q, T, support)
+                assert want[0] is not None and want[1] is None
+
+
+def test_prefix_grid_sums_its_y_one_column_across_blocks(monkeypatch):
+    # blocks of fewer terms than wt + 1, so the run-length column at y = 1
+    # is summed over several blocks; with q - 1 <= R, y = 1 at several l2
+    rng = random.Random(36)
+    cases = [(random_bits(rng, 60), 4, field_setup(300)),
+             ("1" * 25 + "0" * 3 + "1" * 12, 6, field_setup(40)),
+             ("0110111" * 2, 8, field_setup(1))]
+    for span in (1, 2, 7):
+        with monkeypatch.context() as m:
+            m.setattr(fields, "_BLOCK", span)
+            for s, R, field in cases:
+                assert s.count("1") + 1 > span
+                grid = prefix_grid(s, R, field)
+                for l1 in range(-R, R + 1):
+                    for l2 in range(-R, R + 1):
+                        assert grid[l1 + R, l2 + R] == \
+                            _eval_prefix_string(s, l1, l2, field), (s, span, l1, l2)
 
 
 def decode_outcome(f, *args):

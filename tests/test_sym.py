@@ -920,6 +920,29 @@ def test_prefix_grid_by_runs_split_sums_agree(monkeypatch):
                     assert np.array_equal(prefix_grid(s, 3, field), grid)
 
 
+def test_sym_poly_decode_sums_strings_by_runs_in_the_shared_product(monkeypatch):
+    # prefix_grid's product goes through fields._grid_sum, not through
+    # monomial_grid: the source goes in as one term per run of prefixes
+    # (wt + 1 in all), and no call takes one term per prefix
+    sizes = []
+
+    def counting(xe, ye, R, field, mult=None, col=None):
+        sizes.append(len(xe))
+        return grid_sum(xe, ye, R, field, mult, col)
+
+    grid_sum = fields._grid_sum
+    monkeypatch.setattr(fields, "_grid_sum", counting)
+    rng = random.Random(29)
+    info = random_bits(rng, 12)
+    s = etn_encode_info(info, 2)
+    obs, _ = corrupt(DeltaObservation(s), ErrorModel("symmetric", 2), rng)
+    runs = s.count("1") + 1
+    sizes.clear()
+    assert etn_decode_info(obs, 12, 2) == info
+    assert runs in sizes
+    assert max(sizes) <= max(sum(map(len, obs.delta.values())), runs) < len(s) // 8
+
+
 def test_monomial_grid_stays_exact_where_the_float64_bound_binds():
     # q near 2^20 puts about 8,000 products in a block, so 60,000 terms take
     # eight blocks; one block would sum past 2^53 and round
