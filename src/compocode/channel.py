@@ -206,21 +206,20 @@ def _asym_t(k: int, t: int) -> Scheme:
 
 def _sym_poly(k: int, t: int) -> Scheme:
     from .catalan import sr_params
-    from .sym import DeltaObservation, etn_decode_info, etn_encode_info, \
-        poly_params_from_payload
+    from .sym import etn_decode_info, etn_encode_info, poly_params_from_payload
     n = poly_params_from_payload(sr_params(k, 0), t).n
     encode = partial(etn_encode_info, t=t)
 
     def verify(info, obs):
         s = encode(info)
         # a moved level weight costs an even gap of 2 or more, so <= 2t moves <= t
-        if getattr(obs, "_source", None) == s:  # forms of s differ by their deltas
+        if obs._source == s:  # forms of s differ by their deltas
             return _within(s, obs, t)
-        clean = DeltaObservation(s)
+        clean = compose_all(s)
         gaps = accumulate(abs(clean.level_counts(l) - obs.level_counts(l)).sum()
                           for l in range(1, n + 1))  # all() stops past 2t
         return all(d <= 2 * t for d in gaps)
-    return Scheme({"k": k, "t": t}, n, encode, DeltaObservation,
+    return Scheme({"k": k, "t": t}, n, encode, compose_all,
                   partial(etn_decode_info, k=k, t=t), verify)
 
 

@@ -69,26 +69,30 @@ def sigma_of_string(s: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+ARRAY_FROM = 2048  # the length from which a source's prefix weights are an array
+
+
 class CompositionMultiset:
     """The decoder input: a (possibly corrupted) composition multiset of a
     string of known length n, as a read-only base plus a sparse delta.
 
     The base is parse's dense levels, _levels[l] a Counter weight ->
-    multiplicity for l = 1..n, or compose_all's source string s, whose level
-    l is composed on its first read into _levels, a cache its copies share.
-    delta maps level -> weight -> count; only _bump writes it, so a copy
-    copies the delta alone.  Level l reads as its base level plus delta[l].
+    multiplicity for l = 1..n, or compose_all's source string s with its
+    prefix weights P, whose level l is composed on its first read into
+    _levels, a cache its copies share.  delta maps level -> weight -> count;
+    only _bump writes it, so a copy copies the delta alone.  Level l reads
+    as its base level plus delta[l], and a read refuses a negative count.
     Reading levels folds the delta in and drops the source, leaving the
     dense form.  Copies may share its Counters, so only a multiset that has
     no copies may be written through levels.
     """
 
-    def __init__(self, n: int, levels: dict[int, Counter], source: str | None = None,
-                 P=None):
+    def __init__(self, n: int, levels: dict[int, Counter], source: str | None = None):
         self.n = n
         self._levels = levels
         self._source = source
-        self._P = P  # the source's prefix weights
+        self._P = None if source is None else \
+            prefix_weights(source) if n < ARRAY_FROM else prefix_array(source)
         self.delta: dict[int, dict[int, int]] = {}
 
     @property
@@ -116,28 +120,41 @@ class CompositionMultiset:
             if not d:
                 del self.delta[l]
 
-    def level_counter(self, l: int) -> Counter:
-        """Level l as weight -> multiplicity; KeyError outside 1..n.  Read-only."""
-        if (level := self._levels.get(l)) is None:  # compose the source's
+    def _base(self, l: int) -> Counter:
+        """Base level l, a source's composed on first read; KeyError outside 1..n."""
+        if (level := self._levels.get(l)) is None:
             if self._source is None or not 1 <= l <= self.n:
                 raise KeyError(l)
             level = self._levels[l] = level_of_prefix(self._P, l)
-        if d := self.delta.get(l):
-            level = Counter(level)
-            level.update(d)
-            for w in d:
-                if not level[w]:
-                    del level[w]
         return level
 
+    def _add_delta(self, l: int, level):
+        """level, a copy of base level l (a Counter or counts 0..l), plus delta[l]."""
+        for w, c in self.delta.get(l, {}).items():
+            level[w] += c
+            if level[w] < 0:
+                raise CorruptedInput(f"negative multiplicity at level {l}")
+        return level
+
+    def level_counter(self, l: int) -> Counter:
+        """Level l as weight -> multiplicity; KeyError outside 1..n.  Read-only."""
+        if l not in self.delta:
+            return self._base(l)
+        return +self._add_delta(l, Counter(self._base(l)))  # + drops the zeros
+
     def _multiplicity(self, l: int, w: int) -> int:
-        return self.level_counter(l)[w]
+        return self._base(l).get(w, 0) + self.delta.get(l, {}).get(w, 0)
 
     def level_counts(self, l: int):
+        """Level l as an int64 array over the weights 0..l; an array P's
+        base level is one bincount of its windows, composing no Counter."""
         import numpy as np
-        level, out = self.level_counter(l), np.zeros(l + 1, dtype=np.int64)
-        out[list(level)] = list(level.values())
-        return out
+        if isinstance(self._P, np.ndarray) and 1 <= l <= self.n:
+            out = _window_counts(self._P, l)
+        else:
+            level, out = self._base(l), np.zeros(l + 1, dtype=np.int64)
+            out[list(level)] = list(level.values())
+        return self._add_delta(l, out)
 
     def weight_profile(self):
         """w_1..w_n as an int64 numpy array; a source-backed form's is
@@ -197,29 +214,26 @@ class CompositionMultiset:
         """Raise CorruptedInput at the first flaw in (level, weight) order.
 
         The dense form checks every level.  A source-backed form checks only
-        the delta's levels, in O(|delta|) besides one count per removal: the
-        others are its source's.
+        the delta's levels, each composed once: the others are its source's.
         """
         dense = self._source is None
         for l in sorted(self.delta.keys() | (range(1, self.n + 1) if dense else ())):
             if not 1 <= l <= self.n:  # no base level to count against
                 raise CorruptedInput(f"level {l} out of range")
-            if dense:
-                if l not in self._levels:
-                    raise CorruptedInput(f"level {l} missing")
-                lv = self.level_counter(l)
-                flaws = [(w, m) for w, m in lv.items() if m < 1 or not 0 <= w <= l]
-                size = sum(lv.values())
-            else:
-                d = self.delta[l]
-                # only a removal can take a count below 0
-                ms = [(w, self._multiplicity(l, w) if c < 0 else c) for w, c in d.items()]
-                flaws = [(w, m) for w, m in ms if m < 0 or not 0 <= w <= l]
-                size = self.n - l + 1 + sum(d.values())
+            if dense and l not in self._levels:
+                raise CorruptedInput(f"level {l} missing")
+            base, d = self._base(l), self.delta.get(l, {})
+            # the counts the delta moves over the dense base's others (a
+            # source's others are sound); one it empties (m = 0) is gone
+            ms = {**(base if dense else {}),
+                  **{w: base.get(w, 0) + c for w, c in d.items()}} if d else base
+            flaws = [(w, m) for w, m in ms.items()
+                     if (m < 1 or not 0 <= w <= l) and (m or w not in d)]
             if flaws:
                 w, m = min(flaws)
                 raise CorruptedInput(f"level {l} holds weight {w} {m} times" if m < 1
                                      else f"level {l} contains weight {w} out of range")
+            size = sum(ms.values()) if dense else self.n - l + 1 + sum(d.values())
             if size != self.n - l + 1:
                 raise CorruptedInput(
                     f"level {l} has {size} elements, expected {self.n - l + 1}")
@@ -237,8 +251,10 @@ class CompositionMultiset:
 
 def compose_all(s: str) -> CompositionMultiset:
     """The composition multiset of the bit string s, source-backed: each level
-    is composed on its first read."""
-    return CompositionMultiset(len(check_bits(s)), {}, s, prefix_weights(s))
+    is composed on its first read, from s's prefix weights P.  Below
+    ARRAY_FROM bits P is a list and levels are counted in Python, which loads
+    no numpy; from there on P is an int64 array and levels are bincounts."""
+    return CompositionMultiset(len(check_bits(s)), {}, s)
 
 
 def prefix_weights(s: str) -> list[int]:
@@ -246,9 +262,27 @@ def prefix_weights(s: str) -> list[int]:
     return [0, *accumulate(map(int, s))]
 
 
+def prefix_array(s: str):
+    """prefix_weights(s) as an int64 numpy array, from one cumsum."""
+    import numpy as np
+    bits = np.frombuffer(s.encode("ascii"), np.uint8) - ord("0")
+    return np.concatenate(([0], np.cumsum(bits, dtype=np.int64)))
+
+
 def level_of_prefix(P, l: int) -> Counter:
-    """Level l of the string with prefix weights P: weights P[i+l] - P[i]."""
-    return Counter(map(sub, P[l:], P))
+    """Level l of the string with prefix weights P: weights P[i+l] - P[i].
+    A list P is counted in Python, an array P by one bincount."""
+    if isinstance(P, list):
+        return Counter(map(sub, P[l:], P))
+    counts = _window_counts(P, l)
+    ws = counts.nonzero()[0]
+    return Counter(dict(zip(ws.tolist(), counts[ws].tolist())))
+
+
+def _window_counts(P, l: int):
+    """How many windows P[i+l] - P[i] of an array P weigh each of 0..l."""
+    import numpy as np
+    return np.bincount(P[l:] - P[:len(P) - l], minlength=l + 1)
 
 
 def cumulative_weights(c: CompositionMultiset) -> tuple[int, ...]:
@@ -263,7 +297,7 @@ def cumulative_weights(c: CompositionMultiset) -> tuple[int, ...]:
         w = [sum(map(mul, lv, lv.values()))
              for lv in map(c._levels.__getitem__, range(1, n + 1))]
     else:
-        PP = [0, *accumulate(map(int, c._P))]  # int: a DeltaObservation's P is numpy
+        PP = [0, *accumulate(map(int, c._P))]  # int: an array P holds numpy ints
         w = [PP[n + 1] - PP[l] - PP[n - l + 1] for l in range(1, n + 1)]
     for l, d in c.delta.items():
         w[l - 1] += sum(map(mul, d, d.values()))

@@ -19,11 +19,11 @@ Two constructions:
   decoding is brute force over reverted corrections, up to the first codeword.
 
 etn_decode reads any compositions.CompositionMultiset: the dense form of a
-parsed file, or a source-backed one (compose_all's, or a DeltaObservation,
-whose level reads are numpy bincounts), which answers the decoder's reads
-from the source string plus the sparse error delta and so keeps large-n
-trials tractable.  A string's P goes on the (2R+1)^2 evaluation grid
-through fields.prefix_grid, one monomial per run of zeros, in
+parsed file, or compose_all's source-backed one, which answers the
+decoder's reads from the source string plus the sparse error delta (at
+this code's lengths, bincounts of an int64 prefix array) and so keeps
+large-n trials tractable.  A string's P goes on the (2R+1)^2 evaluation
+grid through fields.prefix_grid, one monomial per run of zeros, in
 O(n + R^2 wt) rather than O(R^2 n); monomial_grid's blocked product sums
 those monomials (with P's y = 1 column from the same gather), the delta
 read as a signed multiset, and the one-term shifts.
@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import backtrack
+from . import backtrack, compositions
 from .backtrack import ReconstructionFailure
 from .catalan import cb_count, cb_rank, cb_total, cb_unrank, sr_decode, sr_encode
 from .compositions import (
@@ -211,58 +211,24 @@ def recover_error_poly(e_grid: np.ndarray, d_x: int, d_y: int, t: int,
 
 
 def _prefix_arrays(s: str):
-    bits = np.frombuffer(s.encode("ascii"), np.uint8) - ord("0")
-    pref = np.concatenate(([0], np.cumsum(bits))).astype(np.int64)
-    zeros = np.arange(len(s) + 1, dtype=np.int64) - pref
-    return pref, zeros
+    pref = compositions.prefix_array(s)
+    return pref, np.arange(len(s) + 1, dtype=np.int64) - pref
 
 
 def _string_weight_profile(s: str) -> np.ndarray:
     """w_1..w_n of C(s) in O(n), from the prefix sums of s's prefix weights."""
-    return DeltaObservation(s).weight_profile()
+    return compositions.compose_all(s).weight_profile()
 
 
 class DeltaObservation(CompositionMultiset):
-    """compose_all's source-backed form of s, read through numpy.
-
-    Its P is s's prefix weights as an int64 array, and every read costs O(n)
-    or less, so corruption and decoding of long strings never materialize
-    the quadratic multiset.  weight_profile and sym_eval are the base's,
-    which read P, the string and the delta; the level reads here are
-    bincounts of the string's windows.  Reading levels gives new Counters
-    and leaves this form sparse.
-    """
+    """compose_all(s) under the names bench/tracer.py wraps on this class;
+    it goes once the tracer's METHODS names CompositionMultiset's."""
 
     def __init__(self, s: str):
-        super().__init__(len(s), {}, s, _prefix_arrays(check_bits(s))[0])
+        self.__dict__ = compositions.compose_all(s).__dict__
 
-    # bench/tracer.py wraps sym_eval by this name on this class
     sym_eval = CompositionMultiset.sym_eval
-
-    @property
-    def levels(self) -> dict[int, Counter]:
-        return {l: self.level_counter(l) for l in range(1, self.n + 1)}
-
-    def _base_level(self, l: int) -> np.ndarray:
-        """The weights of the source's substrings of length l."""
-        if not 1 <= l <= self.n:
-            raise KeyError(l)
-        return self._P[l:] - self._P[:self.n - l + 1]
-
-    def _multiplicity(self, l: int, w: int) -> int:
-        return self.delta.get(l, {}).get(w, 0) + int((self._base_level(l) == w).sum())
-
-    def level_counts(self, l: int) -> np.ndarray:
-        counts = np.bincount(self._base_level(l), minlength=l + 1)
-        if d := self.delta.get(l):
-            counts[list(d)] += list(d.values())
-            if counts.min() < 0:
-                raise CorruptedInput(f"negative multiplicity at level {l}")
-        return counts
-
-    def level_counter(self, l: int) -> Counter:
-        ws = np.flatnonzero(counts := self.level_counts(l))
-        return Counter(dict(zip(ws.tolist(), counts[ws].tolist())))
+    level_counter = CompositionMultiset.level_counter
 
 
 # -- the systematic evaluation-constrained encoder --------------------------

@@ -14,7 +14,8 @@ from compocode.channel import (
     corrupt,
     run_trials,
 )
-from compocode.compositions import compose_all, multiset_symmetric_difference
+from compocode.compositions import CompositionMultiset, compose_all, \
+    multiset_symmetric_difference
 
 
 def test_corrupt_zero_errors_is_identity():
@@ -261,7 +262,10 @@ def test_decode_rejects_a_codeword_of_another_length(name):
 
 
 class _CountedReads:
-    """An observation's multiset queries, counting the levels read."""
+    """An observation's multiset queries, counting the levels read, with
+    no source string."""
+
+    _source = None
 
     def __init__(self, obs):
         self.obs, self.n, self.reads = obs, obs.n, 0
@@ -319,7 +323,6 @@ def test_sym_poly_verify_reads_the_delta_of_the_codeword(monkeypatch):
     # and reads no level; the all-levels comparison, reached through a
     # wrapper that hides the source string or on another source string,
     # gives the same answers
-    from compocode.sym import DeltaObservation
     code = build_scheme("sym-poly", 4, 1)
     info = "1011"
     s = code.encode(info)
@@ -332,7 +335,7 @@ def test_sym_poly_verify_reads_the_delta_of_the_codeword(monkeypatch):
     assert [want for *_, want in cases] == [True, True, False] * 2
     for base, obs, want in cases[3:]:
         assert code.verify(info, obs) is want
-    monkeypatch.setattr(DeltaObservation, "level_counts", None)  # no level read
+    monkeypatch.setattr(CompositionMultiset, "level_counts", None)  # no level read
     for base, obs, want in cases[:3]:
         assert code.verify(info, obs) is want
 

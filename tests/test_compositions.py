@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,9 @@ from hypothesis import strategies as st
 from compocode.asym import s1_decode, st_decode
 from compocode.backtrack import ReconstructionFailure, reconstruct, tolerant_reconstruct
 from compocode.channel import ErrorModel, build_scheme, corrupt
+import compocode
 from compocode.compositions import (
+    ARRAY_FROM,
     CompositionMultiset,
     CorruptedInput,
     _differences,
@@ -25,6 +31,7 @@ from compocode.compositions import (
     sigma_partial,
     weights_from_sigma,
 )
+from compocode.fields import field_setup
 from compocode.sym import DeltaObservation
 
 bitstrings = st.text(alphabet="01", min_size=1, max_size=40)
@@ -282,9 +289,9 @@ def _outcome(f, *args):
 @pytest.mark.parametrize("scheme", ["recon", "asym1", "asym-t"])
 def test_source_backed_and_dense_forms_agree(scheme):
     # the same writes, valid or not, leave the three forms giving the same
-    # answer to every query and every decoder; the numpy form refuses to
-    # read a level with a negative count or a weight past l, so its levels
-    # are read only where validate_shape passes
+    # answer to every query and every decoder; each refuses to read a level
+    # with a negative count, so the forms are compared level by level only
+    # where no level has one
     k, t = 6, (1 if scheme == "asym-t" else 0)
     code = build_scheme(scheme, k, t)
     decode = {"recon": reconstruct, "asym1": lambda c: s1_decode(c, k),
@@ -316,14 +323,15 @@ def test_source_backed_and_dense_forms_agree(scheme):
             assert {type(w) for w in cumulative_weights(c)} == {int}
             assert _outcome(c.validate_shape) == shape
             assert _outcome(decode, c) == _outcome(decode, lazy)
-        readable = forms if shape is None else [lazy, dense]
         if shape is None:
             args = (cumulative_weights(lazy), sigma_of_string(s), 1)
             for c in forms:
                 assert _outcome(tolerant_reconstruct, c, *args) == \
                     _outcome(tolerant_reconstruct, lazy, *args)
-        for l in range(1, len(s) + 1):
-            assert all(c.level_counter(l) == lazy.level_counter(l) for c in readable)
+        reads = [_outcome(lazy.level_counter, l) for l in range(1, len(s) + 1)]
+        for c in forms:
+            assert [_outcome(c.level_counter, l) for l in range(1, len(s) + 1)] == reads
+        readable = forms if all(isinstance(r, Counter) for r in reads) else []
         # forms of one source compare their deltas, the others every level
         refs = [compose_all(s), DeltaObservation(s), parse(serialize(compose_all(s)))]
         for x in readable:
@@ -334,7 +342,89 @@ def test_source_backed_and_dense_forms_agree(scheme):
                 assert multiset_symmetric_difference(x, r) == \
                     multiset_symmetric_difference(dense, refs[2])
         assert lazy == sparse and sparse == lazy
-        assert [c.levels for c in readable] == [dense.levels] * len(readable)
+        for c in readable:
+            assert c.levels == dense.levels
+
+
+def _all_reads(c, field):
+    """Every read of c, each as its value or its declared failure."""
+    levels = range(1, c.n + 1)
+    return (_outcome(c.validate_shape),
+            [_outcome(c.level_counter, l) for l in levels],
+            [_outcome(lambda l: c.level_counts(l).tolist(), l) for l in levels],
+            c.weight_profile().tolist(), c.sym_eval(4, field).tolist())
+
+
+@pytest.mark.parametrize("n", [ARRAY_FROM - 1, ARRAY_FROM])
+def test_forms_agree_on_each_side_of_the_array_threshold(n):
+    # compose_all's P is a list below ARRAY_FROM and an int64 array from
+    # it; either way the form answers every read as the parsed dense form
+    # does, before and after the same replaces and corrections, and both
+    # refuse a level with a negative count
+    rng = random.Random(n)
+    s = "".join(rng.choice("01") for _ in range(n))
+    field = field_setup(n)
+    lazy = compose_all(s)
+    assert isinstance(lazy._P, list) is (n < ARRAY_FROM)
+    forms = lazy, dense = [lazy, parse(serialize(lazy))]
+    fresh = [compose_all(s), parse(serialize(compose_all(s)))]
+
+    def agree():
+        assert _all_reads(lazy, field) == _all_reads(dense, field)
+        for c in forms:
+            assert lazy == c
+            assert [multiset_symmetric_difference(c, r) for r in fresh] == \
+                [multiset_symmetric_difference(dense, fresh[1])] * 2
+
+    agree()
+    swaps = []
+    for l in rng.sample(range(1, n + 1), 3):
+        old = rng.choice(sorted(lazy.level_counter(l)))
+        new = rng.choice([w for w in range(l + 1) if w != old])
+        swaps.append((l, old, new))
+        for c in forms:
+            c.replace(l, old, new)
+    agree()
+    assert multiset_symmetric_difference(lazy, fresh[0])[0] == 6
+    l, old, new = swaps[0]
+    forms = lazy, dense = [c.correct({(new, l - new): 1, (old, l - old): -1})
+                           for c in forms]
+    agree()
+    l, old, new = swaps[1]
+    m = lazy.level_counter(l)[old] + 1  # one more than the level holds
+    flaw = f"level {l} holds weight {old} -1 times"
+    for c in forms:
+        with pytest.raises(CorruptedInput, match=f"^{flaw}$"):
+            c.correct({(old, l - old): m, (new, l - new): -m})
+        c._bump(l, old, -m)
+    assert _all_reads(lazy, field) == _all_reads(dense, field)
+    for c in forms:
+        assert _outcome(c.validate_shape) == (CorruptedInput, flaw)
+        for read in (c.level_counter, c.level_counts):
+            with pytest.raises(CorruptedInput, match=f"^negative multiplicity at level {l}$"):
+                read(l)
+
+
+NO_NUMPY_READS = """
+import sys
+from compocode.compositions import ARRAY_FROM, compose_all
+n = ARRAY_FROM + int(sys.argv[1])
+c = compose_all(("0110100" * n)[:n])
+c.replace(3, 2, 0)
+c.validate_shape()
+c.levels
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("offset, numpy_loaded", [(-1, "False"), (0, "True")])
+def test_reading_every_level_below_the_threshold_loads_no_numpy(offset, numpy_loaded):
+    # below ARRAY_FROM a form counts its levels in Python; from it, by
+    # bincount of an int64 array
+    env = dict(os.environ, PYTHONPATH=str(Path(compocode.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", NO_NUMPY_READS, str(offset)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    assert out.split() == [numpy_loaded]
 
 
 def test_tolerant_reconstruct_checks_the_written_levels_of_its_source():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,7 +159,7 @@ def test_observations_agree_with_multiset():
         for l in range(1, len(s) + 1):
             assert delta.level_counter(l) == c.level_counter(l) == c.levels[l]
         assert list(delta.weight_profile()) == list(c.weight_profile())
-        # reading levels leaves the numpy form readable: it stays sparse
+        # reading levels folds both forms into the dense one alike
         assert delta.levels == c.levels and delta == c
         assert delta.level_counter(len(s)) == c.levels[len(s)]
 
@@ -238,6 +239,27 @@ def test_sym_poly_decodes_a_compose_all_observation_at_k_12():
     assert len(log) == 2 and obs._source == s
     assert code.decode(obs) == info
     assert obs._source == s and code.verify(info, obs)
+
+
+def test_sym_poly_decode_of_a_compose_all_form_stays_small_at_k_4096():
+    # the shell reads each sigma = 1 payload level as one bincount of the
+    # source's prefix array, so the levels composed into the cache its
+    # copies share are the two the channel wrote; composing and caching
+    # every level it read took this decode to 182 MB under tracemalloc
+    code = build_scheme("sym-poly", 4096, 2)
+    rng = random.Random(44)
+    info = random_bits(rng, 4096)
+    s = code.encode(info)
+    assert len(s) == 22716
+    obs, _ = corrupt(compose_all(s), ErrorModel("symmetric", 2), rng)
+    tracemalloc.start()
+    try:
+        assert code.decode(obs) == info
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+    assert obs._levels.keys() == obs.delta.keys()
 
 
 def test_observation_correct_roundtrip():
