@@ -80,9 +80,7 @@ def corrupt(c, model: ErrorModel, rng: random.Random, adversarial=False):
     log = []
     for level in sorted(chosen):
         # rng.choice(seq) is seq[_randbelow(len(seq))]: draw as if from lists
-        counts = out.level_counter(level)
-        r = rng.choice(range(sum(counts.values())))
-        old = next(w for w in sorted(counts) if (r := r - counts[w]) < 0)
+        old = out.draw_weight(level, rng.choice)
         if adversarial:
             others = [w for w in range(level + 1) if w != old]
             new = max(others, key=lambda w: abs(w - old))

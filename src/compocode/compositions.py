@@ -78,13 +78,18 @@ class CompositionMultiset:
 
     The base is parse's dense levels, _levels[l] a Counter weight ->
     multiplicity for l = 1..n, or compose_all's source string s with its
-    prefix weights P, whose level l is composed on its first read into
-    _levels, a cache its copies share.  delta maps level -> weight -> count;
-    only _bump writes it, so a copy copies the delta alone.  Level l reads
-    as its base level plus delta[l], and a read refuses a negative count.
-    Reading levels folds the delta in and drops the source, leaving the
-    dense form.  Copies may share its Counters, so only a multiset that has
-    no copies may be written through levels.
+    prefix weights P.  delta maps level -> weight -> count; only _bump
+    writes it, so a copy copies the delta alone.  Level l reads as its base
+    level plus delta[l], and a read refuses a negative count.
+
+    A source's level is counted, not stored, where one read suffices:
+    level_counter composes a level outside the delta uncached, and on an
+    int64 array P the other reads bincount its windows.  Reads that repeat
+    (a list P's draw, replace and validate_shape; a delta level's
+    level_counter) cache the level in _levels, which copies share.  Reading
+    levels folds the delta in and drops the source, leaving the dense form.
+    Copies may share its Counters, so only a multiset that has no copies
+    may be written through levels.
     """
 
     def __init__(self, n: int, levels: dict[int, Counter], source: str | None = None):
@@ -120,13 +125,32 @@ class CompositionMultiset:
             if not d:
                 del self.delta[l]
 
-    def _base(self, l: int) -> Counter:
-        """Base level l, a source's composed on first read; KeyError outside 1..n."""
+    def _array_backed(self) -> bool:
+        """Whether the base levels are bincounts of an int64 prefix array."""
+        return self._P is not None and not isinstance(self._P, list)
+
+    def _base(self, l: int, cache: bool = True) -> Counter:
+        """Base level l, a source's composed (and cached) on first read;
+        KeyError outside 1..n."""
         if (level := self._levels.get(l)) is None:
             if self._source is None or not 1 <= l <= self.n:
                 raise KeyError(l)
-            level = self._levels[l] = level_of_prefix(self._P, l)
+            level = level_of_prefix(self._P, l)
+            if cache:
+                self._levels[l] = level
         return level
+
+    def _base_counts(self, l: int, ws) -> list[int]:
+        """Base level l's count of each weight in ws: an array P's from one
+        bincount of its windows, uncached and composing no Counter."""
+        if not self._array_backed():
+            level = self._base(l)
+            return [level.get(w, 0) for w in ws]
+        if not 1 <= l <= self.n:
+            raise KeyError(l)
+        counts = _window_counts(self._P, l)
+        # no window weighs outside 0..l, and a negative index would wrap
+        return [int(counts[w]) if 0 <= w <= l else 0 for w in ws]
 
     def _add_delta(self, l: int, level):
         """level, a copy of base level l (a Counter or counts 0..l), plus delta[l]."""
@@ -137,19 +161,33 @@ class CompositionMultiset:
         return level
 
     def level_counter(self, l: int) -> Counter:
-        """Level l as weight -> multiplicity; KeyError outside 1..n.  Read-only."""
+        """Level l as weight -> multiplicity; KeyError outside 1..n.  Read-only.
+        A source's level outside the delta is composed without caching it."""
         if l not in self.delta:
-            return self._base(l)
+            return self._base(l, cache=False)
         return +self._add_delta(l, Counter(self._base(l)))  # + drops the zeros
 
     def _multiplicity(self, l: int, w: int) -> int:
-        return self._base(l).get(w, 0) + self.delta.get(l, {}).get(w, 0)
+        return self._base_counts(l, (w,))[0] + self.delta.get(l, {}).get(w, 0)
+
+    def draw_weight(self, l: int, choice) -> int:
+        """The weight of level l's element at index choice(range(size)), the
+        elements in ascending weight order; choice is e.g. rng.choice.  An
+        array P's level is one bincount, a cumsum and a searchsorted."""
+        if not self._array_backed():
+            counts = self.level_counter(l) if l in self.delta else self._base(l)
+            r = choice(range(sum(counts.values())))
+            return next(w for w in sorted(counts) if (r := r - counts[w]) < 0)
+        import numpy as np
+        cum = np.cumsum(self.level_counts(l))
+        # the first weight whose cumulative count passes r
+        return int(np.searchsorted(cum, choice(range(int(cum[-1]))), side="right"))
 
     def level_counts(self, l: int):
         """Level l as an int64 array over the weights 0..l; an array P's
         base level is one bincount of its windows, composing no Counter."""
         import numpy as np
-        if isinstance(self._P, np.ndarray) and 1 <= l <= self.n:
+        if self._array_backed() and 1 <= l <= self.n:
             out = _window_counts(self._P, l)
         else:
             level, out = self._base(l), np.zeros(l + 1, dtype=np.int64)
@@ -214,7 +252,8 @@ class CompositionMultiset:
         """Raise CorruptedInput at the first flaw in (level, weight) order.
 
         The dense form checks every level.  A source-backed form checks only
-        the delta's levels, each composed once: the others are its source's.
+        the weights the delta moves, against the source's counts at them:
+        the others are its source's.
         """
         dense = self._source is None
         for l in sorted(self.delta.keys() | (range(1, self.n + 1) if dense else ())):
@@ -222,11 +261,13 @@ class CompositionMultiset:
                 raise CorruptedInput(f"level {l} out of range")
             if dense and l not in self._levels:
                 raise CorruptedInput(f"level {l} missing")
-            base, d = self._base(l), self.delta.get(l, {})
-            # the counts the delta moves over the dense base's others (a
-            # source's others are sound); one it empties (m = 0) is gone
-            ms = {**(base if dense else {}),
-                  **{w: base.get(w, 0) + c for w, c in d.items()}} if d else base
+            base, d = self._levels[l] if dense else {}, self.delta.get(l, {})
+            # the counts the delta moves over the dense base's others; one
+            # it empties (m = 0) is gone
+            ms = base
+            if d:
+                counts = self._base_counts(l, d)
+                ms = {**base, **{w: b + c for (w, c), b in zip(d.items(), counts)}}
             flaws = [(w, m) for w, m in ms.items()
                      if (m < 1 or not 0 <= w <= l) and (m or w not in d)]
             if flaws:

@@ -14,15 +14,21 @@ corrected codeword, message first, so no caller re-encodes what it decoded.
 
 On the (2R+1)^2 grid x = alpha^l1, y = alpha^l2 over GF(q),
 ``monomial_grid`` evaluates a signed sum of monomials as float64 matrix
-products; it serves a multiset delta, a lone shift, and ``prefix_grid``,
-which sums a bit string's prefix polynomial one run of prefixes at a time
-(those holding v ones), in O(n + R^2 wt) instead of O(R^2 n) for one term
-per prefix; its y = 1 column is one more column of the same product.
+products; it serves a multiset delta and ``prefix_grid``, which sums a bit
+string's prefix polynomial one run of prefixes at a time (those holding v
+ones), in O(n + R^2 wt) instead of O(R^2 n) for one term per prefix; its
+y = 1 column is one more column of the same product.  A lone monomial is
+``shift_grid``, one gather from the alpha table.
+
+Built once per process: the alpha table (filled by doubling blocks),
+``prefix_grid``'s (y - 1)^-1 column factors, the root scan's columns, the
+GF(p, m) tables and the BCH codes; a grid of an op's input is not cached.
 
 Only sym-poly's machinery uses numpy, and it imports numpy on first call:
-``alpha_power_table``, ``monomial_grid``, ``prefix_grid``, ``_scan_table``,
-``sparse_support`` (under ``sparse_interpolate``), ``SupportFit`` and
-``BCHCode``.  The ternary erasure code of asym1 and asym-t loads none.
+``alpha_power_table``, ``monomial_grid``, ``shift_grid``, ``prefix_grid``,
+``_scan_table``, ``sparse_support`` (under ``sparse_interpolate``),
+``SupportFit`` and ``BCHCode``.  The ternary erasure code of asym1 and
+asym-t loads none.
 """
 
 from __future__ import annotations
@@ -106,12 +112,13 @@ def alpha_power_table(field: PrimeField) -> np.ndarray:
     """alpha^i mod q for i = 0..q-2 as int32: it gathers faster; products need int64."""
     import numpy as np
     q, alpha = field.q, field.alpha
-    out = np.empty(q - 1, dtype=np.int32)
-    v = 1
-    for i in range(q - 1):
-        out[i] = v
-        v = v * alpha % q
-    return out
+    out = np.empty(q - 1, dtype=np.int64)
+    out[0], size = 1, 1
+    while size < q - 1:  # the first `size` powers, times alpha^size, are the next
+        block = min(size, q - 1 - size)
+        out[size:size + block] = out[:block] * pow(alpha, size, q) % q
+        size += block
+    return out.astype(np.int32)
 
 
 _EXACT_SUM = 2 ** 53  # float64 sums of nonnegative integers stay exact up to this
@@ -160,6 +167,23 @@ def _grid_sum(xe, ye, R: int, field: PrimeField, mult=None, col=None) -> np.ndar
     return out.astype(np.int64) % q
 
 
+def shift_grid(a: int, b: int, R: int, field: PrimeField) -> np.ndarray:
+    """The one monomial x^a y^b on monomial_grid's grid, as int64: one gather
+    of alpha^(a l1 + b l2)."""
+    import numpy as np
+    ls = np.arange(-R, R + 1)
+    return np.take(alpha_power_table(field), np.add.outer(a * ls, b * ls),
+                   mode="wrap").astype(np.int64)
+
+
+@lru_cache(maxsize=None)
+def _column_factors(R: int, field: PrimeField):
+    """(y - 1)^-1 at y = alpha^l2, l2 = -R..R (1 where y = 1), and where y = 1."""
+    import numpy as np
+    y = np.take(alpha_power_table(field), np.arange(-R, R + 1), mode="wrap")
+    return np.array([1 if v == 1 else pow(int(v) - 1, -1, field.q) for v in y]), y == 1
+
+
 def prefix_grid(s: str, R: int, field: PrimeField) -> np.ndarray:
     """The prefix polynomial of the bit string s on monomial_grid's grid.
 
@@ -181,12 +205,11 @@ def prefix_grid(s: str, R: int, field: PrimeField) -> np.ndarray:
     e = np.concatenate(([0], pos - vs[:-1], [n - wt]))
     a = _grid_sum(vs, e[:-1], R, field, col=np.diff(e) + 1)
     a, at_one = a[:, :-1], a[:, -1:]
-    grid = (monomial_grid(np.array([-1]), np.array([1]), R, field) * (a - 1)
-            + monomial_grid(np.array([wt]), np.array([n - wt + 1]), R, field)
-            - a) % q
-    y = np.take(alpha_power_table(field), np.arange(-R, R + 1), mode="wrap")
-    grid = grid * [1 if v == 1 else pow(int(v) - 1, -1, q) for v in y] % q
-    grid[:, y == 1] = at_one
+    grid = (shift_grid(-1, 1, R, field) * (a - 1)
+            + shift_grid(wt, n - wt + 1, R, field) - a) % q
+    factors, y_is_one = _column_factors(R, field)
+    grid = grid * factors % q
+    grid[:, y_is_one] = at_one
     return grid
 
 
@@ -245,6 +268,10 @@ def _primitive_modulus(p: int, m: int) -> int:
     one = [1] + [0] * (m - 1)
     for code in range(p ** m):
         low = [code // p ** i % p for i in range(m)]
+        # for m >= 2 a root in GF(p) makes the candidate reducible: skip it
+        if m > 1 and any((a ** m + sum(c * a ** i for i, c in enumerate(low))) % p == 0
+                         for a in range(p)):
+            continue
         if _has_order(lambda e: _x_power(e, low, p), p ** m - 1, one):
             return p ** m + code
     raise RuntimeError(f"no primitive modulus for GF({p}^{m})")  # unreachable
@@ -266,15 +293,17 @@ class GF:
         self.modulus = _primitive_modulus(p, m)
         # multiply by x: shift the digits up one place, then fold the overflowing
         # digit c back in as c * x^m = -c * r(x), r the modulus's m low digits
+        # (in characteristic 2 digit-wise addition is XOR)
         top = p ** (m - 1)
         fold = [self.pack([-c * d % p for d in self.digits(self.modulus)])
                 for c in range(p)]
+        add = xor if p == 2 else self._add_digits
         antilog = [0] * self.order
         v = 1
         for i in range(self.order):
             antilog[i] = v
             c, low = divmod(v, top)
-            v = self._add_digits(low * p, fold[c]) if c else low * p
+            v = add(low * p, fold[c]) if c else low * p
         self.antilog = antilog
         self.log = [-1] * (self.order + 1)
         for i, v in enumerate(antilog):

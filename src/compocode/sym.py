@@ -25,8 +25,10 @@ this code's lengths, bincounts of an int64 prefix array) and so keeps
 large-n trials tractable.  A string's P goes on the (2R+1)^2 evaluation
 grid through fields.prefix_grid, one monomial per run of zeros, in
 O(n + R^2 wt) rather than O(R^2 n); monomial_grid's blocked product sums
-those monomials (with P's y = 1 column from the same gather), the delta
-read as a signed multiset, and the one-term shifts.
+those monomials (with P's y = 1 column from the same gather) and the delta
+read as a signed multiset, and each one-term shift is one shift_grid
+gather.  The grids of the codeword's leading zeros depend only on the code
+and are built once (_zero_run_grids).
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ from .fields import (
     bblock_code,
     bch_shape,
     field_setup,
-    monomial_grid,
+    monomial_grid,  # noqa: F401  (tests patch sym.monomial_grid by name)
     prefix_grid,
+    shift_grid,
     sparse_interpolate,
     sparse_support,
 )
@@ -397,6 +400,13 @@ def _reconstruct_known_shell(obs, zeta: str, sigma) -> str:
     return _bits_str(np.concatenate((a, mid, b[::-1])))
 
 
+@lru_cache(maxsize=None)
+def _zero_run_grids(half: int, R: int, field: PrimeField):
+    """P(0^half) and y^half on the grid: the code's leading zeros, fixed by
+    its parameters."""
+    return prefix_grid("0" * half, R, field), shift_grid(0, half, R, field)
+
+
 def etn_decode(obs, t: int) -> str:
     """Recover the payload from an observation with at most t symmetric errors.
 
@@ -428,13 +438,12 @@ def etn_decode(obs, t: int) -> str:
     R = 4 * t
     # the codeword's P on the grid: P(0^half) + y^half (P_u - 1)
     # + x^dxu y^(half+dyu) (P_zeta - 1), where P(0^half) is a single run
-    p_grid = (prefix_grid("0" * half, R, field)
-              + monomial_grid(np.array([0]), np.array([half]), R, field)
-              * (u_grid - 1)
-              + monomial_grid(np.array([d_xu]), np.array([half + d_yu]), R, field)
+    zeros_grid, y_half = _zero_run_grids(half, R, field)
+    p_grid = (zeros_grid + y_half * (u_grid - 1)
+              + shift_grid(d_xu, half + d_yu, R, field)
               * (prefix_grid(zeta, R, field) - 1)) % q
     # Etilde = x^dx y^dy ((n+1) + S(x,y) + S(1/x,1/y) - P(x,y) P(1/x,1/y))
-    scale = monomial_grid(np.array([d_x]), np.array([d_y]), R, field)
+    scale = shift_grid(d_x, d_y, R, field)
     e_grid = scale * ((n + 1 + obs.sym_eval(R, field)
                        - p_grid * p_grid[::-1, ::-1] % q) % q) % q
     error = recover_error_poly(e_grid, d_x, d_y, t, field, n)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
@@ -351,6 +352,24 @@ def test_a_large_k_trial_decodes_the_sent_word(name, t, errors, kind):
     report = run_trials(name, {"k": 4096, "t": t}, ErrorModel(kind, errors),
                         1, seed=3)
     assert report.successes == 1, report.failures
+
+
+def test_an_error_free_recon_decode_at_k_4096_caches_no_level():
+    # the search reads each level outside the delta once, so it composes
+    # them without caching; caching the 2,052 levels it read peaked at
+    # 4.0 MB under tracemalloc
+    code = build_scheme("recon", 4096)
+    rng = random.Random(45)
+    info = _random_info(rng, 4096)
+    obs, _ = corrupt(code.observe(code.encode(info)), ErrorModel("asymmetric", 0), rng)
+    tracemalloc.start()
+    try:
+        assert code.decode(obs) == info
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
+    assert not obs._levels
 
 
 @pytest.mark.parametrize("w", [2001, -1])

@@ -405,6 +405,32 @@ def test_forms_agree_on_each_side_of_the_array_threshold(n):
                 read(l)
 
 
+@pytest.mark.parametrize("n", [ARRAY_FROM - 1, ARRAY_FROM])
+def test_corrupt_draws_alike_on_every_form(n):
+    # the channel draws each level's element from counts on an array P
+    # and from a Counter otherwise: the same log, generator state and
+    # multiset on the source-backed and the parsed dense form
+    rng = random.Random(n + 1)
+    s = "".join(rng.choice("01") for _ in range(n))
+    lazy = compose_all(s)
+    dense = parse(serialize(lazy))
+    for kind in ("asymmetric", "symmetric"):
+        for adversarial in (False, True):
+            outs = []
+            for c in (lazy, dense):
+                g = random.Random(f"{kind}:{adversarial}")
+                out, log = corrupt(c, ErrorModel(kind, 3), g, adversarial)
+                outs.append((out, log, g.getstate()))
+            (a, log, state), (b, *rest) = outs
+            assert [log, state] == rest and len(log) == 3
+            assert a.delta == b.delta and a._source == s
+            for l, _, _ in log:
+                assert np.array_equal(a.level_counts(l), b.level_counts(l))
+    assert lazy == dense
+    # an array P's draw and replace compose no level into the shared cache
+    assert (not lazy._levels) is (n >= ARRAY_FROM)
+
+
 NO_NUMPY_READS = """
 import sys
 from compocode.compositions import ARRAY_FROM, compose_all

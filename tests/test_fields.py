@@ -12,6 +12,7 @@ from compocode.fields import (
     SparsityExceeded,
     SupportFit,
     _rs_interpolate_eval,
+    alpha_power_table,
     bblock_code,
     bch_shape,
     field_setup,
@@ -155,6 +156,47 @@ def test_ternary_field_tables():
             assert F.mul(0, b) == 0
             assert F.sub(F.add(a, b), b) == a
             assert F.digits(F.pack([1] * m)) == [1] * m
+
+
+def slow_field_tables(p, m):
+    """Reference GF(p^m) tables: the first monic x^m + r(x), in packed order,
+    whose x has order p^m - 1, found by walking the powers of x digit by
+    digit; returns (modulus, antilog, log, zech)."""
+    order, one = p ** m - 1, [1] + [0] * (m - 1)
+
+    def pack(digits):
+        return sum(d * p ** i for i, d in enumerate(digits))
+
+    for code in range(p ** m):
+        r = [code // p ** i % p for i in range(m)]
+        v, antilog = one, []
+        while len(antilog) < order:
+            antilog.append(pack(v))
+            top = v[-1]  # x^m = -r(x)
+            v = [(d - top * c) % p for d, c in zip([0] + v[:-1], r)]
+            if v == one:
+                break
+        if len(antilog) == order and v == one:
+            log = [-1] * (order + 1)
+            for i, a in enumerate(antilog):
+                log[a] = i
+            zech = [log[pack([(a % p + 1) % p] + [a // p ** i % p for i in range(1, m)])]
+                    for a in antilog]
+            return p ** m + code, antilog, log, zech
+    raise AssertionError("no primitive modulus")
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (2, 3), (2, 13), (3, 1), (3, 5), (5, 3)])
+def test_field_tables_match_the_slow_reference(p, m):
+    F = GF(p, m)
+    assert (F.modulus, F.antilog, F.log, F.zech) == slow_field_tables(p, m)
+
+
+def test_alpha_power_table_matches_pow():
+    f = field_setup(18628)
+    table = alpha_power_table(f)
+    assert table.dtype == "int32"
+    assert table.tolist() == [pow(f.alpha, i, f.q) for i in range(f.q - 1)]
 
 
 def test_zech_addition_matches_digitwise():

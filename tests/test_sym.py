@@ -242,9 +242,9 @@ def test_sym_poly_decodes_a_compose_all_observation_at_k_12():
 
 
 def test_sym_poly_decode_of_a_compose_all_form_stays_small_at_k_4096():
-    # the shell reads each sigma = 1 payload level as one bincount of the
-    # source's prefix array, so the levels composed into the cache its
-    # copies share are the two the channel wrote; composing and caching
+    # the channel's draw, replace, validate_shape and the shell read each
+    # level as one bincount of the source's prefix array, so no level is
+    # composed into the cache its copies share; composing and caching
     # every level it read took this decode to 182 MB under tracemalloc
     code = build_scheme("sym-poly", 4096, 2)
     rng = random.Random(44)
@@ -259,7 +259,7 @@ def test_sym_poly_decode_of_a_compose_all_form_stays_small_at_k_4096():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
-    assert obs._levels.keys() == obs.delta.keys()
+    assert not obs._levels
 
 
 def test_observation_correct_roundtrip():
