@@ -82,14 +82,17 @@ class CompositionMultiset:
     writes it, so a copy copies the delta alone.  Level l reads as its base
     level plus delta[l], and a read refuses a negative count.
 
-    A source's level is counted, not stored, where one read suffices:
-    level_counter composes a level outside the delta uncached, and on an
-    int64 array P the other reads bincount its windows.  Reads that repeat
-    (a list P's draw, replace and validate_shape; a delta level's
-    level_counter) cache the level in _levels, which copies share.  Reading
-    levels folds the delta in and drops the source, leaving the dense form.
-    Copies may share its Counters, so only a multiset that has no copies
-    may be written through levels.
+    While keep_levels holds, a source's level is composed on its first read
+    into _levels, a cache its copies share.  It holds for a list P, whose
+    levels are small and are read again by a draw, its replace and
+    validate_shape.  An int64 array P (n >= ARRAY_FROM) keeps none, as all
+    of them would take tens of MB: level_counter composes the level on each
+    read, and the other reads bincount its windows.  One search reads a
+    level again only on a backtrack; a reader that searches many copies
+    (sym-catalan's brute force) sets keep_levels on the copy it copies
+    from.  Reading levels folds the delta in and drops the source, leaving
+    the dense form.  Copies may share its Counters, so only a multiset that
+    has no copies may be written through levels.
     """
 
     def __init__(self, n: int, levels: dict[int, Counter], source: str | None = None):
@@ -99,6 +102,7 @@ class CompositionMultiset:
         self._P = None if source is None else \
             prefix_weights(source) if n < ARRAY_FROM else prefix_array(source)
         self.delta: dict[int, dict[int, int]] = {}
+        self.keep_levels = n < ARRAY_FROM
 
     @property
     def levels(self) -> dict[int, Counter]:
@@ -129,14 +133,14 @@ class CompositionMultiset:
         """Whether the base levels are bincounts of an int64 prefix array."""
         return self._P is not None and not isinstance(self._P, list)
 
-    def _base(self, l: int, cache: bool = True) -> Counter:
-        """Base level l, a source's composed (and cached) on first read;
-        KeyError outside 1..n."""
+    def _base(self, l: int) -> Counter:
+        """Base level l, a source's composed on read (and cached while
+        keep_levels holds); KeyError outside 1..n."""
         if (level := self._levels.get(l)) is None:
             if self._source is None or not 1 <= l <= self.n:
                 raise KeyError(l)
             level = level_of_prefix(self._P, l)
-            if cache:
+            if self.keep_levels:
                 self._levels[l] = level
         return level
 
@@ -161,10 +165,9 @@ class CompositionMultiset:
         return level
 
     def level_counter(self, l: int) -> Counter:
-        """Level l as weight -> multiplicity; KeyError outside 1..n.  Read-only.
-        A source's level outside the delta is composed without caching it."""
+        """Level l as weight -> multiplicity; KeyError outside 1..n.  Read-only."""
         if l not in self.delta:
-            return self._base(l, cache=False)
+            return self._base(l)
         return +self._add_delta(l, Counter(self._base(l)))  # + drops the zeros
 
     def _multiplicity(self, l: int, w: int) -> int:
@@ -175,7 +178,7 @@ class CompositionMultiset:
         elements in ascending weight order; choice is e.g. rng.choice.  An
         array P's level is one bincount, a cumsum and a searchsorted."""
         if not self._array_backed():
-            counts = self.level_counter(l) if l in self.delta else self._base(l)
+            counts = self.level_counter(l)
             r = choice(range(sum(counts.values())))
             return next(w for w in sorted(counts) if (r := r - counts[w]) < 0)
         import numpy as np

@@ -590,6 +590,8 @@ def catalan_code_decode_bruteforce(c: CompositionMultiset, t: int) -> str:
     pad = 4 * t + 1
     if c.n % 2 or c.n < 2 * pad + 2:
         raise ValueError("length incompatible with the code format")
+    c = c.copy()
+    c.keep_levels = True  # each candidate's search reads the levels the last read
     tried = set()
     for cand, w in _revert_candidates(c, cumulative_weights(c), t):
         key = frozenset((l, wt, m) for l, d in cand.delta.items() for wt, m in d.items())

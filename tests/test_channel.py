@@ -15,7 +15,7 @@ from compocode.channel import (
     corrupt,
     run_trials,
 )
-from compocode.compositions import CompositionMultiset, compose_all, \
+from compocode.compositions import ARRAY_FROM, CompositionMultiset, compose_all, \
     multiset_symmetric_difference
 
 
@@ -355,9 +355,9 @@ def test_a_large_k_trial_decodes_the_sent_word(name, t, errors, kind):
 
 
 def test_an_error_free_recon_decode_at_k_4096_caches_no_level():
-    # the search reads each level outside the delta once, so it composes
-    # them without caching; caching the 2,052 levels it read peaked at
-    # 4.0 MB under tracemalloc
+    # an array P keeps no composed level, and one search reads a level
+    # again only on a backtrack; caching the 2,052 levels it read peaked
+    # at 4.0 MB under tracemalloc
     code = build_scheme("recon", 4096)
     rng = random.Random(45)
     info = _random_info(rng, 4096)
@@ -370,6 +370,20 @@ def test_an_error_free_recon_decode_at_k_4096_caches_no_level():
         tracemalloc.stop()
     assert peak < 2 * 2**20, peak
     assert not obs._levels
+
+
+def test_a_sym_catalan_decode_above_the_array_threshold_keeps_its_levels():
+    # the brute force searches one candidate copy after another over the
+    # same levels, so it keeps them; composing them anew per candidate
+    # took two k = 2,048 trials from 1.33 to 1.75 s (medians of six runs
+    # on a 2-core VM)
+    code = build_scheme("sym-catalan", 2048, 1)
+    rng = random.Random(46)
+    info = _random_info(rng, 2048)
+    obs, _ = corrupt(code.observe(code.encode(info)), ErrorModel("symmetric", 1), rng)
+    assert obs.n >= ARRAY_FROM and not obs._levels
+    assert code.decode(obs) == info
+    assert len(obs._levels) > obs.n // 4
 
 
 @pytest.mark.parametrize("w", [2001, -1])

@@ -431,6 +431,21 @@ def test_corrupt_draws_alike_on_every_form(n):
     assert (not lazy._levels) is (n >= ARRAY_FROM)
 
 
+def test_an_array_backed_form_keeps_levels_only_when_asked():
+    # a list P caches each level it composes; an array P composes one on
+    # every read unless keep_levels is set, and then caches it in the base
+    # its copies share
+    assert compose_all("0110").keep_levels
+    c = compose_all("0011" * (ARRAY_FROM // 4))
+    assert not c.keep_levels
+    level = c.level_counter(7)
+    assert not c._levels and c.level_counter(7) == level
+    kept = c.copy()
+    kept.keep_levels = True
+    assert kept.level_counter(7) == level and c._levels.keys() == {7}
+    assert kept.copy().level_counter(7) is c._levels[7]
+
+
 NO_NUMPY_READS = """
 import sys
 from compocode.compositions import ARRAY_FROM, compose_all
