@@ -87,7 +87,9 @@ def corrupt(c, model: ErrorModel, rng: random.Random, adversarial=False):
         else:
             new = rng.choice(range(level))
             new += new >= old
-        out.replace(level, old, new)
+        # replace's check without its recount: old was drawn from the level
+        out._bump(level, old, -1)
+        out._bump(level, new, 1)
         log.append((level, old, new))
     return out, log
 

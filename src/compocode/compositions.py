@@ -84,9 +84,9 @@ class CompositionMultiset:
 
     While keep_levels holds, a source's level is composed on its first read
     into _levels, a cache its copies share.  It holds for a list P, whose
-    levels are small and are read again by a draw, its replace and
-    validate_shape.  An int64 array P (n >= ARRAY_FROM) keeps none, as all
-    of them would take tens of MB: level_counter composes the level on each
+    levels are small and are read again after a draw, by validate_shape and
+    the decoder.  An int64 array P (n >= ARRAY_FROM) keeps none, as all of
+    them would take tens of MB: level_counter composes the level on each
     read, and the other reads bincount its windows.  One search reads a
     level again only on a backtrack; a reader that searches many copies
     (sym-catalan's brute force) sets keep_levels on the copy it copies

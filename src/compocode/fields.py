@@ -10,7 +10,9 @@ Both expose add/sub/mul/inv, so one Berlekamp-Massey serves the sparse
 polynomial recovery over GF(q), the systematic erasure code over the ternary
 alphabet (built on GF(3^e)) and the systematic binary BCH codes of minimum
 distance 2t+1 (built on GF(2^m)).  Both codes' decoders return the whole
-corrected codeword, message first, so no caller re-encodes what it decoded.
+corrected codeword, message first, so no caller re-encodes what it decoded;
+a BCH word in or out of the code is a uint8 array, so sym-poly's bits stay
+arrays from the grid to the parity string and back.
 
 On the (2R+1)^2 grid x = alpha^l1, y = alpha^l2 over GF(q),
 ``monomial_grid`` evaluates a signed sum of monomials as float64 matrix
@@ -34,8 +36,7 @@ asym-t loads none.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import compress
+from functools import lru_cache
 from operator import xor
 
 
@@ -606,7 +607,8 @@ class BCHCode:
 
     Codeword layout: message bits first, then deg(g) parity bits; bit i of the
     parity block is the coefficient of x^i, message bit j sits at degree
-    deg(g) + j of the code polynomial.
+    deg(g) + j of the code polynomial.  encode and decode take any 0/1
+    sequence and return uint8 numpy arrays.
     """
 
     def __init__(self, msg_len: int, t: int):
@@ -622,10 +624,11 @@ class BCHCode:
         # x, one shift-register step
         r = self.n_parity
         g_low = sum(c << i for i, c in enumerate(self.g[:-1]))  # x^r mod g
-        row, mask, self._rows = g_low, (1 << r) - 1, []
+        row, mask, rows = g_low, (1 << r) - 1, []
         for _ in range(msg_len):
-            self._rows.append(row)
+            rows.append(row)
             row = ((row << 1) & mask) ^ (g_low if row >> (r - 1) else 0)
+        self._rows = np.array(rows, dtype=object)  # ints of any width
         self._antilog = np.array(self.f.antilog, dtype=np.int64)
         # bit index -> degree in the code polynomial
         self._degree = np.concatenate((
@@ -647,30 +650,35 @@ class BCHCode:
     def _syndromes(self, word):
         """word(alpha^i) for i = 1..2t; all zero exactly on codewords."""
         import numpy as np
-        degs = self._degree[np.flatnonzero(np.asarray(word, dtype=np.int64))]
+        degs = self._degree[np.flatnonzero(word)]
         return [int(np.bitwise_xor.reduce(
                     self._antilog[degs * i % self.f.order], initial=0))
                 for i in range(1, 2 * self.t + 1)]
 
     def encode(self, bits):
-        """The codeword: the message, then msg(x) x^r mod g.  The parity is
-        linear in the message: the XOR of the cached remainders x^(r+j) mod g
-        of the message's 1 bits j."""
-        bits = list(bits)
+        """The codeword of a 0/1 sequence, as uint8: the message, then
+        msg(x) x^r mod g.  The parity is linear in the message: the XOR of
+        the cached remainders x^(r+j) mod g of the message's 1 bits j."""
+        import numpy as np
+        bits = np.asarray(bits, dtype=np.uint8)
         if len(bits) != self.msg_len:
             raise ValueError("message length mismatch")
-        rem = reduce(xor, compress(self._rows, bits), 0)
-        return bits + [(rem >> i) & 1 for i in range(self.n_parity)]
+        rem = int(np.bitwise_xor.reduce(self._rows[bits != 0]))
+        r = self.n_parity  # unpacked by bytes: r may pass 64 bits
+        parity = np.unpackbits(np.frombuffer(rem.to_bytes(-(-r // 8), "little"),
+                                             np.uint8), count=r, bitorder="little")
+        return np.concatenate((bits, parity))
 
     def decode(self, received):
-        """The corrected codeword, message bits first."""
+        """The corrected codeword of a 0/1 sequence, message bits first, as
+        a uint8 copy; received is not written."""
         import numpy as np
-        received = list(received)
-        if len(received) != self.code_len:
+        word = np.array(received, dtype=np.uint8)
+        if len(word) != self.code_len:
             raise ValueError("codeword length mismatch")
         f, t = self.f, self.t
         # all-zero syndromes give the locator [1], which has no root
-        lam = _berlekamp_massey(self._syndromes(received), f)
+        lam = _berlekamp_massey(self._syndromes(word), f)
         L = len(lam) - 1
         if L > t:
             raise ValueError("more errors than the design distance allows")
@@ -684,10 +692,9 @@ class BCHCode:
         if len(roots) != L:
             raise ValueError("error locator failed to split over the block")
         # S_2i = S_i^2 for a binary word, so the L roots carry coefficient 1;
-        # flipping them in this copy of the word zeroes all 2t syndromes
-        for idx in roots.tolist():
-            received[idx] ^= 1
-        return received
+        # flipping them zeroes all 2t syndromes
+        word[roots] ^= 1
+        return word
 
 
 # the shared distance-(2t+1) code for msg_len-bit messages

@@ -59,7 +59,6 @@ from .fields import (
     bblock_code,
     bch_shape,
     field_setup,
-    monomial_grid,  # noqa: F401  (tests patch sym.monomial_grid by name)
     prefix_grid,
     shift_grid,
     sparse_interpolate,
@@ -292,11 +291,13 @@ def _parity_block(sbar) -> str:
     """z: even positions 0, odd position j making the running parity sbar_{(j+1)/2}.
 
     The running parity after odd position 2k-1 is sbar_k itself, so that
-    position holds sbar_k xor sbar_{k-1} (sbar_0 = 0).
+    position holds sbar_k xor sbar_{k-1} (sbar_0 = 0).  sbar is a 0/1
+    sequence, the block code's uint8 word as it comes.
     """
-    sb = np.asarray(sbar, dtype=np.int64) % 2
-    z = np.zeros(2 * len(sb), dtype=np.int64)
-    z[0::2] = sb ^ np.concatenate(([0], sb[:-1]))
+    sb = np.asarray(sbar, dtype=np.uint8)
+    z = np.zeros(2 * len(sb), dtype=np.uint8)
+    z[0::2] = sb
+    z[2::2] ^= sb[:-1]
     return _bits_str(z)
 
 
@@ -316,16 +317,19 @@ def _msb_first(width: int) -> np.ndarray:
     return np.arange(width - 1, -1, -1)
 
 
-def _grid_to_bits(a: int, grid: dict, p: PolyCodeParams) -> list[int]:
-    """a in a_bits bits, then each grid value in elem_bits bits, MSB first."""
+def _grid_to_bits(a: int, grid: dict, p: PolyCodeParams) -> np.ndarray:
+    """a in a_bits bits, then each grid value in elem_bits bits, MSB first,
+    as the uint8 message the block code encodes."""
     vals = np.array([grid[pt] for pt in _grid_points(p.t)], dtype=np.int64)
     head = (a >> _msb_first(p.a_bits)) & 1
     body = (vals[:, None] >> _msb_first(p.elem_bits)) & 1
-    return np.concatenate((head, body.ravel())).tolist()
+    return np.concatenate((head, body.ravel())).astype(np.uint8)
 
 
 def _bits_to_grid(bits, p: PolyCodeParams):
-    """Inverse of _grid_to_bits: a, and the grid at [l1 + R, l2 + R]."""
+    """Inverse of _grid_to_bits: a, and the grid at [l1 + R, l2 + R].  bits
+    is a 0/1 sequence, the block code's uint8 word as it comes; only its
+    first msg_len bits are read."""
     bits = np.asarray(bits[:p.msg_len], dtype=np.int64)
     a = int(bits[:p.a_bits] @ (1 << _msb_first(p.a_bits)))
     if a > 2 * p.t:
@@ -381,12 +385,14 @@ def _reconstruct_known_shell(obs, zeta: str, sigma) -> str:
     if bad.size:
         raise ReconstructionFailure(
             f"sigma disagrees with the known shell at pair {bad[0] + 1}")
+    # pw_j, sw_j: prefix sums of a and b, exact up to each unsettled pair k,
+    # where a_k = b_k = 0 until it is settled
+    pw = np.concatenate(([0], np.cumsum(a)))
+    sw = np.concatenate(([0], np.cumsum(b)))
     for k in (r + np.flatnonzero(sig[r:] == 1)).tolist():
         level = n - k - 1
         counts = obs.level_counts(level)
-        pw = np.concatenate(([0], np.cumsum(a[:k])))
-        sw = np.concatenate(([0], np.cumsum(b[:k])))
-        rest = counts - np.bincount(W - pw[1:] - sw[:0:-1], minlength=level + 1)
+        rest = counts - np.bincount(W - pw[1:k + 1] - sw[k:0:-1], minlength=level + 1)
         # the level's weights besides the inner windows, sorted
         left = np.repeat(np.arange(level + 1), rest).tolist() if rest.min() >= 0 else []
         x, y = W - int(sw[k]), W - int(pw[k])
@@ -396,6 +402,8 @@ def _reconstruct_known_shell(obs, zeta: str, sigma) -> str:
             raise ReconstructionFailure(
                 f"pair {k + 1} is not settled by level {level}")
         a[k], b[k] = picked[0], 1 - picked[0]
+        pw[k + 1:] += a[k]
+        sw[k + 1:] += b[k]
     mid = sigma[h:]  # odd n: 0 or 1, by sigma_from_weights
     return _bits_str(np.concatenate((a, mid, b[::-1])))
 
@@ -422,7 +430,7 @@ def etn_decode(obs, t: int) -> str:
     n, field, q = p.n, p.field, p.field.q
     half = p.r_hat // 2
     w_obs = obs.weight_profile()
-    received = (w_obs[1:half:2] % 2).tolist()
+    received = w_obs[1:half:2] % 2
     try:
         sbar = bblock_code(p.msg_len, t).decode(received)
     except ValueError as e:
@@ -448,7 +456,9 @@ def etn_decode(obs, t: int) -> str:
                        - p_grid * p_grid[::-1, ::-1] % q) % q) % q
     error = recover_error_poly(e_grid, d_x, d_y, t, field, n)
     fixed = obs.correct(error)
-    w = fixed.weight_profile()
+    w = w_obs.copy()  # fixed's profile: level w+z loses w c per error term
+    for (wt, z), c in error.items():
+        w[wt + z - 1] -= wt * c
     if w[0] != d_x or w[n - 1] != d_x:
         raise ReconstructionFailure("corrected weights disagree with wt(s)")
     sigma = sigma_from_weights(w, n)

@@ -324,7 +324,6 @@ def test_sym_poly_decode_grids_no_string_term_by_term(monkeypatch):
 
     grid = fields.monomial_grid
     monkeypatch.setattr(fields, "monomial_grid", counting)
-    monkeypatch.setattr(sym, "monomial_grid", counting)
     rng = random.Random(29)
     info = "".join(rng.choice("01") for _ in range(12))
     s = sym.etn_encode_info(info, 2)

@@ -36,6 +36,7 @@ from itertools import accumulate
 from math import comb
 
 import numpy as np
+import pytest
 
 from compocode.asym import (
     _checksum,
@@ -129,6 +130,7 @@ from compocode.sym import (
     recover_error_poly,
     resolve_weight,
 )
+from test_fields import list_division_encode
 
 
 def outcome(f, *args):
@@ -1888,18 +1890,46 @@ def test_bch_decode_returns_the_codeword_the_loop_re_encodes():
                 word = code.encode([rng.randrange(2) for _ in range(msg_len)])
                 for pos in rng.sample(range(code.code_len), flips):
                     word[pos] ^= 1
-                received = word[:]
+                received = word.copy()
                 got = outcome(code.decode, word)
-                assert word == received  # decode corrects a copy
+                assert np.array_equal(word, received)  # decode corrects a copy
                 want = outcome(loop_bch_decode, code, word)
-                if not isinstance(want, type):
-                    want = code.encode(want)
-                assert got == want, (msg_len, t, flips)
+                if isinstance(want, type):
+                    assert got is want, (msg_len, t, flips)
+                else:
+                    assert np.array_equal(got, code.encode(want)), (msg_len, t, flips)
                 if not isinstance(got, type):
                     # why decode rechecks nothing: S_2i = S_i^2 for a binary
                     # word, so the located bits all flip to a codeword
                     assert not any(code._syndromes(got))
                     assert sum(map(operator.ne, got, received)) <= t
+
+
+# test_fields' encoder cases, and (200, 8), whose 72 parity bits pass an int64
+@pytest.mark.parametrize("msg_len,t", [(1, 1), (4, 1), (11, 1), (57, 2),
+                                       (200, 3), (1000, 2), (1136, 1),
+                                       (4627, 2), (10628, 3), (200, 8)])
+def test_bch_words_are_uint8_arrays_that_match_the_list_oracles(msg_len, t):
+    code = BCHCode(msg_len, t)
+    rng = random.Random(msg_len * 10 + t)
+    for flips in range(t + 2):
+        msg = np.array([rng.randrange(2) for _ in range(msg_len)], np.uint8)
+        cw = code.encode(msg)
+        assert cw.dtype == np.uint8
+        assert cw.tolist() == list_division_encode(code, msg.tolist())
+        word = cw.copy()
+        word[rng.sample(range(code.code_len), flips)] ^= 1
+        received = word.copy()
+        got = outcome(code.decode, word)
+        assert np.array_equal(word, received)  # decode corrects a copy
+        want = outcome(loop_bch_decode, code, word.tolist())
+        if isinstance(want, type):
+            assert got is want, (flips, want)
+        else:
+            assert got.dtype == np.uint8
+            assert got.tolist() == list_division_encode(code, want)
+        if flips <= t:
+            assert np.array_equal(got, cw)
 
 
 def test_support_fit_matches_the_loop():
@@ -2161,7 +2191,7 @@ def test_grid_bits_match_the_loop():
             a = rng.randint(0, 2 * t)
             grid = {pt: rng.randrange(q) for pt in _grid_points(t)}
             bits = loop_grid_to_bits(a, grid, p)
-            assert _grid_to_bits(a, grid, p) == bits
+            assert _grid_to_bits(a, grid, p).tolist() == bits
             if trial % 4 == 1:  # random bits: elements past q are likely
                 bits = [rng.randrange(2) for _ in bits]
             elif trial % 4 == 2:  # a residue past 2t

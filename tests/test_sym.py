@@ -487,7 +487,7 @@ def test_etn_encoder_structure_and_parities():
             # even-level cumulative weight parities spell out sbar
             w = DeltaObservation(s).weight_profile()
             parities = [int(w[2 * j - 1]) % 2 for j in range(1, p.code_len + 1)]
-            assert bblock_code(p.msg_len, t).decode(parities) == parities
+            assert bblock_code(p.msg_len, t).decode(parities).tolist() == parities
 
 
 def test_etn_encode_rejects_wrong_length():
@@ -608,6 +608,31 @@ def test_etn_decodes_a_dense_multiset_end_to_end():
     old = rng.choice(sorted(c.level_counter(l).elements()))
     c.replace(l, old, rng.choice([v for v in range(l + 1) if v != old]))
     assert etn_decode_info(c, 8, 1) == info
+
+
+def test_etn_decode_derives_the_corrected_profile(monkeypatch):
+    # etn_decode takes the corrected weights from the observed ones and the
+    # error terms instead of reading correct(error)'s profile again
+    errors, profiles = [], []
+    recover, solve = sym.recover_error_poly, sym.sigma_from_weights
+    monkeypatch.setattr(sym, "recover_error_poly",
+                        lambda *args: errors.append(recover(*args)) or errors[-1])
+    monkeypatch.setattr(sym, "sigma_from_weights",
+                        lambda w, n: profiles.append(w.copy()) or solve(w, n))
+    rng = random.Random(35)
+    for trial in range(24):
+        info = random_bits(rng, 12)
+        s = etn_encode_info(info, 2)
+        assert len(s) == 18628
+        model = ErrorModel(("symmetric", "asymmetric")[trial % 2], rng.randint(0, 2))
+        obs, log = corrupt(compose_all(s), model, rng, adversarial=trial % 3 == 0)
+        errors.clear()
+        profiles.clear()
+        assert etn_decode_info(obs, 12, 2) == info, log
+        (error,), (w,) = errors, profiles
+        assert len(error) == 2 * len(log)
+        assert np.array_equal(w, obs.correct(error).weight_profile()), log
+        assert np.array_equal(w, compose_all(s).weight_profile()), log
 
 
 def test_recover_error_poly_zero_error():
