@@ -87,7 +87,7 @@ def corrupt(c, model: ErrorModel, rng: random.Random, adversarial=False):
         else:
             new = rng.choice(range(level))
             new += new >= old
-        # replace's check without its recount: old was drawn from the level
+        # replace without its recount: old was drawn, new is in 0..level
         out._bump(level, old, -1)
         out._bump(level, new, 1)
         log.append((level, old, new))
