@@ -29,14 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import sub
-from struct import pack
 
 from .compositions import (
     CompositionMultiset,
     CorruptedInput,
-    compose_all,  # noqa: F401 - bench/tracer.py rebinds this by-name import
+    compose_all,
     cumulative_weights,
-    prefix_weights,
+    level_differences,
     sigma_from_weights,
     weights_from_sigma,
 )
@@ -69,11 +68,6 @@ def _lanes(v: int, size: int) -> str:
     return v.to_bytes(4 * size, "little").decode("utf-32-le", "surrogatepass")
 
 
-def _pack(values) -> int:
-    """values as the 32-bit lanes of one int, the first in the lowest lane."""
-    return int.from_bytes(pack(f"<{len(values)}I", *values), "little")
-
-
 def _remainder(level, v: int, size: int) -> dict[int, int]:
     """Each observed weight's multiplicity in level less its count in v's lanes."""
     counts = map(_lanes(v, size).count, map(chr, level))
@@ -92,19 +86,13 @@ def _excess(rem) -> int:
 def _finalize(c, s: str, n: int, steps: int, bad_levels) -> bool:
     """Whether s matches the levels the search skips: 1 .. n-steps-1 and n.
 
-    When s is the source string of a source-backed c, only the levels in
-    c's delta can differ from s's, so only those are checked, in full.  Level l
-    of s is the lane-wise difference of its packed prefix weights X shifted
-    down by l lanes and X itself; prefix weights never decrease, so no lane
-    borrows.
+    A corrupted level may differ from s's by one swapped element (2 in the
+    symmetric difference), any other by none; validate_shape has fixed every
+    level's size, so this is the search's own test.
     """
-    X = _pack(prefix_weights(s))
-    for l in c.levels_to_check(s, (*range(1, n - steps), n)):
-        size = n + 1 - l
-        windows = (X >> 32 * l) - (X & ((1 << 32 * size) - 1))
-        if _excess(_remainder(c.level_counter(l), windows, size)) > (l in bad_levels):
-            return False
-    return True
+    skipped = (*range(1, n - steps), n)
+    return all(sum(abs(d) for _, d in diffs) <= 2 * (l in bad_levels)
+               for l, diffs in level_differences(compose_all(s), c, skipped))
 
 
 def _search(c, sigma, bad_levels, stats, *, collect_all):

@@ -18,7 +18,7 @@ from itertools import accumulate
 from typing import Callable
 
 from .compositions import CorruptedInput, check_length, compose_all, \
-    multiset_symmetric_difference
+    level_differences
 
 
 @dataclass(frozen=True)
@@ -137,14 +137,15 @@ class Scheme:
     encode maps k info bits to the codeword of length n, and observe maps
     the codeword to the observation the channel corrupts.  decode(obs) and
     verify(info, obs) check obs.n against n, the one length check of every
-    scheme, before they call the builder's decoder and verifier.  decode
-    returns the info word and raises ValueError on another length.  verify
-    re-encodes info and is True when one of its codewords lies within the
-    code's t errors of obs; it runs no decoder and never raises: an info
-    word of another length than k or with a character other than 0 and 1,
-    obs of another length than n or an obs that fails validate_shape is
-    False.  params names the code in reports: k, and t
-    for the schemes that take one.
+    scheme.  decode then calls the builder's decoder; it returns the info
+    word and raises ValueError on another length.  verify, the same for
+    every scheme, re-encodes info (codewords(info), or the one codeword
+    encode(info)) and is True when one of its codewords lies within t
+    errors of obs; it runs no decoder and never raises: an info word of
+    another length than k or with a character other than 0 and 1, obs of
+    another length than n or an obs that fails validate_shape is False.
+    params names the code in reports: k, and t for the schemes that take
+    one.
     """
 
     params: dict
@@ -152,7 +153,8 @@ class Scheme:
     encode: Callable[[str], str]
     observe: Callable
     decoder: Callable
-    verifier: Callable
+    t: int
+    codewords: Callable | None = None
 
     def decode(self, obs) -> str:
         check_length(obs.n, self.n)
@@ -165,12 +167,16 @@ class Scheme:
             obs.validate_shape()
         except CorruptedInput:  # obs is no multiset
             return False
-        return self.verifier(info, obs)
+        codewords = self.codewords(info) if self.codewords else (self.encode(info),)
+        return any(_within(s, obs, self.t) for s in codewords)
 
 
 def _within(clean: str, obs, t: int) -> bool:
-    d, _ = multiset_symmetric_difference(compose_all(clean), obs)
-    return d <= 2 * t
+    """Whether C(clean) is within t replacements (2t elements) of obs; it
+    reads level by level and stops at the first that takes it past 2t."""
+    gaps = accumulate(sum(abs(d) for _, d in diffs)
+                      for _, diffs in level_differences(compose_all(clean), obs))
+    return all(d <= 2 * t for d in gaps)
 
 
 # Builders import their scheme's modules, so importing channel loads no numpy.
@@ -182,8 +188,7 @@ def _recon(k: int, t: int) -> Scheme:
     from .backtrack import reconstruct_unique
     from .catalan import sr_decode, sr_encode, sr_params
     return Scheme({"k": k}, sr_params(k, 0), sr_encode, compose_all,
-                  lambda c: sr_decode(reconstruct_unique(c)[0], k, 0),
-                  lambda info, c: _within(sr_encode(info), c, 0))
+                  lambda c: sr_decode(reconstruct_unique(c)[0], k, 0), 0)
 
 
 def _asym1(k: int, t: int) -> Scheme:
@@ -191,47 +196,30 @@ def _asym1(k: int, t: int) -> Scheme:
         raise ValueError("t must be 0")
     from .asym import s1_codewords, s1_decode, s1_encode, s1_params
     return Scheme({"k": k}, s1_params(k), s1_encode, compose_all,
-                  partial(s1_decode, k=k),
-                  lambda info, c: any(_within(s, c, 1)
-                                      for s in s1_codewords(info)))
+                  partial(s1_decode, k=k), 1, s1_codewords)
 
 
 def _asym_t(k: int, t: int) -> Scheme:
     from .asym import st_decode, st_encode, st_params
-    encode = partial(st_encode, t=t)
-    return Scheme({"k": k, "t": t}, st_params(k, t)[1], encode, compose_all,
-                  partial(st_decode, k=k, t=t),
-                  lambda info, c: _within(encode(info), c, t))
+    return Scheme({"k": k, "t": t}, st_params(k, t)[1], partial(st_encode, t=t),
+                  compose_all, partial(st_decode, k=k, t=t), t)
 
 
 def _sym_poly(k: int, t: int) -> Scheme:
     from .catalan import sr_params
     from .sym import etn_decode_info, etn_encode_info, poly_params_from_payload
     n = poly_params_from_payload(sr_params(k, 0), t).n
-    encode = partial(etn_encode_info, t=t)
-
-    def verify(info, obs):
-        s = encode(info)
-        # a moved level weight costs an even gap of 2 or more, so <= 2t moves <= t
-        if obs._source == s:  # forms of s differ by their deltas
-            return _within(s, obs, t)
-        clean = compose_all(s)
-        gaps = accumulate(abs(clean.level_counts(l) - obs.level_counts(l)).sum()
-                          for l in range(1, n + 1))  # all() stops past 2t
-        return all(d <= 2 * t for d in gaps)
-    return Scheme({"k": k, "t": t}, n, encode, compose_all,
-                  partial(etn_decode_info, k=k, t=t), verify)
+    return Scheme({"k": k, "t": t}, n, partial(etn_encode_info, t=t), compose_all,
+                  partial(etn_decode_info, k=k, t=t), t)
 
 
 def _sym_catalan(k: int, t: int) -> Scheme:
     from .sym import catalan_code_decode_bruteforce, catalan_code_encode, \
         catalan_code_params, catalan_code_strip
     n = catalan_code_params(k, t)  # rejects t < 0 before any trial
-    encode = partial(catalan_code_encode, t=t)
-    return Scheme({"k": k, "t": t}, n, encode, compose_all,
+    return Scheme({"k": k, "t": t}, n, partial(catalan_code_encode, t=t), compose_all,
                   lambda c: catalan_code_strip(
-                      catalan_code_decode_bruteforce(c, t), k, t),
-                  lambda info, c: _within(encode(info), c, t))
+                      catalan_code_decode_bruteforce(c, t), k, t), t)
 
 
 REGISTRY = {"recon": _recon, "asym1": _asym1, "asym-t": _asym_t,

@@ -188,13 +188,17 @@ class CompositionMultiset:
 
     def level_counts(self, l: int):
         """Level l as an int64 array over the weights 0..l; an array P's
-        base level is one bincount of its windows, composing no Counter."""
+        base level is one bincount of its windows, composing no Counter.
+        A base or delta weight outside 0..l raises CorruptedInput."""
         import numpy as np
         if self._array_backed() and 1 <= l <= self.n:
-            out = _window_counts(self._P, l)
+            base, out = {}, _window_counts(self._P, l)
         else:
-            level, out = self._base(l), np.zeros(l + 1, dtype=np.int64)
-            out[list(level)] = list(level.values())
+            base, out = self._base(l), np.zeros(l + 1, dtype=np.int64)
+        # an index outside 0..l would wrap round (-1 reads as l) or raise IndexError
+        if bad := [w for w in (*base, *self.delta.get(l, ())) if not 0 <= w <= l]:
+            raise CorruptedInput(f"level {l} contains weight {min(bad)} out of range")
+        out[list(base)] = list(base.values())
         return self._add_delta(l, out)
 
     def weight_profile(self):
@@ -282,15 +286,10 @@ class CompositionMultiset:
                 raise CorruptedInput(
                     f"level {l} has {size} elements, expected {self.n - l + 1}")
 
-    def levels_to_check(self, s: str, levels):
-        """Those of levels at which C(s) can differ from this multiset: all,
-        unless s is the source string, whose levels differ only in the delta."""
-        return levels if s != self._source else [l for l in levels if l in self.delta]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompositionMultiset):
             return NotImplemented
-        return self.n == other.n and multiset_symmetric_difference(self, other)[0] == 0
+        return self.n == other.n and next(level_differences(self, other), None) is None
 
 
 def compose_all(s: str) -> CompositionMultiset:
@@ -435,34 +434,43 @@ def sigma_partial(wp, n: int) -> tuple[tuple[int, ...], tuple[bool, ...]]:
     return tuple(v if ok else 0 for v, ok in zip(sigma, known)), known
 
 
-def multiset_symmetric_difference(c1, c2):
-    """Total count and per-level detail of (C1 \\ C2) u (C2 \\ C1).
+def level_differences(c1, c2, levels=None):
+    """Yield (l, [(w, count in c1 - count in c2), ...]) for each level l
+    where c1 and c2 differ, in ascending order of l and then w.
 
-    Two forms of one source string differ by their deltas alone, so only
-    those are compared and no level is composed.
+    levels, ascending, limits the levels compared (default 1..n).  Two forms
+    of one source string differ by their deltas alone, so only those are
+    compared and no level is composed.  Otherwise each level is read in
+    turn, lazily: as level_counts arrays from ARRAY_FROM bits up, and as
+    level_counter Counters below, which loads no numpy.
     """
     if c1.n != c2.n:
         raise ValueError("multisets describe strings of different lengths")
-    count = 0
-    detail: dict[int, list[tuple[int, int]]] = {}
-    same = c1._source is not None and c1._source == c2._source
-    for l in sorted(c1.delta.keys() | c2.delta.keys()) if same else range(1, c1.n + 1):
-        a, b = ((c1.delta.get(l, {}), c2.delta.get(l, {})) if same
-                else (c1.level_counter(l), c2.level_counter(l)))
-        # Equal dicts differ by 0 at every weight.  No level or delta holds
-        # a zero count, so dict equality (in C; Counter's runs a generator)
-        # is Counter equality, and every equal level is skipped.
-        if dict.__eq__(a, b):
-            continue
-        diffs = []
-        for w in a.keys() | b.keys():
-            d = a.get(w, 0) - b.get(w, 0)
-            if d:
-                diffs.append((w, d))
-                count += abs(d)
-        if diffs:
-            detail[l] = sorted(diffs)
-    return count, detail
+    if c1._source is not None and c1._source == c2._source:
+        keys = c1.delta.keys() | c2.delta.keys()
+        levels = sorted(keys) if levels is None else [l for l in levels if l in keys]
+        pairs = ((l, c1.delta.get(l, {}), c2.delta.get(l, {})) for l in levels)
+    elif c1.n >= ARRAY_FROM:
+        for l in range(1, c1.n + 1) if levels is None else levels:
+            d = c1.level_counts(l) - c2.level_counts(l)
+            if (ws := d.nonzero()[0]).size:
+                yield l, list(zip(ws.tolist(), d[ws].tolist()))
+        return
+    else:
+        pairs = ((l, c1.level_counter(l), c2.level_counter(l))
+                 for l in (range(1, c1.n + 1) if levels is None else levels))
+    for l, a, b in pairs:
+        # No level or delta holds a zero count, so dict equality (in C;
+        # Counter's runs a generator) is Counter equality
+        if not dict.__eq__(a, b):
+            yield l, sorted((w, d) for w in a.keys() | b.keys()
+                            if (d := a.get(w, 0) - b.get(w, 0)))
+
+
+def multiset_symmetric_difference(c1, c2):
+    """Total count and per-level detail of (C1 \\ C2) u (C2 \\ C1)."""
+    detail = dict(level_differences(c1, c2))
+    return sum(abs(d) for diffs in detail.values() for _, d in diffs), detail
 
 
 # -- text format ----------------------------------------------------------

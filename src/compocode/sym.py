@@ -463,7 +463,9 @@ def etn_decode(obs, t: int) -> str:
         raise ReconstructionFailure("corrected weights disagree with wt(s)")
     sigma = sigma_from_weights(w, n)
     s = _reconstruct_known_shell(fixed, zeta, sigma)
-    if not np.array_equal(_string_weight_profile(s), w):
+    # sigma(s) = sigma, so s's profile is weights_from_sigma(sigma, w_1): w's
+    # first half and its mirror.  It is w exactly when w is its own mirror
+    if not np.array_equal(w, w[::-1]):
         raise ReconstructionFailure("reassembled string misses the multiset")
     return s[half:half + p.nu]
 
@@ -511,9 +513,9 @@ def catalan_code_params(k: int, t: int) -> int:
     """Smallest even length whose Catalan middle holds 2^k messages."""
     if k < 1 or t < 0:
         raise ValueError("need k >= 1 and t >= 0")
-    h = 1
-    while catalan_number(h) < 2 ** k:
-        h += 1
+    h, count = 1, 1  # count is catalan_number(h): C_(h+1) = C_h 2(2h+1)/(h+2)
+    while count.bit_length() <= k:  # count < 2^k
+        h, count = h + 1, count * (4 * h + 2) // (h + 2)
     return 2 * h + 2 * (4 * t + 1)
 
 

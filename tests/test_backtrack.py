@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 from collections import Counter
+from struct import pack
 
 import pytest
 
@@ -10,7 +11,6 @@ from compocode.backtrack import (
     BacktrackStats,
     ReconstructionFailure,
     _lanes,
-    _pack,
     _search,
     reconstruct,
     reconstruct_unique,
@@ -357,6 +357,11 @@ def test_example_high_level_error_forces_one_rollback():
         c, cumulative_weights(c), sigma_of_string("00001111111"), 1)
     assert s == "00001111111"
     assert stats.backtracks == 1
+
+
+def _pack(values) -> int:
+    """values as the 32-bit lanes of one int, the first in the lowest lane."""
+    return int.from_bytes(pack(f"<{len(values)}I", *values), "little")
 
 
 def test_lanes_round_trip_every_code_point_range():

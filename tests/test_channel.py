@@ -281,6 +281,29 @@ class _CountedReads:
         self.reads += 1
         return self.obs.level_counts(l)
 
+    def level_counter(self, l):
+        self.reads += 1
+        return self.obs.level_counter(l)
+
+
+def test_every_verify_stops_at_the_first_level_past_2t():
+    # asym1 at k = 64 (n = 77, below ARRAY_FROM, so levels are read as
+    # Counters): one swap at each of levels 3 and 4 puts the observation 4
+    # elements from the codeword by level 4, and its twin, one more 1 in
+    # the middle, differs at level 1 by 2 and at level 2 by 4
+    code = build_scheme("asym1", 64)
+    info = _random_info(random.Random(8), 64)
+    clean = code.observe(code.encode(info))
+    obs = clean.copy()
+    for l in (3, 4):
+        obs.replace(l, min(obs.level_counter(l)), max(obs.level_counter(l)))
+    far = _CountedReads(obs)
+    assert code.verify(info, far) is False
+    assert code.n < ARRAY_FROM and far.reads == 4 + 2
+    # the codeword's own multiset is read in full, once
+    near = _CountedReads(clean)
+    assert code.verify(info, near) is True and near.reads == code.n
+
 
 def test_sym_poly_verify_bounds_the_multiset_distance():
     # 58 replacements in weight-preserving pairs, at levels 100 .. 2,900:

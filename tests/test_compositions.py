@@ -23,6 +23,7 @@ from compocode.compositions import (
     check_bits,
     compose_all,
     cumulative_weights,
+    level_differences,
     multiset_symmetric_difference,
     parse,
     serialize,
@@ -489,6 +490,42 @@ def test_reading_levels_makes_the_multiset_dense():
     assert c.level_counter(4) == Counter({2: 1})
     assert cumulative_weights(c) == (2, 4, 5, 2)
     assert c.copy().levels == c.levels
+
+
+@pytest.mark.parametrize("n", [ARRAY_FROM - 1, ARRAY_FROM])
+def test_level_differences_agree_on_every_path(n):
+    # two forms of one source compare deltas; a reversed source has the
+    # same levels and is compared level by level, as Counters below
+    # ARRAY_FROM and as count arrays from it
+    rng = random.Random(n)
+    s = "".join(rng.choice("01") for _ in range(n))
+    clean = compose_all(s)
+    obs, _ = corrupt(clean, ErrorModel("symmetric", 3), rng)
+    want = [(l, sorted((w, -c) for w, c in d.items())) for l, d in sorted(obs.delta.items())]
+    flipped = [(l, [(w, -d) for w, d in diffs]) for l, diffs in want]
+    for base in (clean, compose_all(s[::-1])):
+        assert list(level_differences(base, obs)) == want
+        assert list(level_differences(obs, base)) == flipped
+        some = [l for l, _ in want[1:]] + [1, n]
+        assert list(level_differences(base, obs, sorted(some))) == want[1:]
+    assert multiset_symmetric_difference(clean, obs) == (6, dict(want))
+    assert next(level_differences(clean, compose_all(s[::-1])), None) is None
+
+
+@pytest.mark.parametrize("n", [ARRAY_FROM - 1, ARRAY_FROM])
+@pytest.mark.parametrize("w", [-1, 1001])
+def test_level_counts_rejects_a_weight_outside_the_level(n, w):
+    # a delta weight of -1 used to read as weight l, and l + 1 raised a
+    # bare IndexError
+    c = compose_all(("0110100" * n)[:n])
+    l = 1000
+    c._bump(l, max(c.level_counter(l)), -1)
+    c._bump(l, w, 1)
+    with pytest.raises(CorruptedInput, match=f"^level {l} contains weight {w} out of range$"):
+        c.level_counts(l)
+    dense = CompositionMultiset(3, {1: Counter({0: 2, w: 1})})
+    with pytest.raises(CorruptedInput, match=f"^level 1 contains weight {w} out of range$"):
+        dense.level_counts(1)
 
 
 def test_symmetric_difference():
